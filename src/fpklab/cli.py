@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ from .errors import (
     ScenarioError,
     ThresholdError,
     TooShortSeriesError,
-    UndefinedRatioError,
 )
 from .expressions import parse_expression
 from .grid import build_grid, integrate
@@ -111,47 +111,51 @@ class Scenario:
     theory: TheorySettings | None = None
 
     def to_dict(self) -> dict:
+        solver_block = asdict(self.solver)
+        record_every = solver_block.pop("record_every")
         data = {
             "name": self.name,
-            "grid": {"dim": self.grid.dim, "cells_per_axis": self.grid.cells_per_axis},
+            "grid": asdict(self.grid),
             "coefficients": dict(self.coefficients),
-            "solver": {
-                "t_end": self.solver.t_end,
-                "cfl_safety": self.solver.cfl_safety,
-                "positivity_floor": self.solver.positivity_floor,
-                "integrator": self.solver.integrator,
-                "max_steps": self.solver.max_steps,
-            },
-            "diagnostics": {"record_every": self.solver.record_every},
+            "solver": solver_block,
+            "diagnostics": {"record_every": record_every},
         }
         if self.fit_window is not None:
             data["diagnostics"]["fit_window"] = list(self.fit_window)
         if self.theory is not None:
-            block = {"gamma": self.theory.gamma}
-            if self.theory.certified_sobolev is not None:
-                block["certified_sobolev"] = self.theory.certified_sobolev
-            if self.theory.certified_poincare is not None:
-                block["certified_poincare"] = self.theory.certified_poincare
-            data["theory"] = block
+            data["theory"] = {k: v for k, v in asdict(self.theory).items() if v is not None}
         return data
 
 
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
+    return value
+
+
 def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
+    if key not in _object(mapping, context):
         raise ScenarioError(f"{context} is missing required key {key!r}")
     return mapping[key]
 
 
+def _number(kind, value, where: str):
+    """int(value) or float(value); a value that converts to neither is a ScenarioError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{where} must be a number; got {value!r}") from None
+
+
 def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
     """Validate a scenario dict, applying defaults."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    name = str(data.get("name", fallback_name))
+    name = str(_object(data, "scenario").get("name", fallback_name))
 
     grid_block = _require(data, "grid", "scenario")
+    cells = _require(grid_block, "cells_per_axis", "grid")
     grid = GridSettings(
-        dim=int(_require(grid_block, "dim", "grid")),
-        cells_per_axis=int(_require(grid_block, "cells_per_axis", "grid")),
+        dim=_number(int, _require(grid_block, "dim", "grid"), "grid.dim"),
+        cells_per_axis=_number(int, cells, "grid.cells_per_axis"),
     )
     build_grid(grid.dim, grid.cells_per_axis)  # validates ranges
 
@@ -167,17 +171,19 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
             raise ScenarioError(f"coefficient {key!r} is spatial-only but uses t")
         coefficients[key] = source
 
-    solver_block = dict(data.get("solver", {}))
-    diag_block = dict(data.get("diagnostics", {}))
-    record_every = int(diag_block.get("record_every", solver_block.pop("record_every", 10)))
+    solver_block = _object(data.get("solver", {}), "solver")
+    diag_block = _object(data.get("diagnostics", {}), "diagnostics")
+    record_every = diag_block.get("record_every", solver_block.get("record_every", 10))
     try:
         config = SolverConfig(
-            t_end=float(_require(solver_block, "t_end", "solver")),
-            cfl_safety=float(solver_block.get("cfl_safety", 0.4)),
-            positivity_floor=float(solver_block.get("positivity_floor", 0.0)),
+            t_end=_number(float, _require(solver_block, "t_end", "solver"), "solver.t_end"),
+            cfl_safety=_number(float, solver_block.get("cfl_safety", 0.4), "solver.cfl_safety"),
+            positivity_floor=_number(
+                float, solver_block.get("positivity_floor", 0.0), "solver.positivity_floor"
+            ),
             integrator=str(solver_block.get("integrator", "rk4")),
-            max_steps=int(solver_block.get("max_steps", 1_000_000)),
-            record_every=record_every,
+            max_steps=_number(int, solver_block.get("max_steps", 1_000_000), "solver.max_steps"),
+            record_every=_number(int, record_every, "diagnostics.record_every"),
         )
     except ValueError as exc:
         raise ScenarioError(f"solver: {exc}") from exc
@@ -187,14 +193,16 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
         window = diag_block["fit_window"]
         if not (isinstance(window, (list, tuple)) and len(window) == 2):
             raise ScenarioError("diagnostics.fit_window must be [t_lo, t_hi]")
-        fit_window = (float(window[0]), float(window[1]))
+        fit_window = tuple(
+            _number(float, w, f"diagnostics.fit_window[{i}]") for i, w in enumerate(window)
+        )
         if fit_window[1] <= fit_window[0]:
             raise ScenarioError("diagnostics.fit_window must have t_lo < t_hi")
 
     theory_settings = None
     if "theory" in data:
         theory_block = data["theory"]
-        gamma = float(_require(theory_block, "gamma", "theory"))
+        gamma = _number(float, _require(theory_block, "gamma", "theory"), "theory.gamma")
         if gamma <= 0.0:
             raise ScenarioError("theory.gamma must be positive")
         theory_settings = TheorySettings(
@@ -215,18 +223,23 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
 
 def _optional_float(block: dict, key: str) -> float | None:
     value = block.get(key)
-    return None if value is None else float(value)
+    return None if value is None else _number(float, value, f"theory.{key}")
+
+
+def _load_json(path: Path, kind: str):
+    if not path.exists():
+        raise ScenarioError(f"{kind} file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {kind} file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def parse_scenario(path) -> Scenario:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"scenario file not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    return build_scenario(data, fallback_name=path.stem)
+    return build_scenario(_load_json(path, "scenario"), fallback_name=path.stem)
 
 
 def _regime(coeffs) -> str:
@@ -236,24 +249,13 @@ def _regime(coeffs) -> str:
 
 
 _REGIME_THEOREM = {"homogeneous": "T2", "inhomogeneous-D": "T3", "full": "T4"}
-_REGIME_MODE = {"homogeneous": "homogeneous", "inhomogeneous-D": "inhomogeneous-D", "full": "full"}
 
 
-def _empirical_constants(snapshots, coeffs) -> dict:
-    """Running maxima of the empirical ratios over recorded states."""
-    poincare = sobolev = sobolev_weighted = None
-    for state in snapshots:
-        u = solver.compute_velocity(state.f, coeffs, state.t)
-        try:
-            poin = diagnostics.empirical_poincare(state.f, u)
-            sob = diagnostics.empirical_sobolev(state.f, u, p_star=6.0)
-            sob_w = diagnostics.empirical_sobolev(state.f, u, p_star=6.0, weighted=True, eps=2.0)
-        except UndefinedRatioError:
-            continue
-        poincare = poin if poincare is None else max(poincare, poin)
-        sobolev = sob if sobolev is None else max(sobolev, sob)
-        sobolev_weighted = sob_w if sobolev_weighted is None else max(sobolev_weighted, sob_w)
-    return {"poincare": poincare, "sobolev": sobolev, "sobolev_weighted": sobolev_weighted}
+def _ratio_maxima(records) -> dict:
+    """Running maxima of the recorded empirical ratios; None where no state defines them."""
+    defined = [r for r in records if not math.isnan(r.poincare)]
+    names = ("poincare", "sobolev", "sobolev_weighted")
+    return {name: max((getattr(r, name) for r in defined), default=None) for name in names}
 
 
 def _condition_reports(scenario, regime, ledger, empirical, g0) -> list[dict]:
@@ -262,16 +264,18 @@ def _condition_reports(scenario, regime, ledger, empirical, g0) -> list[dict]:
         return []
     gamma = scenario.theory.gamma
     certified_sob = scenario.theory.certified_sobolev
-    certified_poin = scenario.theory.certified_poincare
 
     def pick(certified, empirical_value):
         if certified is not None:
             return certified, "certified"
         return empirical_value, "empirical"
 
-    poin, poin_prov = pick(certified_poin, empirical["poincare"])
-    sob, sob_prov = pick(certified_sob, empirical["sobolev"])
-    sob_w, sob_w_prov = pick(certified_sob, empirical["sobolev_weighted"])
+    poin, poin_prov = pick(scenario.theory.certified_poincare, empirical["poincare"])
+    # T3 takes the plain Sobolev ratio, T4 the weighted one
+    sobolev = {
+        "T3": pick(certified_sob, empirical["sobolev"]),
+        "T4": pick(certified_sob, empirical["sobolev_weighted"]),
+    }
 
     wanted = {"homogeneous": ("T2", "T3", "T4"), "inhomogeneous-D": ("T3", "T4"), "full": ("T4",)}
     reports = []
@@ -283,19 +287,14 @@ def _condition_reports(scenario, regime, ledger, empirical, g0) -> list[dict]:
                 report = theory.check_condition_T2(
                     ledger, poin, gamma, g0, poincare_provenance=poin_prov
                 )
-            elif theorem == "T3":
+            else:
+                sob, sob_prov = sobolev[theorem]
                 if poin is None or sob is None:
                     raise FpkError("no empirical constants available (trajectory had u = 0)")
-                report = theory.check_condition_T3(
+                check = theory.check_condition_T3 if theorem == "T3" else theory.check_condition_T4
+                report = check(
                     ledger, sob, poin, gamma, g0,
                     sobolev_provenance=sob_prov, poincare_provenance=poin_prov,
-                )
-            else:
-                if poin is None or sob_w is None:
-                    raise FpkError("no empirical constants available (trajectory had u = 0)")
-                report = theory.check_condition_T4(
-                    ledger, sob_w, poin, gamma, g0,
-                    sobolev_provenance=sob_w_prov, poincare_provenance=poin_prov,
                 )
             reports.append(report.as_dict())
         except FpkError as exc:
@@ -336,45 +335,75 @@ SOBOLEV_NOTE = (
 )
 
 
-def run_scenario_data(scenario: Scenario):
-    """Execute a scenario in memory; returns (series, report, snapshots)."""
+def _setup(scenario: Scenario):
+    """Grid, coefficients, unit-mass f0, and the equilibrium with its shift."""
     grid = build_grid(scenario.grid.dim, scenario.grid.cells_per_axis)
     coeffs, f0 = sample_coefficients(scenario.coefficients, grid)
     feq, shift = compute_equilibrium(coeffs, tol=1e-12)
-    ledger = build_constants_ledger(
-        coeffs, f0, grid, t_probe_count=T_PROBE_COUNT, t_horizon=max(scenario.solver.t_end, 1e-6)
+    return grid, coeffs, f0, feq, shift
+
+
+def _ledger(scenario: Scenario, grid, coeffs, f0, shift):
+    horizon = max(scenario.solver.t_end, 1e-6)
+    return build_constants_ledger(
+        coeffs, f0, grid, t_probe_count=T_PROBE_COUNT, t_horizon=horizon, feq_shift=shift
     )
+
+
+def _equilibrium_block(feq, shift) -> dict:
+    return {
+        "shift": shift,
+        "feq_min": feq.min(),
+        "feq_max": feq.max(),
+        "mass_residual": integrate(feq) - 1.0,
+    }
+
+
+def run_scenario_data(scenario: Scenario):
+    """Execute a scenario in memory; returns (series, report).
+
+    Everything the report says about the trajectory comes from the records
+    the recorder builds, one per recorded state.  The run keeps at most
+    TERM_SAMPLE_CAP states for term breakdowns: the first recorded state at
+    or after each target time j t_end / (TERM_SAMPLE_CAP - 1), with the
+    final state standing in for targets the run does not reach.
+    """
+    grid, coeffs, f0, feq, shift = _setup(scenario)
+    ledger = _ledger(scenario, grid, coeffs, f0, shift)
     envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
 
-    snapshots: list[solver.SolverState] = []
-    recorder = diagnostics.make_recorder(coeffs, envelope=envelope, on_state=snapshots.append)
+    t_end = scenario.solver.t_end
+    targets = [j * t_end / (TERM_SAMPLE_CAP - 1) for j in range(TERM_SAMPLE_CAP)]
+    sampled: list[solver.SolverState] = []
+    final = None
+
+    def keep(state):
+        nonlocal final
+        final = state
+        if targets and state.t >= targets[0]:
+            sampled.append(state)
+            while targets and state.t >= targets[0]:
+                targets.pop(0)
+
+    recorder = diagnostics.make_recorder(coeffs, envelope=envelope, on_state=keep)
     series = solver.run(f0, coeffs, scenario.solver, recorder)
+    if targets and final is not sampled[-1]:
+        sampled.append(final)
 
     regime = _regime(coeffs)
-    fit_window = scenario.fit_window or (scenario.solver.t_end / 4.0, scenario.solver.t_end)
+    fit_window = scenario.fit_window or (t_end / 4.0, t_end)
     try:
         fit = diagnostics.decay_fit(series, fit_window)
-        fit_dict = {
-            "rate": fit.rate,
-            "log_intercept": fit.log_intercept,
-            "window": list(fit.window),
-            "residual_rms": fit.residual_rms,
-            "n_points": fit.n_points,
-        }
+        fit_dict = {**asdict(fit), "window": list(fit.window)}
     except TooShortSeriesError as exc:
         fit_dict = {"error": str(exc)}
 
-    empirical = _empirical_constants(snapshots, coeffs)
+    empirical = _ratio_maxima(series.records)
     g0 = series.records[0].dissipation
 
-    sample_count = min(TERM_SAMPLE_CAP, len(snapshots))
-    sample_idx = sorted(set(np.linspace(0, len(snapshots) - 1, sample_count).astype(int)))
     term_samples = []
-    for i in sample_idx:
-        state = snapshots[i]
-        breakdown = diagnostics.second_derivative_terms(
-            state.f, coeffs, state.t, mode=_REGIME_MODE[regime]
-        )
+    for state in sampled:
+        breakdown = diagnostics.second_derivative_terms(state.f, coeffs, state.t, mode=regime)
         term_samples.append(
             {"t": state.t, "mode": breakdown.mode, "terms": breakdown.terms, "sum": breakdown.sum}
         )
@@ -382,12 +411,7 @@ def run_scenario_data(scenario: Scenario):
     report = {
         "scenario": scenario.to_dict(),
         "regime": regime,
-        "equilibrium": {
-            "shift": shift,
-            "feq_min": feq.min(),
-            "feq_max": feq.max(),
-            "mass_residual": integrate(feq) - 1.0,
-        },
+        "equilibrium": _equilibrium_block(feq, shift),
         "constants_ledger": ledger.as_dict(),
         "empirical_constants": empirical,
         "certified_consistency": _certified_consistency(scenario, empirical),
@@ -399,7 +423,7 @@ def run_scenario_data(scenario: Scenario):
         "accepted_steps": series.metadata.get("accepted_steps"),
         "sobolev_constant_note": SOBOLEV_NOTE,
     }
-    return series, report, snapshots
+    return series, report
 
 
 def _certified_consistency(scenario, empirical) -> dict | None:
@@ -407,18 +431,14 @@ def _certified_consistency(scenario, empirical) -> dict | None:
     if scenario.theory is None:
         return None
     checks = {}
-    if scenario.theory.certified_poincare is not None and empirical["poincare"] is not None:
-        checks["poincare"] = {
-            "certified": scenario.theory.certified_poincare,
-            "empirical_max": empirical["poincare"],
-            "consistent": empirical["poincare"] <= scenario.theory.certified_poincare,
-        }
-    if scenario.theory.certified_sobolev is not None and empirical["sobolev"] is not None:
-        checks["sobolev"] = {
-            "certified": scenario.theory.certified_sobolev,
-            "empirical_max": empirical["sobolev"],
-            "consistent": empirical["sobolev"] <= scenario.theory.certified_sobolev,
-        }
+    for name in ("poincare", "sobolev"):
+        certified = getattr(scenario.theory, f"certified_{name}")
+        if certified is not None and empirical[name] is not None:
+            checks[name] = {
+                "certified": certified,
+                "empirical_max": empirical[name],
+                "consistent": empirical[name] <= certified,
+            }
     return checks or None
 
 
@@ -428,56 +448,36 @@ def check_scenario_data(scenario: Scenario) -> dict:
     Empirical constants come from the initial state alone, so their
     provenance is weaker than a full run's running maxima.
     """
-    grid = build_grid(scenario.grid.dim, scenario.grid.cells_per_axis)
-    coeffs, f0 = sample_coefficients(scenario.coefficients, grid)
-    feq, shift = compute_equilibrium(coeffs, tol=1e-12)
-    ledger = build_constants_ledger(
-        coeffs, f0, grid, t_probe_count=T_PROBE_COUNT, t_horizon=max(scenario.solver.t_end, 1e-6)
-    )
+    grid, coeffs, f0, feq, shift = _setup(scenario)
+    ledger = _ledger(scenario, grid, coeffs, f0, shift)
     regime = _regime(coeffs)
-    initial = solver.SolverState(f=f0, t=0.0, step_index=0)
-    empirical = _empirical_constants([initial], coeffs)
-    g0 = diagnostics.dissipation(f0, coeffs, 0.0)
+    initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
+    empirical = _ratio_maxima([initial])
     return {
         "scenario": scenario.to_dict(),
         "regime": regime,
-        "equilibrium": {
-            "shift": shift,
-            "feq_min": feq.min(),
-            "feq_max": feq.max(),
-            "mass_residual": integrate(feq) - 1.0,
-        },
+        "equilibrium": _equilibrium_block(feq, shift),
         "constants_ledger": ledger.as_dict(),
         "empirical_constants": empirical,
-        "condition_reports": _condition_reports(scenario, regime, ledger, empirical, g0),
+        "condition_reports": _condition_reports(
+            scenario, regime, ledger, empirical, initial.dissipation
+        ),
         "sobolev_constant_note": SOBOLEV_NOTE
         + " (check mode: empirical values sampled at the initial state only)",
     }
 
 
 def _series_rows(series) -> list[list[str]]:
-    rows = []
-    for r in series.records:
-        rows.append(
-            [
-                _fmt(r.t),
-                _fmt(r.mass),
-                _fmt(r.free_energy),
-                _fmt(r.dissipation),
-                _fmt(r.f_min),
-                _fmt(r.f_max),
-                _fmt(r.u_sup),
-                _fmt(r.envelope_violation),
-                _fmt(r.jensen_margin),
-            ]
-        )
-    return rows
+    # the envelope_margin column holds each record's envelope_violation
+    fields = [{"envelope_margin": "envelope_violation"}.get(c, c) for c in SERIES_COLUMNS]
+    return [[_fmt(getattr(r, name)) for name in fields] for r in series.records]
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _prepare_out_dir(out_dir: Path, force: bool) -> Path:
@@ -494,7 +494,7 @@ def write_report(path: Path, report: dict) -> None:
 def run_scenario(scenario: Scenario, out_dir, force: bool = False) -> dict:
     """Run and serialize; returns the report dict."""
     out = _prepare_out_dir(Path(out_dir), force)
-    series, report, _ = run_scenario_data(scenario)
+    series, report = run_scenario_data(scenario)
     _write_csv(out / "series.csv", SERIES_COLUMNS, _series_rows(series))
     write_report(out / "report.json", report)
     write_report(out / "scenario.normalized.json", scenario.to_dict())
@@ -516,19 +516,16 @@ class SweepSpec:
 
 def parse_sweep(path) -> SweepSpec:
     path = Path(path)
-    if not path.exists():
-        raise ScenarioError(f"sweep file not found: {path}")
-    data = json.loads(path.read_text())
+    data = _load_json(path, "sweep")
     base_block = _require(data, "base", "sweep")
     if isinstance(base_block, str):
         base = parse_scenario(path.parent / base_block)
     else:
         base = build_scenario(base_block, fallback_name=path.stem + "-base")
-    return SweepSpec(
-        base=base,
-        axis=str(_require(data, "axis", "sweep")),
-        values=list(_require(data, "values", "sweep")),
-    )
+    values = _require(data, "values", "sweep")
+    if not (isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)):
+        raise ScenarioError(f"sweep values must be a list of numbers; got {values!r}")
+    return SweepSpec(base=base, axis=str(_require(data, "axis", "sweep")), values=values)
 
 
 def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
@@ -559,24 +556,16 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     raise ScenarioError(f"unknown sweep axis {axis!r}")
 
 
-def _base_regime(scenario: Scenario) -> str:
-    grid = build_grid(scenario.grid.dim, scenario.grid.cells_per_axis)
-    coeffs, _ = sample_coefficients(scenario.coefficients, grid)
-    return _regime(coeffs)
-
-
 def _sweep_row(args) -> dict:
-    index, scenario_dict, theorem, out_dir = args
-    row = {"error": ""}
+    scenario_dict, theorem, out_dir = args
+    margins = {name: math.nan for name in CLAUSE_NAMES[theorem]}
+    row = {"measured_rate": math.nan, "margins": margins, "overall_pass": "", "error": ""}
     try:
         scenario = build_scenario(scenario_dict, fallback_name=scenario_dict.get("name", "row"))
         report = run_scenario(scenario, Path(out_dir), force=True)
-        fit = report.get("decay_fit", {})
-        row["measured_rate"] = fit.get("rate", math.nan)
-        margins = {name: math.nan for name in CLAUSE_NAMES[theorem]}
-        overall = ""
-        for cond in report.get("condition_reports", []):
-            if cond.get("theorem") != theorem:
+        row["measured_rate"] = report["decay_fit"].get("rate", math.nan)
+        for cond in report["condition_reports"]:
+            if cond["theorem"] != theorem:
                 continue
             if "error" in cond:
                 row["error"] = cond["error"]
@@ -584,27 +573,22 @@ def _sweep_row(args) -> dict:
             for clause in cond["clauses"]:
                 lhs, rhs, op = clause["lhs"], clause["rhs"], clause["op"]
                 margins[clause["name"]] = (lhs - rhs) if op == ">=" else (rhs - lhs)
-            overall = cond["overall"]
-        row["margins"] = margins
-        row["overall_pass"] = overall
+            row["overall_pass"] = cond["overall"]
     except Exception as exc:  # per-row failures recorded, sweep continues
         row["error"] = str(exc)
-        row.setdefault("measured_rate", math.nan)
-        row.setdefault("margins", {name: math.nan for name in CLAUSE_NAMES[theorem]})
-        row.setdefault("overall_pass", "")
     return row
 
 
 def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = None) -> Path:
     """Run every sweep row and merge results, in input order, to sweep.csv."""
     out = _prepare_out_dir(Path(out_dir), force)
-    theorem = _REGIME_THEOREM[_base_regime(spec.base)]
+    theorem = _REGIME_THEOREM[_regime(_setup(spec.base)[1])]
     tasks = []
     for index, value in enumerate(spec.values):
         row_scenario = apply_axis(spec.base, spec.axis, value)
         row_dir = out / "rows" / f"{index:03d}_{row_scenario.name}"
         row_dir.mkdir(parents=True, exist_ok=True)
-        tasks.append((index, row_scenario.to_dict(), theorem, str(row_dir)))
+        tasks.append((row_scenario.to_dict(), theorem, str(row_dir)))
 
     jobs = jobs or os.cpu_count() or 1
     if jobs > 1 and len(tasks) > 1:
@@ -615,17 +599,16 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
 
     clause_cols = [f"margin_{name}" for name in CLAUSE_NAMES[theorem]]
     header = ["value", "measured_rate", *clause_cols, "overall_pass", "error"]
-    csv_rows = []
-    for value, row in zip(spec.values, rows):
-        csv_rows.append(
-            [
-                _fmt(value),
-                _fmt(row.get("measured_rate", math.nan)),
-                *[_fmt(row["margins"][name]) for name in CLAUSE_NAMES[theorem]],
-                str(row.get("overall_pass", "")),
-                str(row.get("error", "")).replace(",", ";"),
-            ]
-        )
+    csv_rows = [
+        [
+            _fmt(value),
+            _fmt(row["measured_rate"]),
+            *[_fmt(row["margins"][name]) for name in CLAUSE_NAMES[theorem]],
+            str(row["overall_pass"]),
+            row["error"],
+        ]
+        for value, row in zip(spec.values, rows)
+    ]
     path = out / "sweep.csv"
     _write_csv(path, header, csv_rows)
     return path
@@ -688,14 +671,9 @@ def main(argv=None) -> int:
             path = run_sweep(spec, _resolve_out(args), force=args.force, jobs=args.jobs)
             print(f"wrote {path}")
         elif args.command == "equilibrium":
-            scenario = parse_scenario(args.scenario)
-            grid = build_grid(scenario.grid.dim, scenario.grid.cells_per_axis)
-            coeffs, _ = sample_coefficients(scenario.coefficients, grid)
-            feq, shift = compute_equilibrium(coeffs, tol=1e-12)
-            print(f"shift          = {_fmt(shift)}")
-            print(f"feq min        = {_fmt(feq.min())}")
-            print(f"feq max        = {_fmt(feq.max())}")
-            print(f"mass residual  = {_fmt(integrate(feq) - 1.0)}")
+            _, _, _, feq, shift = _setup(parse_scenario(args.scenario))
+            for key, value in _equilibrium_block(feq, shift).items():
+                print(f"{key.replace('_', ' '):<15}= {_fmt(value)}")
     except FpkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

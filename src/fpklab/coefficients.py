@@ -100,9 +100,6 @@ class CoefficientSet:
         behind = _sample_expression(self.pi_expr, self.grid, "pi", t - PI_TIME_DELTA)
         return (ahead - behind) / (2.0 * PI_TIME_DELTA)
 
-    def pi_t_at(self, t: float) -> ScalarField:
-        return ScalarField(self.grid, self.pi_t_values(t))
-
     def grad_pi_at(self, t: float) -> VectorField:
         return centered_gradient(self.pi_at(t))
 
@@ -275,13 +272,15 @@ def build_constants_ledger(
     grid: Grid,
     t_probe_count: int = 9,
     t_horizon: float = 1.0,
-    equilibrium_tol: float = 1e-12,
+    feq_shift: float | None = None,
 ) -> ConstantsLedger:
     """Assemble the ledger from discrete samples.
 
     Mobility extrema and the |pi_t|, |grad pi| sups are taken over
     ``t_probe_count`` evenly spaced probe times in [0, t_horizon] (a single
-    probe at t = 0 when the mobility is time-independent).
+    probe at t = 0 when the mobility is time-independent).  ``feq_shift``
+    is the equilibrium shift from compute_equilibrium; without it the
+    ledger runs that bisection itself.
     """
     if t_probe_count < 1:
         raise ValueError("t_probe_count must be >= 1")
@@ -308,7 +307,7 @@ def build_constants_ledger(
     grad_phi_sup = float(coeffs.grad_phi.magnitude().max())
     log_f0_sup = float(np.abs(np.log(f0.values)).max())
     lam = max(0.0, -_min_hessian_eigenvalue(coeffs.phi))
-    _, shift = compute_equilibrium(coeffs, tol=equilibrium_tol)
+    shift = compute_equilibrium(coeffs)[1] if feq_shift is None else feq_shift
 
     return ConstantsLedger(
         dim=dim,

@@ -64,6 +64,10 @@ class DiagnosticsRecord:
     u_sup: float
     envelope_violation: float
     jensen_margin: float
+    # empirical ratios of the decay conditions (NaN together where undefined)
+    poincare: float = math.nan
+    sobolev: float = math.nan
+    sobolev_weighted: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -172,11 +176,17 @@ def check_envelope(states, envelope: tuple[ScalarField, ScalarField]) -> float:
 
 
 def _jacobian(u: VectorField) -> np.ndarray:
-    """J[k, l] = d u_k / d x_l by centered differences; shape (n, n, ...)."""
-    h = u.grid.spacing
-    n = u.grid.dim
-    rows = [np.stack(gradient_arrays(u.components[k], h)) for k in range(n)]
-    return np.stack(rows)
+    """J[k, l] = d u_k / d x_l by centered differences; shape (n, n, ...).
+
+    Cached read-only on the immutable field: one evaluation per velocity.
+    """
+    jac = u.__dict__.get("_jacobian_cache")
+    if jac is None:
+        h = u.grid.spacing
+        jac = np.stack([np.stack(gradient_arrays(c, h)) for c in u.components])
+        jac.setflags(write=False)
+        u.__dict__["_jacobian_cache"] = jac
+    return jac
 
 
 def jensen_check(u: VectorField, grid: Grid | None = None) -> float:
@@ -372,14 +382,25 @@ def decay_fit(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
 def make_recorder(coeffs: CoefficientSet, envelope=None, on_state=None):
     """Build the per-state diagnostics callback used by solver.run.
 
-    ``envelope`` is the (lower, upper) pair from max_principle_envelope;
-    without it the containment margin is recorded as NaN.  ``on_state``
-    receives each recorded SolverState (for snapshot capture).
+    The callback is the one place a recorded state is read: from one
+    velocity and Jacobian it records the series row and the empirical
+    Poincare, Sobolev and weighted Sobolev (eps = 2) ratios, all NaN when
+    any is undefined.  ``envelope`` is the (lower, upper) pair from
+    max_principle_envelope; without it the containment margin is recorded
+    as NaN.  ``on_state`` receives each recorded SolverState.
     """
 
     def recorder(state: SolverState) -> DiagnosticsRecord:
         f = state.f
         u = compute_velocity(f, coeffs, state.t)
+        try:
+            ratios = {
+                "poincare": empirical_poincare(f, u),
+                "sobolev": empirical_sobolev(f, u),
+                "sobolev_weighted": empirical_sobolev(f, u, weighted=True),
+            }
+        except UndefinedRatioError:
+            ratios = {}  # the record's NaN defaults
         log_f = np.log(f.values)
         record = DiagnosticsRecord(
             t=state.t,
@@ -392,6 +413,7 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, on_state=None):
             u_sup=float(u.magnitude().max()),
             envelope_violation=envelope_margin(f, envelope) if envelope is not None else math.nan,
             jensen_margin=jensen_check(u),
+            **ratios,
         )
         if on_state is not None:
             on_state(state)

@@ -39,7 +39,7 @@ class PositivityError(FpkError):
 
     def __init__(self, name: str, cell, value: float):
         self.name = name
-        self.cell = tuple(cell)
+        self.cell = tuple(int(i) for i in cell)
         self.value = value
         super().__init__(f"{name} must be strictly positive; got {value!r} at cell {self.cell}")
 

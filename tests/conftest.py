@@ -26,9 +26,30 @@ def load_scenario_dict(name: str, **overrides) -> dict:
 
 
 def run_with_snapshots(scenario_dict: dict):
-    """Run a scenario dict in memory; returns (series, report, snapshots)."""
+    """Run a scenario dict in memory; returns (series, report, snapshots).
+
+    The snapshots are the recorded states, captured by wrapping
+    ``diagnostics.make_recorder`` for the duration of the run.
+    """
     scenario = cli.build_scenario(scenario_dict, fallback_name=scenario_dict.get("name", "test"))
-    return cli.run_scenario_data(scenario)
+    snapshots = []
+    make_recorder = dg.make_recorder
+
+    def capturing_make_recorder(*args, **kwargs):
+        recorder = make_recorder(*args, **kwargs)
+
+        def capture(state):
+            snapshots.append(state)
+            return recorder(state)
+
+        return capture
+
+    dg.make_recorder = capturing_make_recorder
+    try:
+        series, report = cli.run_scenario_data(scenario)
+    finally:
+        dg.make_recorder = make_recorder
+    return series, report, snapshots
 
 
 @pytest.fixture(scope="session")

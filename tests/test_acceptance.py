@@ -345,3 +345,30 @@ def test_suite_weighted_interpolation_margins(suite_runs):
         u = F.compute_velocity(state.f, coeffs, state.t)
         k = dg.empirical_sobolev(state.f, u, 6.0, weighted=True, eps=2.0)
         assert dg.interpolation_check(state.f, u, k, "pi-variable") >= -1e-12
+
+
+def test_suite_single_pass_diagnostics(suite_runs):
+    # the recorder's ratios give the report's maxima bit for bit, and the
+    # term breakdowns sample at most TERM_SAMPLE_CAP states by target time
+    assert suite_runs["variable_pi_1d"]["report"]["regime"] == "full"
+    for name in ("variable_pi_1d", "mixed_2d"):
+        run = suite_runs[name]
+        data = load_scenario_dict(name)
+        grid = F.build_grid(data["grid"]["dim"], data["grid"]["cells_per_axis"])
+        coeffs, _ = F.sample_coefficients(data["coefficients"], grid)
+        maxima = {}
+        for state in run["snapshots"]:
+            u = F.compute_velocity(state.f, coeffs, state.t)
+            ratios = {
+                "poincare": dg.empirical_poincare(state.f, u),
+                "sobolev": dg.empirical_sobolev(state.f, u, p_star=6.0),
+                "sobolev_weighted": dg.empirical_sobolev(state.f, u, p_star=6.0, weighted=True, eps=2.0),
+            }
+            for key, value in ratios.items():
+                maxima[key] = max(maxima.get(key, value), value)
+        assert run["report"]["empirical_constants"] == maxima, name
+
+        times = [sample["t"] for sample in run["report"]["term_breakdown_samples"]]
+        assert len(times) <= cli.TERM_SAMPLE_CAP, name
+        assert all(a < b for a, b in zip(times, times[1:])), name
+        assert times[0] == 0.0 and times[-1] == run["series"].records[-1].t, name

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -185,6 +186,31 @@ class TestRunScenario:
         assert consistency["consistent"] is True
         assert consistency["empirical_max"] <= 0.05
 
+    def test_zero_velocity_leaves_empirical_constants_undefined(self):
+        data = {
+            **MINIMAL,
+            "coefficients": {**MINIMAL["coefficients"], "f0": "1"},
+            "theory": {"gamma": 1.0},
+        }
+        series, report = cli.run_scenario_data(cli.build_scenario(data))
+        assert all(np.isnan(series.column("poincare")))
+        undefined = dict.fromkeys(("poincare", "sobolev", "sobolev_weighted"))
+        assert report["empirical_constants"] == undefined
+        assert "u = 0" in report["condition_reports"][0]["error"]
+
+    def test_term_samples_when_run_stops_early(self):
+        data = {
+            **MINIMAL,
+            "solver": {"t_end": 0.002, "max_steps": 2},
+            "diagnostics": {"record_every": 1},
+        }
+        series, report = cli.run_scenario_data(cli.build_scenario(data))
+        final = series.records[-1].t
+        assert final < 0.002 / 4  # only the first target time is reached
+        times = [sample["t"] for sample in report["term_breakdown_samples"]]
+        assert times[0] == 0.0 and times[-1] == final
+        assert all(a < b for a, b in zip(times, times[1:]))
+
     def test_overclaimed_certified_constant_flagged(self, tmp_path):
         data = {**MINIMAL, "name": "overclaim", "theory": {"gamma": 1.0, "certified_poincare": 1e-4}}
         report = cli.run_scenario(cli.build_scenario(data), tmp_path / "over", force=True)
@@ -250,6 +276,12 @@ class TestSweep:
         rows = path.read_text().splitlines()
         assert rows[1].split(",")[-1] != ""  # N=2 fails validation
         assert rows[2].split(",")[-1] == ""
+        # an error message with a comma survives the round trip through sweep.csv
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="d_scale", values=[-1.0])
+        path = cli.run_sweep(spec, tmp_path / "csweep", force=True, jobs=1)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1][-1] == "D must be strictly positive; got -1.0 at cell (0,)"
 
     def test_grad_pi_scale_axis_scales_mobility_deviation(self):
         base = cli.build_scenario(
@@ -287,3 +319,32 @@ class TestMain:
     def test_error_exit_code(self, tmp_path, capsys):
         assert cli.main(["run", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err
+        assert cli.main(["run", str(tmp_path)]) == 2  # a directory, not a file
+
+
+_TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("sweep", _TRUNCATED),
+        ("sweep", json.dumps({"axis": "d_scale", "values": 5, "base": MINIMAL})),
+        ("run", json.dumps({**MINIMAL, "grid": 5})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": "abc", "cells_per_axis": 32}})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": float("inf")}})),
+    ],
+    ids=[
+        "truncated_json",
+        "values_not_a_list",
+        "grid_not_an_object",
+        "dim_not_a_number",
+        "cells_infinite",
+    ],
+)
+def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -73,12 +73,12 @@ class TestSampling:
         _, coeffs, _ = sample({**UNIT, "pi": "2 + sin(t)"})
         assert coeffs.pi_at(0.0).values[0] == pytest.approx(2.0)
         assert coeffs.pi_at(math.pi / 2).values[0] == pytest.approx(3.0)
-        assert coeffs.pi_t_at(0.0).values[0] == pytest.approx(1.0, abs=1e-8)
+        assert coeffs.pi_t_values(0.0)[0] == pytest.approx(1.0, abs=1e-8)
         assert not coeffs.pi_is_constant
 
     def test_static_pi_time_derivative_is_zero(self):
         _, coeffs, _ = sample({**UNIT, "pi": "1.5 + 0.5*cos(2*pi*x1)"})
-        assert np.all(coeffs.pi_t_at(0.3).values == 0.0)
+        assert np.all(coeffs.pi_t_values(0.3) == 0.0)
 
     def test_sampling_monotonicity_under_refinement(self):
         spec = {**UNIT, "f0": "2 + cos(2*pi*x1) * sin(4*pi*x1)"}
