@@ -80,12 +80,13 @@ class CoefficientSet:
     phi: ScalarField
     grad_phi: VectorField
     pi_expr: CoefficientExpr
+    pi0: ScalarField  # mobility at t = 0, the value at every t when pi does not use t
     sources: dict
 
     def pi_values(self, t: float) -> np.ndarray:
         """Mobility samples at time t (positivity checked)."""
         if not self.pi_expr.uses_t:
-            return self._static_pi
+            return self.pi0.values
         arr = _sample_expression(self.pi_expr, self.grid, "pi", t)
         _require_positive("pi", arr, self.grid)
         return arr
@@ -109,17 +110,7 @@ class CoefficientSet:
 
     @property
     def pi_is_constant(self) -> bool:
-        return (not self.pi_expr.uses_t) and float(np.ptp(self._static_pi)) == 0.0
-
-    @property
-    def _static_pi(self) -> np.ndarray:
-        # cached because the solver samples the mobility every stage
-        cache = self.__dict__.get("_static_pi_cache")
-        if cache is None:
-            cache = _sample_expression(self.pi_expr, self.grid, "pi", 0.0)
-            _require_positive("pi", cache, self.grid)
-            self.__dict__["_static_pi_cache"] = cache
-        return cache
+        return (not self.pi_expr.uses_t) and float(np.ptp(self.pi0.values)) == 0.0
 
 
 def sample_coefficients(
@@ -161,6 +152,7 @@ def sample_coefficients(
         phi=phi_field,
         grad_phi=centered_gradient(phi_field),
         pi_expr=exprs["pi"],
+        pi0=ScalarField(grid, pi0),
         sources={name: exprs[name].source for name in ("D", "phi", "pi", "f0")},
     )
     f0_field = ScalarField(grid, f0_arr)

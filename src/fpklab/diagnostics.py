@@ -189,13 +189,12 @@ def _jacobian(u: VectorField) -> np.ndarray:
     return jac
 
 
-def jensen_check(u: VectorField, grid: Grid | None = None) -> float:
+def jensen_check(u: VectorField) -> float:
     """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off)."""
-    grid = grid or u.grid
     jac = _jacobian(u)
     grad_sq = np.sum(jac**2, axis=(0, 1))
     div = np.trace(jac, axis1=0, axis2=1)
-    return float((grid.dim * grad_sq - div**2).min())
+    return float((u.grid.dim * grad_sq - div**2).min())
 
 
 _FULL_TERM_NAMES = (

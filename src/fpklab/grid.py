@@ -2,10 +2,11 @@
 
 Cells are uniform with centers at (i + 1/2) h, h = 1/N, on [0,1)^n for
 n = 1, 2, 3.  All index arithmetic wraps modulo N on every axis, so sampled
-fields are exactly periodic; there are no ghost cells.  Integration is the
-midpoint rule (spectrally accurate for smooth periodic integrands), gradients
-are centered second-order differences, and the face divergence telescopes to
-zero total mass on every periodic flux array.
+fields are exactly periodic; there are no ghost cells.  ``shift`` is the one
+wrap: every stencil here and in the solver reads its neighbors through it.
+Integration is the midpoint rule (spectrally accurate for smooth periodic
+integrands), gradients are centered second-order differences, and the face
+divergence telescopes to zero total mass on every periodic flux array.
 """
 
 from __future__ import annotations
@@ -122,13 +123,18 @@ def integrate(field: ScalarField) -> float:
     return field.grid.cell_volume * float(field.values.sum())
 
 
+def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
+    """Periodic shift: entry i along ``axis`` holds values[i + offset], wrapping."""
+    lead = (slice(None),) * axis
+    return np.concatenate(
+        (values[lead + (slice(offset, None),)], values[lead + (slice(None, offset),)]), axis=axis
+    )
+
+
 def gradient_arrays(values: np.ndarray, spacing: float) -> list[np.ndarray]:
     """Centered periodic differences (v[i+1] - v[i-1]) / (2h) per axis."""
     two_h = 2.0 * spacing
-    return [
-        (np.roll(values, -1, axis=k) - np.roll(values, 1, axis=k)) / two_h
-        for k in range(values.ndim)
-    ]
+    return [(shift(values, 1, k) - shift(values, -1, k)) / two_h for k in range(values.ndim)]
 
 
 def centered_gradient(field: ScalarField) -> VectorField:
@@ -142,7 +148,7 @@ def centered_hessian(field: ScalarField) -> np.ndarray:
 
     Diagonal entries use the compact 3-point second difference; off-diagonal
     entries apply the centered first difference twice (exactly symmetric
-    because the roll operations commute).
+    because the shifts commute).
     """
     grid = field.grid
     v = field.values
@@ -151,9 +157,9 @@ def centered_hessian(field: ScalarField) -> np.ndarray:
     out = np.empty((n, n) + grid.shape)
     firsts = gradient_arrays(v, h)
     for k in range(n):
-        out[k, k] = (np.roll(v, -1, axis=k) - 2.0 * v + np.roll(v, 1, axis=k)) / h**2
+        out[k, k] = (shift(v, 1, k) - 2.0 * v + shift(v, -1, k)) / h**2
         for l in range(k + 1, n):
-            cross = (np.roll(firsts[k], -1, axis=l) - np.roll(firsts[k], 1, axis=l)) / (2.0 * h)
+            cross = (shift(firsts[k], 1, l) - shift(firsts[k], -1, l)) / (2.0 * h)
             out[k, l] = cross
             out[l, k] = cross
     return out
@@ -167,13 +173,19 @@ def face_divergence(grid: Grid, face_flux) -> ScalarField:
     i+1 (wrapping).  The cell value is sum_k (flux_k[i] - flux_k[i-1]) / h,
     so the total over all cells telescopes to zero.
     """
-    fluxes = list(face_flux)
+    fluxes = [np.asarray(flux, dtype=np.float64) for flux in face_flux]
     if len(fluxes) != grid.dim:
         raise ShapeError(f"expected {grid.dim} face-flux arrays, got {len(fluxes)}")
-    acc = np.zeros(grid.shape)
-    for k, flux in enumerate(fluxes):
-        arr = np.asarray(flux, dtype=np.float64)
+    for k, arr in enumerate(fluxes):
         if arr.shape != grid.shape:
             raise ShapeError(f"face flux on axis {k} has shape {arr.shape}, expected {grid.shape}")
-        acc += arr - np.roll(arr, 1, axis=k)
-    return ScalarField(grid, acc / grid.spacing)
+    return ScalarField(grid, face_divergence_arrays(fluxes, grid.spacing))
+
+
+def face_divergence_arrays(fluxes: list[np.ndarray], spacing: float) -> np.ndarray:
+    """sum_k (flux_k[i] - flux_k[i-1]) / h for one flux array per axis."""
+    acc = np.zeros(fluxes[0].shape)
+    for k, flux in enumerate(fluxes):
+        acc += flux - shift(flux, -1, k)
+    acc /= spacing
+    return acc

@@ -17,9 +17,10 @@ with a halved dt rather than clipped (clipping would silently break mass
 conservation).
 
 Time stepping is explicit (forward Euler or the classical four-stage
-Runge-Kutta).  The mobility is frozen at the step's start time within one
-stage group; the O(dt) error this makes for time-dependent mobility is
-dominated by the parabolic step restriction dt ~ h^2.
+Runge-Kutta).  ``step`` samples the mobility once, at the step's start time,
+and every stage and every retry of that step shares the sample; the O(dt)
+error this makes for time-dependent mobility is dominated by the parabolic
+step restriction dt ~ h^2.
 
 Evaluations are vectorized whole-grid numpy operations; reductions use
 numpy's pairwise summation in array order, so results are bitwise
@@ -28,6 +29,7 @@ deterministic run to run for a fixed build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,7 @@ from .errors import (
     NonPositiveDensityError,
     StiffnessError,
 )
-from .grid import ScalarField, VectorField, gradient_arrays, integrate
+from .grid import ScalarField, VectorField, face_divergence_arrays, gradient_arrays, integrate, shift
 
 INTEGRATORS = ("explicit-euler", "rk4")
 
@@ -69,8 +71,10 @@ class SolverConfig:
     record_every: int = 10
 
     def __post_init__(self):
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not (0.0 <= self.t_end < math.inf):
+            raise ValueError("t_end must be finite and nonnegative")
+        if not self.positivity_floor >= 0.0:
+            raise ValueError("positivity_floor must be nonnegative")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must be in (0, 1]")
         if self.integrator not in INTEGRATORS:
@@ -95,24 +99,21 @@ def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> Vector
     return VectorField(f.grid, np.stack(comps))
 
 
-def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, t: float) -> np.ndarray:
-    grid = coeffs.grid
-    h = grid.spacing
+def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) -> np.ndarray:
+    h = coeffs.grid.spacing
     psi = _potential(f_values, coeffs)
-    mobility_density = f_values / coeffs.pi_values(t)
-    out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        m_east = np.roll(mobility_density, -1, axis=k)
+    mobility_density = f_values / pi
+    fluxes = []
+    for k in range(f_values.ndim):
+        m_east = shift(mobility_density, 1, k)
         face = 2.0 * mobility_density * m_east / (mobility_density + m_east)
-        flux = face * (np.roll(psi, -1, axis=k) - psi) / h
-        out += flux - np.roll(flux, 1, axis=k)
-    out /= h
-    return out
+        fluxes.append(face * (shift(psi, 1, k) - psi) / h)
+    return face_divergence_arrays(fluxes, h)
 
 
 def rhs(f: ScalarField, coeffs: CoefficientSet, t: float) -> ScalarField:
     """Conservative right-hand side Div((f/pi) grad(D log f + phi))."""
-    return ScalarField(f.grid, _rhs_values(f.values, coeffs, t))
+    return ScalarField(f.grid, _rhs_values(f.values, coeffs, coeffs.pi_values(t)))
 
 
 def stable_dt(f: ScalarField, coeffs: CoefficientSet, t: float, cfl_safety: float) -> float:
@@ -124,14 +125,13 @@ def stable_dt(f: ScalarField, coeffs: CoefficientSet, t: float, cfl_safety: floa
     return cfl_safety * grid.spacing**2 / (2.0 * grid.dim * diffusivity)
 
 
-def _advance(f_values: np.ndarray, coeffs: CoefficientSet, t: float, dt: float, integrator: str) -> np.ndarray:
-    # the mobility is sampled at the step's start time for every stage
+def _advance(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray, dt: float, integrator: str) -> np.ndarray:
     if integrator == "explicit-euler":
-        return f_values + dt * _rhs_values(f_values, coeffs, t)
-    k1 = _rhs_values(f_values, coeffs, t)
-    k2 = _rhs_values(f_values + 0.5 * dt * k1, coeffs, t)
-    k3 = _rhs_values(f_values + 0.5 * dt * k2, coeffs, t)
-    k4 = _rhs_values(f_values + dt * k3, coeffs, t)
+        return f_values + dt * _rhs_values(f_values, coeffs, pi)
+    k1 = _rhs_values(f_values, coeffs, pi)
+    k2 = _rhs_values(f_values + 0.5 * dt * k1, coeffs, pi)
+    k3 = _rhs_values(f_values + 0.5 * dt * k2, coeffs, pi)
+    k4 = _rhs_values(f_values + dt * k3, coeffs, pi)
     return f_values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -140,10 +140,11 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     floor = config.positivity_floor
+    pi = coeffs.pi_values(state.t)
     rejections = 0
     while True:
         try:
-            new_values = _advance(state.f.values, coeffs, state.t, dt, config.integrator)
+            new_values = _advance(state.f.values, coeffs, pi, dt, config.integrator)
             fmin = float(new_values.min())
             accepted = fmin > floor if floor == 0.0 else fmin >= floor
         except NonPositiveDensityError:

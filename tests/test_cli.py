@@ -333,6 +333,9 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         ("run", json.dumps({**MINIMAL, "grid": 5})),
         ("run", json.dumps({**MINIMAL, "grid": {"dim": "abc", "cells_per_axis": 32}})),
         ("run", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": float("inf")}})),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": float("nan")}})),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": float("inf")}})),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "positivity_floor": -1}})),
     ],
     ids=[
         "truncated_json",
@@ -340,6 +343,9 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         "grid_not_an_object",
         "dim_not_a_number",
         "cells_infinite",
+        "t_end_nan",
+        "t_end_infinite",
+        "floor_negative",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):

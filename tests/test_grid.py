@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fpklab
 from fpklab.errors import (
     GridTooCoarseError,
     NonFiniteFieldError,
@@ -17,6 +20,7 @@ from fpklab.grid import (
     centered_hessian,
     face_divergence,
     integrate,
+    shift,
 )
 
 
@@ -188,3 +192,16 @@ class TestFaceDivergence:
         total = integrate(face_divergence(g, fluxes))
         scale = max(abs(f).max() for f in fluxes)
         assert abs(total) <= 1e-13 * max(1.0, scale)
+
+
+class TestShift:
+    @pytest.mark.parametrize("shape", [(8,), (5, 7), (4, 5, 6)])
+    def test_matches_roll_on_every_axis(self, shape):
+        v = np.random.default_rng(0).standard_normal(shape)
+        for axis in range(len(shape)):
+            for offset in (1, -1):
+                assert np.array_equal(shift(v, offset, axis), np.roll(v, -offset, axis=axis))
+
+    def test_package_wraps_only_through_shift(self):
+        src = Path(fpklab.__file__).parent
+        assert [p.name for p in sorted(src.glob("*.py")) if "np.roll" in p.read_text()] == []

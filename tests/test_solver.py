@@ -4,7 +4,8 @@ import pytest
 import fpklab as F
 from fpklab import diagnostics as dg
 from fpklab.errors import FpkError, NonPositiveDensityError, StiffnessError
-from fpklab.grid import ScalarField, integrate
+from fpklab.coefficients import CoefficientSet
+from fpklab.grid import ScalarField, face_divergence, integrate
 from fpklab.solver import SolverConfig, SolverState
 
 
@@ -16,6 +17,20 @@ def sample(spec, dim=1, n=64):
 
 UNIT = {"D": "1", "phi": "0", "pi": "1", "f0": "1"}
 HEAT = {"D": "1", "phi": "0", "pi": "1", "f0": "1 + 0.1*sin(2*pi*x1)"}
+VARPI = {**HEAT, "D": "1.5+0.25*cos(2*pi*x1)", "pi": "1.2 + 0.2*cos(2*pi*x1) + 0.1*sin(t)"}
+
+
+def count_pi_values(monkeypatch):
+    """Record the time of every CoefficientSet.pi_values call."""
+    calls = []
+    original = CoefficientSet.pi_values
+
+    def counted(self, t):
+        calls.append(t)
+        return original(self, t)
+
+    monkeypatch.setattr(CoefficientSet, "pi_values", counted)
+    return calls
 
 
 class TestComputeVelocity:
@@ -77,6 +92,23 @@ class TestRhs:
         exact = -((2 * np.pi) ** 2) * 0.01 * np.sin(2 * np.pi * x)
         assert np.abs(r.values - exact).max() <= 0.01 * np.abs(exact).max()
 
+    def test_is_face_divergence_of_harmonic_mean_fluxes(self):
+        spec = {
+            "D": "1.5+0.5*cos(2*pi*x1)",
+            "phi": "sin(2*pi*x2)",
+            "pi": "1 + 0.5*sin(2*pi*(x1 + t))",
+            "f0": "1 + 0.3*cos(2*pi*x1)*sin(2*pi*x2)",
+        }
+        grid, coeffs, f0 = sample(spec, dim=2, n=16)
+        t, h = 0.3, grid.spacing
+        psi = coeffs.D.values * np.log(f0.values) + coeffs.phi.values
+        m = f0.values / coeffs.pi_values(t)
+        fluxes = []
+        for k in range(grid.dim):
+            m_b = np.roll(m, -1, axis=k)
+            fluxes.append(2.0 * m * m_b / (m + m_b) * (np.roll(psi, -1, axis=k) - psi) / h)
+        assert np.array_equal(F.rhs(f0, coeffs, t).values, face_divergence(grid, fluxes).values)
+
 
 class TestStableDt:
     def test_formula_value(self):
@@ -131,6 +163,24 @@ class TestStep:
         with pytest.raises(StiffnessError) as err:
             F.step(state, coeffs, 1e-5, config)
         assert err.value.dump["positivity_floor"] == 2.0
+
+    def test_one_mobility_sample_per_rk4_step(self, monkeypatch):
+        grid, coeffs, f0 = sample(VARPI)
+        calls = count_pi_values(monkeypatch)
+        state = SolverState(f=f0, t=0.0, step_index=0)
+        for _ in range(3):
+            start = state.t
+            calls.clear()
+            state = F.step(state, coeffs, 1e-5, SolverConfig(t_end=1.0))
+            assert calls == [start]
+
+    def test_one_mobility_sample_across_rejections(self, monkeypatch):
+        grid, coeffs, f0 = sample(VARPI)
+        calls = count_pi_values(monkeypatch)
+        config = SolverConfig(t_end=1.0, positivity_floor=2.0)  # unreachable floor
+        with pytest.raises(StiffnessError):
+            F.step(SolverState(f=f0, t=0.0, step_index=0), coeffs, 1e-5, config)
+        assert calls == [0.0]
 
     def test_dt_must_be_positive(self):
         grid, coeffs, f0 = sample(UNIT)
