@@ -8,6 +8,11 @@ the diagnostic stencils; the mobility's time derivative is a centered
 difference of the analytic expression with a fixed small step, which avoids
 symbolic differentiation while staying exact to O(dt^2).
 
+A time-dependent mobility is sampled once per distinct time: its expression
+is bound to the cell centers once, with every t-free subtree evaluated then,
+so a new time evaluates only the t-dependent part (bitwise equal to a full
+evaluation), and the latest sample is cached read-only.
+
 The constants ledger collects every named bound the decay conditions
 consume: initial-density bounds, the diffusion floor, mobility bounds and
 derivative bounds, the potential's Hessian floor, sup norms, the equilibrium
@@ -42,7 +47,7 @@ PI_TIME_DELTA = 1e-4
 SHIFT_MAX_ITERATIONS = 200
 
 
-def _sample_expression(expr: CoefficientExpr, grid: Grid, name: str, t: float | None = None) -> np.ndarray:
+def _grid_coords(expr: CoefficientExpr, grid: Grid, name: str) -> dict[str, np.ndarray]:
     allowed = {f"x{k + 1}" for k in range(grid.dim)}
     spatial = expr.variables - {"t"}
     if not spatial <= allowed:
@@ -52,8 +57,14 @@ def _sample_expression(expr: CoefficientExpr, grid: Grid, name: str, t: float | 
             expr.source,
             expr.source.find(bad),
         )
-    coords = {f"x{k + 1}": c for k, c in enumerate(grid.coordinates())}
-    raw = expr.evaluate(coords, t)
+    return {f"x{k + 1}": c for k, c in enumerate(grid.coordinates())}
+
+
+def _sample_expression(expr: CoefficientExpr, grid: Grid, name: str, t: float | None = None) -> np.ndarray:
+    return _finite_samples(expr.evaluate(_grid_coords(expr, grid, name), t), expr, grid, name)
+
+
+def _finite_samples(raw, expr: CoefficientExpr, grid: Grid, name: str) -> np.ndarray:
     arr = np.broadcast_to(np.asarray(raw, dtype=np.float64), grid.shape).copy()
     if not np.all(np.isfinite(arr)):
         cell = np.unravel_index(int(np.argmin(np.isfinite(arr))), grid.shape)
@@ -84,11 +95,25 @@ class CoefficientSet:
     sources: dict
 
     def pi_values(self, t: float) -> np.ndarray:
-        """Mobility samples at time t (positivity checked)."""
+        """Mobility samples at time t (positivity checked), read-only.
+
+        The latest time's samples are cached, and a new time evaluates only
+        the t-dependent part of the expression (bound once to the cell
+        centers), so every caller at one time shares one evaluation.
+        """
         if not self.pi_expr.uses_t:
             return self.pi0.values
-        arr = _sample_expression(self.pi_expr, self.grid, "pi", t)
+        cache = self.__dict__
+        last = cache.get("_pi_last")
+        if last is not None and last[0] == t:
+            return last[1]
+        at = cache.get("_pi_at")
+        if at is None:
+            at = cache["_pi_at"] = self.pi_expr.bind(_grid_coords(self.pi_expr, self.grid, "pi"))
+        arr = _finite_samples(at(t), self.pi_expr, self.grid, "pi")
         _require_positive("pi", arr, self.grid)
+        arr.setflags(write=False)
+        cache["_pi_last"] = (t, arr)
         return arr
 
     def pi_at(self, t: float) -> ScalarField:

@@ -113,25 +113,38 @@ def _cell_integral(grid: Grid, integrand: np.ndarray) -> float:
     return grid.cell_volume * float(integrand.sum())
 
 
+# Array kernels shared by the public functions and the recorder, which
+# computes each per-cell array (log f, |u|^2, |u|, |grad u|^2) once per state.
+
+
+def _speed_sq(u: VectorField) -> np.ndarray:
+    return np.sum(u.components**2, axis=0)
+
+
+def _grad_sq(jac: np.ndarray) -> np.ndarray:
+    return np.sum(jac**2, axis=(0, 1))
+
+
+def _free_energy(grid: Grid, fv: np.ndarray, log_f: np.ndarray, coeffs: CoefficientSet) -> float:
+    return _cell_integral(grid, coeffs.D.values * fv * (log_f - 1.0) + fv * coeffs.phi.values)
+
+
+def _dissipation(grid: Grid, fv: np.ndarray, pi: np.ndarray, speed_sq: np.ndarray) -> float:
+    return _cell_integral(grid, pi * speed_sq * fv)
+
+
 def free_energy(f: ScalarField, coeffs: CoefficientSet) -> float:
     """int D f (log f - 1) + f phi."""
     v = f.values
     if v.min() <= 0.0:
         raise NonPositiveDensityError("density has a nonpositive cell; log f undefined")
-    integrand = coeffs.D.values * v * (np.log(v) - 1.0) + v * coeffs.phi.values
-    return _cell_integral(f.grid, integrand)
-
-
-def _dissipation_from_velocity(
-    f: ScalarField, coeffs: CoefficientSet, t: float, u: VectorField
-) -> float:
-    speed_sq = np.sum(u.components**2, axis=0)
-    return _cell_integral(f.grid, coeffs.pi_values(t) * speed_sq * f.values)
+    return _free_energy(f.grid, v, np.log(v), coeffs)
 
 
 def dissipation(f: ScalarField, coeffs: CoefficientSet, t: float) -> float:
     """int pi |u|^2 f  (nonnegative; zero exactly at equilibrium)."""
-    return _dissipation_from_velocity(f, coeffs, t, compute_velocity(f, coeffs, t))
+    u = compute_velocity(f, coeffs, t)
+    return _dissipation(f.grid, f.values, coeffs.pi_values(t), _speed_sq(u))
 
 
 def energy_law_residual(series: TimeSeries) -> np.ndarray:
@@ -189,12 +202,15 @@ def _jacobian(u: VectorField) -> np.ndarray:
     return jac
 
 
+def _jensen_margin(jac: np.ndarray, grad_sq: np.ndarray) -> float:
+    div = np.trace(jac, axis1=0, axis2=1)
+    return float((jac.shape[0] * grad_sq - div**2).min())
+
+
 def jensen_check(u: VectorField) -> float:
     """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off)."""
     jac = _jacobian(u)
-    grad_sq = np.sum(jac**2, axis=(0, 1))
-    div = np.trace(jac, axis1=0, axis2=1)
-    return float((u.grid.dim * grad_sq - div**2).min())
+    return _jensen_margin(jac, _grad_sq(jac))
 
 
 _FULL_TERM_NAMES = (
@@ -236,9 +252,9 @@ def second_derivative_terms(
     u = compute_velocity(f, coeffs, t)
     uc = u.components
     jac = _jacobian(u)
-    grad_u_sq = np.sum(jac**2, axis=(0, 1))
+    grad_u_sq = _grad_sq(jac)
     div_u = np.trace(jac, axis1=0, axis2=1)
-    speed_sq = np.sum(uc**2, axis=0)
+    speed_sq = _speed_sq(u)
     hess_phi = centered_hessian(coeffs.phi)
     hess_u = np.einsum("kl...,l...->k...", hess_phi, uc)
     d = coeffs.D.values
@@ -286,15 +302,17 @@ def second_derivative_terms(
     return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
 
 
-def empirical_poincare(f: ScalarField, u: VectorField) -> float:
-    """Ratio int |u|^2 f / int |grad u|^2 f (empirical constant sample)."""
-    grid = f.grid
-    num = _cell_integral(grid, np.sum(u.components**2, axis=0) * f.values)
-    jac = _jacobian(u)
-    den = _cell_integral(grid, np.sum(jac**2, axis=(0, 1)) * f.values)
+def _poincare_ratio(grid: Grid, fv: np.ndarray, speed_sq: np.ndarray, grad_sq: np.ndarray) -> float:
+    num = _cell_integral(grid, speed_sq * fv)
+    den = _cell_integral(grid, grad_sq * fv)
     if den <= 0.0:
         raise UndefinedRatioError("int |grad u|^2 f vanishes; Poincare ratio undefined")
     return num / den
+
+
+def empirical_poincare(f: ScalarField, u: VectorField) -> float:
+    """Ratio int |u|^2 f / int |grad u|^2 f (empirical constant sample)."""
+    return _poincare_ratio(f.grid, f.values, _speed_sq(u), _grad_sq(_jacobian(u)))
 
 
 def empirical_sobolev(
@@ -311,15 +329,24 @@ def empirical_sobolev(
     """
     if not p_star > 2.0:
         raise ValueError("p_star must exceed 2")
-    grid = f.grid
-    speed = u.magnitude()
-    num = _cell_integral(grid, speed**p_star * f.values) ** (1.0 / p_star)
-    jac = _jacobian(u)
-    grad_sq = np.sum(jac**2, axis=(0, 1))
+    return _sobolev_ratio(f.grid, f.values, u.magnitude(), _grad_sq(_jacobian(u)), p_star, weighted, eps)
+
+
+def _sobolev_ratio(
+    grid: Grid,
+    fv: np.ndarray,
+    speed: np.ndarray,
+    grad_sq: np.ndarray,
+    p_star: float = 6.0,
+    weighted: bool = False,
+    eps: float = 2.0,
+) -> float:
+    num = _cell_integral(grid, speed**p_star * fv) ** (1.0 / p_star)
     if weighted:
-        den_sq = _cell_integral(grid, (2.0 * grad_sq + eps * speed**2) * f.values)
+        # speed**2, not |u|^2 summed again: the two differ in the last bit
+        den_sq = _cell_integral(grid, (2.0 * grad_sq + eps * speed**2) * fv)
     else:
-        den_sq = _cell_integral(grid, grad_sq * f.values)
+        den_sq = _cell_integral(grid, grad_sq * fv)
     if den_sq <= 0.0:
         raise UndefinedRatioError("Sobolev-ratio denominator vanishes (u constant)")
     return num / math.sqrt(den_sq)
@@ -344,8 +371,7 @@ def interpolation_check(
     grid = f.grid
     speed = u.magnitude()
     lhs = _cell_integral(grid, speed**3 * f.values)
-    jac = _jacobian(u)
-    grad_term = _cell_integral(grid, np.sum(jac**2, axis=(0, 1)) * f.values)
+    grad_term = _cell_integral(grid, _grad_sq(_jacobian(u)) * f.values)
     speed_sq_term = _cell_integral(grid, speed**2 * f.values)
     k32 = sobolev_const**1.5
     if mode == "pi-constant":
@@ -391,27 +417,32 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, on_state=None):
 
     def recorder(state: SolverState) -> DiagnosticsRecord:
         f = state.f
-        u = compute_velocity(f, coeffs, state.t)
+        grid, fv = f.grid, f.values
+        u = compute_velocity(f, coeffs, state.t)  # raises on a nonpositive cell
+        jac = _jacobian(u)
+        speed_sq = _speed_sq(u)
+        speed = np.sqrt(speed_sq)  # u.magnitude()
+        grad_sq = _grad_sq(jac)
         try:
             ratios = {
-                "poincare": empirical_poincare(f, u),
-                "sobolev": empirical_sobolev(f, u),
-                "sobolev_weighted": empirical_sobolev(f, u, weighted=True),
+                "poincare": _poincare_ratio(grid, fv, speed_sq, grad_sq),
+                "sobolev": _sobolev_ratio(grid, fv, speed, grad_sq),
+                "sobolev_weighted": _sobolev_ratio(grid, fv, speed, grad_sq, weighted=True),
             }
         except UndefinedRatioError:
             ratios = {}  # the record's NaN defaults
-        log_f = np.log(f.values)
+        log_f = np.log(fv)
         record = DiagnosticsRecord(
             t=state.t,
             mass=integrate(f),
-            free_energy=free_energy(f, coeffs),
-            dissipation=_dissipation_from_velocity(f, coeffs, state.t, u),
+            free_energy=_free_energy(grid, fv, log_f, coeffs),
+            dissipation=_dissipation(grid, fv, coeffs.pi_values(state.t), speed_sq),
             f_min=f.min(),
             f_max=f.max(),
             log_f_sup=float(np.abs(log_f).max()),
-            u_sup=float(u.magnitude().max()),
+            u_sup=float(speed.max()),
             envelope_violation=envelope_margin(f, envelope) if envelope is not None else math.nan,
-            jensen_margin=jensen_check(u),
+            jensen_margin=_jensen_margin(jac, grad_sq),
             **ratios,
         )
         if on_state is not None:

@@ -18,6 +18,7 @@ reject them with a named cell).
 
 from __future__ import annotations
 
+import copy
 import math
 import re
 from dataclasses import dataclass
@@ -74,7 +75,17 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # Expression nodes.  Each evaluates against an environment mapping variable
-# names to scalars or broadcastable numpy arrays.
+# names to scalars or broadcastable numpy arrays.  ``bind`` returns the node
+# with every t-free subtree evaluated once against the environment and held
+# as a _Num; the t-dependent nodes that remain run the same numpy ops in the
+# same order, so their results are bitwise those of ``evaluate``.
+
+
+def _folded(node, children, env):
+    """node, or its value as a _Num when every bound child is a constant."""
+    if all(isinstance(child, _Num) for child in children):
+        return _Num(node.evaluate(env))
+    return node
 
 
 class _Num:
@@ -86,6 +97,9 @@ class _Num:
     def evaluate(self, env):
         return self.value
 
+    def bind(self, env):
+        return self
+
 
 class _Var:
     __slots__ = ("name",)
@@ -95,6 +109,9 @@ class _Var:
 
     def evaluate(self, env):
         return env[self.name]
+
+    def bind(self, env):
+        return self if self.name == "t" else _Num(env[self.name])
 
 
 class _Unary:
@@ -106,6 +123,10 @@ class _Unary:
 
     def evaluate(self, env):
         return self.sign * self.operand.evaluate(env)
+
+    def bind(self, env):
+        operand = self.operand.bind(env)
+        return _folded(_Unary(self.sign, operand), [operand], env)
 
 
 class _BinOp:
@@ -127,6 +148,11 @@ class _BinOp:
     def evaluate(self, env):
         return self.op(self.left.evaluate(env), self.right.evaluate(env))
 
+    def bind(self, env):
+        bound = copy.copy(self)
+        bound.left, bound.right = self.left.bind(env), self.right.bind(env)
+        return _folded(bound, [bound.left, bound.right], env)
+
 
 class _Call:
     __slots__ = ("func", "args")
@@ -143,6 +169,10 @@ class _Call:
         for v in vals[1:]:
             out = self.func(out, v)
         return out
+
+    def bind(self, env):
+        args = [a.bind(env) for a in self.args]
+        return _folded(_Call(self.func, args), args, env)
 
 
 class _Parser:
@@ -267,7 +297,29 @@ class CoefficientExpr:
         env = dict(coords)
         if t is not None:
             env["t"] = t
-        missing = self.variables - set(env)
+        self._require(env)
+        with np.errstate(all="ignore"):
+            return self.root.evaluate(env)
+
+    def bind(self, coords: dict[str, np.ndarray]) -> Callable[[float], object]:
+        """Evaluator of t on fixed coordinates, bitwise equal to evaluate(coords, t).
+
+        Every subtree that does not use t is evaluated once, here; a call
+        runs only the t-dependent operations.  Raises ExpressionError like
+        evaluate for a variable the coordinates do not supply.
+        """
+        self._require({*coords, "t"})
+        with np.errstate(all="ignore"):
+            root = self.root.bind(coords)
+
+        def at(t: float):
+            with np.errstate(all="ignore"):
+                return root.evaluate({"t": t})
+
+        return at
+
+    def _require(self, available) -> None:
+        missing = self.variables - set(available)
         if missing:
             name = sorted(missing)[0]
             raise ExpressionError(
@@ -275,8 +327,6 @@ class CoefficientExpr:
                 self.source,
                 self.source.find(name),
             )
-        with np.errstate(all="ignore"):
-            return self.root.evaluate(env)
 
 
 def parse_expression(source: str) -> CoefficientExpr:

@@ -20,7 +20,9 @@ Time stepping is explicit (forward Euler or the classical four-stage
 Runge-Kutta).  ``step`` samples the mobility once, at the step's start time,
 and every stage and every retry of that step shares the sample; the O(dt)
 error this makes for time-dependent mobility is dominated by the parabolic
-step restriction dt ~ h^2.
+step restriction dt ~ h^2.  The coefficient set caches its latest mobility
+sample, so ``stable_dt``, ``step`` and the recorder at one time share one
+evaluation of the mobility.
 
 Evaluations are vectorized whole-grid numpy operations; reductions use
 numpy's pairwise summation in array order, so results are bitwise
@@ -169,7 +171,7 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
 
     new_f = ScalarField(state.f.grid, new_values)
     mass = integrate(new_f)
-    if abs(mass - 1.0) > MASS_TOL:
+    if not abs(mass - 1.0) <= MASS_TOL:  # fails closed on NaN
         raise MassConservationError(
             f"mass {mass!r} drifted beyond {MASS_TOL:g} at step {state.step_index + 1}"
         )
@@ -189,7 +191,7 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder=
     if f0.min() <= 0.0:
         raise NonPositiveDensityError("initial density must be strictly positive")
     mass = integrate(f0)
-    if abs(mass - 1.0) > MASS_TOL:
+    if not abs(mass - 1.0) <= MASS_TOL:  # fails closed on NaN
         raise FpkError(f"initial density must have unit mass; got {mass!r}")
     if recorder is None:
         recorder = make_recorder(coeffs)

@@ -390,12 +390,13 @@ def compare_to_envelope(series, envelope: Envelope) -> float:
     """Worst ratio dissipation(t) / envelope(t); domination iff <= 1 + 1e-6.
 
     Records with zero dissipation contribute ratio 0 even when the envelope
-    is identically zero (the stationary start).
+    is identically zero (the stationary start).  A NaN ratio makes the
+    result NaN, so a NaN dissipation never counts as dominated.
     """
-    worst = 0.0
+    ratios = [0.0]
     for record in series.records:
         bound = float(envelope(record.t))
         if record.dissipation == 0.0:
             continue
-        worst = max(worst, record.dissipation / bound if bound > 0.0 else math.inf)
-    return worst
+        ratios.append(record.dissipation / bound if bound > 0.0 else math.inf)
+    return float(np.max(ratios))

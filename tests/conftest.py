@@ -6,6 +6,7 @@ import pytest
 
 import fpklab as F
 from fpklab import cli, diagnostics as dg
+from fpklab.coefficients import _require_positive, _sample_expression
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -50,6 +51,15 @@ def run_with_snapshots(scenario_dict: dict):
     finally:
         dg.make_recorder = make_recorder
     return series, report, snapshots
+
+
+def plain_pi_values(coeffs, t):
+    """Reference mobility sample: the whole expression evaluated at t, uncached."""
+    if not coeffs.pi_expr.uses_t:
+        return coeffs.pi0.values
+    arr = _sample_expression(coeffs.pi_expr, coeffs.grid, "pi", t)
+    _require_positive("pi", arr, coeffs.grid)
+    return arr
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fpklab as F
+from conftest import plain_pi_values
 from fpklab.coefficients import log_density_bound
 from fpklab.errors import ExpressionError, PositivityError
 from fpklab.grid import integrate
@@ -91,6 +92,43 @@ class TestSampling:
             assert fine <= coarse + 1e-3
         for coarse, fine in zip(maxs, maxs[1:]):
             assert fine >= coarse - 1e-3
+
+
+class TestMobilitySamples:
+    @pytest.mark.parametrize(
+        "pi", ["1.2 + 0.2*cos(2*pi*x1)*sin(2*pi*x2) + 0.1*sin(t)", "2 + min(t, x1)", "1 + x2^t", "3"]
+    )
+    def test_bitwise_equal_to_plain_sampling(self, pi):
+        _, coeffs, _ = sample({**UNIT, "pi": pi}, dim=2, n=8)
+        for t in (0.0, 0.3, 0.3, 1.7, 0.3):
+            assert coeffs.pi_values(t).tobytes() == plain_pi_values(coeffs, t).tobytes()
+
+    @pytest.mark.parametrize("pi", ["1.5 + 0.5*cos(2*pi*x1)", "2 + sin(t)*x1"])
+    def test_read_only(self, pi):
+        _, coeffs, _ = sample({**UNIT, "pi": pi})
+        for t in (0.5, 0.5):
+            with pytest.raises(ValueError):
+                coeffs.pi_values(t)[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "pi, t, error, message",
+        [
+            ("1 - t*x1", 2.0, PositivityError, "pi must be strictly positive; got -0.875 at cell (7,)"),
+            ("2 + 1/(x1 - t)", 0.4375, ExpressionError, "coefficient 'pi' is not finite at cell"),
+        ],
+    )
+    def test_bad_time_raises_and_caches_nothing(self, pi, t, error, message):
+        _, coeffs, _ = sample({**UNIT, "pi": pi}, n=8)
+        good = coeffs.pi_values(0.0)
+        for _ in range(2):
+            with pytest.raises(error) as err:
+                coeffs.pi_values(t)
+            assert str(err.value).startswith(message)
+            assert coeffs.__dict__["_pi_last"][0] == 0.0
+        with pytest.raises(error) as plain:
+            plain_pi_values(coeffs, t)
+        assert str(plain.value) == str(err.value)
+        assert coeffs.pi_values(0.0) is good
 
 
 SHIFT_ORACLE = -0.23591435850717948  # quad + brentq on exp(-(cos(2 pi x) - s))

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpklab.errors import ExpressionError, UnknownIdentifierError
 from fpklab.expressions import parse_expression
+from fpklab.grid import build_grid
 
 
 def ev(source, **env):
@@ -111,3 +114,45 @@ class TestVariables:
         vec = expr.evaluate({"x1": xs})
         scalars = [expr.evaluate({"x1": float(v)}) for v in xs]
         assert np.allclose(vec, scalars, rtol=0, atol=0)
+
+
+def _compound(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/^"), children).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        children.map(lambda c: f"-{c}"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "abs"]), children).map(
+            lambda p: f"{p[0]}({p[1]})"
+        ),
+        st.tuples(st.sampled_from(["min", "max"]), st.lists(children, min_size=2, max_size=3)).map(
+            lambda p: f"{p[0]}({', '.join(p[1])})"
+        ),
+    )
+
+
+SOURCES = st.recursive(st.sampled_from(["t", "x1", "x2", "pi", "0.5", "2", "3e-1"]), _compound, max_leaves=10)
+TIMES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, math.inf, math.nan]))
+
+
+class TestBind:
+    COORDS = dict(zip(("x1", "x2"), build_grid(2, 6).coordinates()))
+
+    @given(source=SOURCES, times=st.lists(TIMES, min_size=1, max_size=3))
+    @example(source="t", times=[0.25])
+    @example(source="min(t, x1, 0.5) + max(x2, -t)", times=[0.3])
+    @example(source="-t^2 - x1^t + t^x2 + 2^(t*x1)", times=[0.7])
+    @example(source="1.2 + 0.2*cos(2*pi*x1) + 0.1*sin(t)", times=[0.0, 0.1])
+    @example(source="0.2*cos(2*pi*x1) * exp(-x2)", times=[1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_bound_evaluator_is_bitwise_evaluate(self, source, times):
+        expr = parse_expression(source)
+        at = expr.bind(self.COORDS)
+        shape = (6, 6)
+        for t in times:
+            bound = np.broadcast_to(np.asarray(at(t), dtype=np.float64), shape)
+            plain = np.broadcast_to(np.asarray(expr.evaluate(self.COORDS, t), dtype=np.float64), shape)
+            assert bound.tobytes() == plain.tobytes()
+
+    def test_missing_variable_reported(self):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("x2 + t").bind({"x1": 0.0})
+        assert "x2" in str(err.value)

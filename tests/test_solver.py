@@ -1,10 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 import fpklab as F
-from fpklab import diagnostics as dg
-from fpklab.errors import FpkError, NonPositiveDensityError, StiffnessError
+from conftest import load_scenario_dict, plain_pi_values
+from fpklab import cli, diagnostics as dg, solver
+from fpklab.errors import FpkError, MassConservationError, NonPositiveDensityError, StiffnessError
 from fpklab.coefficients import CoefficientSet
+from fpklab.expressions import CoefficientExpr
 from fpklab.grid import ScalarField, face_divergence, integrate
 from fpklab.solver import SolverConfig, SolverState
 
@@ -247,6 +252,53 @@ class TestRun:
         e1 = np.abs(restrict(finals[64]) - finals[32]).max()
         e2 = np.abs(restrict(finals[128]) - finals[64]).max()
         assert np.log2(e1 / e2) >= 1.9
+
+
+    def test_nan_mass_fails_closed(self, monkeypatch):
+        grid, coeffs, f0 = sample(HEAT)
+        monkeypatch.setattr(solver, "integrate", lambda field: math.nan)
+        with pytest.raises(MassConservationError):
+            F.step(SolverState(f0, 0.0, 0), coeffs, 1e-5, SolverConfig(t_end=1.0))
+        with pytest.raises(FpkError, match="unit mass"):
+            F.run(f0, coeffs, SolverConfig(t_end=1e-4), dg.make_recorder(coeffs))
+
+
+class TestMobilitySampling:
+    """variable_pi_1d: one evaluation of pi's t-dependent part per distinct time."""
+
+    def test_one_evaluation_per_distinct_time(self, monkeypatch):
+        scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
+        grid, coeffs, f0, _, _ = cli._setup(scenario)
+        evaluated = []
+        bind = CoefficientExpr.bind
+
+        def counting_bind(self, coords):
+            at = bind(self, coords)
+
+            def counted(t):
+                evaluated.append(t)
+                return at(t)
+
+            return counted
+
+        monkeypatch.setattr(CoefficientExpr, "bind", counting_bind)
+        calls = count_pi_values(monkeypatch)
+        F.run(f0, coeffs, scenario.solver, dg.make_recorder(coeffs))
+        assert evaluated == sorted(set(calls))
+        assert len(calls) > 2 * len(evaluated)
+
+    def test_run_bitwise_equal_to_uncached_sampling(self, monkeypatch):
+        scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
+
+        def rows(series):
+            return np.array([dataclasses.astuple(r) for r in series.records]).tobytes()
+
+        series, report = cli.run_scenario_data(scenario)
+        monkeypatch.setattr(CoefficientSet, "pi_values", plain_pi_values)
+        plain_series, plain_report = cli.run_scenario_data(scenario)
+        assert rows(series) == rows(plain_series)
+        assert series.metadata == plain_series.metadata
+        assert repr(report) == repr(plain_report)
 
 
 class TestSolverConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -258,6 +259,15 @@ class TestCompareToEnvelope:
         series = dg.TimeSeries(records=records)
         env = th.predicted_envelope("T2", gamma=1.0, g0=0.0)
         assert th.compare_to_envelope(series, env) == 0.0
+
+    def test_nan_dissipation_is_not_dominated(self, heat_run_64):
+        series = heat_run_64["series"]
+        records = list(series.records)
+        records[3] = dataclasses.replace(records[3], dissipation=math.nan)
+        env = th.predicted_envelope("T2", gamma=1e-3, g0=series.records[0].dissipation)
+        worst = th.compare_to_envelope(dg.TimeSeries(records=records), env)
+        assert math.isnan(worst)
+        assert not worst <= 1.0 + 1e-6
 
     def test_heat_trajectory_dominated(self, heat_run_64):
         series = heat_run_64["series"]
