@@ -41,7 +41,7 @@ from .errors import (
     TooShortSeriesError,
 )
 from .expressions import parse_expression
-from .grid import build_grid, integrate
+from .grid import Grid, build_grid, integrate
 from .solver import SolverConfig
 
 SERIES_COLUMNS = (
@@ -58,7 +58,14 @@ SERIES_COLUMNS = (
 
 SWEEP_AXES = ("d_scale", "gamma", "grad_pi_scale", "resolution")
 
-#: clause names per regime theorem, used for stable sweep.csv columns
+#: decay theorems checked in each regime, the regime's own theorem first
+REGIME_THEOREMS = {
+    "homogeneous": ("T2", "T3", "T4"),
+    "inhomogeneous-D": ("T3", "T4"),
+    "full": ("T4",),
+}
+
+#: clause names per regime theorem; sweep.csv needs them before any row runs
 CLAUSE_NAMES = {
     "T2": ("rate", "initial_energy_finite"),
     "T3": ("diffusion_floor", "rate", "gronwall_threshold"),
@@ -89,12 +96,6 @@ def _fmt(value) -> str:
 
 
 @dataclass(frozen=True)
-class GridSettings:
-    dim: int
-    cells_per_axis: int
-
-
-@dataclass(frozen=True)
 class TheorySettings:
     gamma: float
     certified_sobolev: float | None = None
@@ -104,7 +105,7 @@ class TheorySettings:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    grid: GridSettings
+    grid: Grid
     coefficients: dict
     solver: SolverConfig
     fit_window: tuple[float, float] | None = None
@@ -127,9 +128,13 @@ class Scenario:
         return data
 
 
-def _object(value, context: str) -> dict:
+def _object(value, context: str, keys=None) -> dict:
+    """value as a dict; with ``keys``, a key outside them is a ScenarioError."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{context} must be a JSON object")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ScenarioError(f"{context} has unknown key {unknown[0]!r}; allowed: {', '.join(keys)}")
     return value
 
 
@@ -140,28 +145,40 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(kind, value, where: str):
-    """int(value) or float(value); a value that converts to neither is a ScenarioError."""
+    """int(value) or float(value); a value that converts to neither, or a
+    non-integral number for an int, is a ScenarioError."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{where} must be a number; got {value!r}") from None
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{where} must be an integer; got {value!r}")
+    return number
+
+
+def _positive(value, where: str) -> float:
+    number = _number(float, value, where)
+    if not number > 0.0:
+        raise ScenarioError(f"{where} must be positive; got {value!r}")
+    return number
 
 
 def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
     """Validate a scenario dict, applying defaults."""
-    name = str(_object(data, "scenario").get("name", fallback_name))
+    keys = ("name", "grid", "coefficients", "solver", "diagnostics", "theory")
+    name = str(_object(data, "scenario", keys).get("name", fallback_name))
 
-    grid_block = _require(data, "grid", "scenario")
+    grid_block = _object(_require(data, "grid", "scenario"), "grid", ("dim", "cells_per_axis"))
     cells = _require(grid_block, "cells_per_axis", "grid")
-    grid = GridSettings(
-        dim=_number(int, _require(grid_block, "dim", "grid"), "grid.dim"),
-        cells_per_axis=_number(int, cells, "grid.cells_per_axis"),
+    grid = build_grid(
+        _number(int, _require(grid_block, "dim", "grid"), "grid.dim"),
+        _number(int, cells, "grid.cells_per_axis"),
     )
-    build_grid(grid.dim, grid.cells_per_axis)  # validates ranges
 
-    coeff_block = _require(data, "coefficients", "scenario")
+    names = ("D", "phi", "pi", "f0")
+    coeff_block = _object(_require(data, "coefficients", "scenario"), "coefficients", names)
     coefficients = {}
-    for key in ("D", "phi", "pi", "f0"):
+    for key in names:
         source = str(_require(coeff_block, key, "coefficients"))
         try:
             expr = parse_expression(source)
@@ -171,8 +188,12 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
             raise ScenarioError(f"coefficient {key!r} is spatial-only but uses t")
         coefficients[key] = source
 
-    solver_block = _object(data.get("solver", {}), "solver")
-    diag_block = _object(data.get("diagnostics", {}), "diagnostics")
+    solver_block = _object(
+        data.get("solver", {}),
+        "solver",
+        ("t_end", "cfl_safety", "positivity_floor", "integrator", "max_steps", "record_every"),
+    )
+    diag_block = _object(data.get("diagnostics", {}), "diagnostics", ("record_every", "fit_window"))
     record_every = diag_block.get("record_every", solver_block.get("record_every", 10))
     try:
         config = SolverConfig(
@@ -201,15 +222,15 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
 
     theory_settings = None
     if "theory" in data:
-        theory_block = data["theory"]
-        gamma = _number(float, _require(theory_block, "gamma", "theory"), "theory.gamma")
-        if gamma <= 0.0:
-            raise ScenarioError("theory.gamma must be positive")
-        theory_settings = TheorySettings(
-            gamma=gamma,
-            certified_sobolev=_optional_float(theory_block, "certified_sobolev"),
-            certified_poincare=_optional_float(theory_block, "certified_poincare"),
-        )
+        certified_keys = ("certified_sobolev", "certified_poincare")
+        theory_block = _object(data["theory"], "theory", ("gamma", *certified_keys))
+        gamma = _positive(_require(theory_block, "gamma", "theory"), "theory.gamma")
+        certified = {
+            key: _positive(theory_block[key], f"theory.{key}")
+            for key in certified_keys
+            if theory_block.get(key) is not None
+        }
+        theory_settings = TheorySettings(gamma=gamma, **certified)
 
     return Scenario(
         name=name,
@@ -219,11 +240,6 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
         fit_window=fit_window,
         theory=theory_settings,
     )
-
-
-def _optional_float(block: dict, key: str) -> float | None:
-    value = block.get(key)
-    return None if value is None else _number(float, value, f"theory.{key}")
 
 
 def _load_json(path: Path, kind: str):
@@ -246,9 +262,6 @@ def _regime(coeffs) -> str:
     if coeffs.pi_is_constant:
         return "homogeneous" if coeffs.d_is_constant else "inhomogeneous-D"
     return "full"
-
-
-_REGIME_THEOREM = {"homogeneous": "T2", "inhomogeneous-D": "T3", "full": "T4"}
 
 
 def _ratio_maxima(records) -> dict:
@@ -277,9 +290,8 @@ def _condition_reports(scenario, regime, ledger, empirical, g0) -> list[dict]:
         "T4": pick(certified_sob, empirical["sobolev_weighted"]),
     }
 
-    wanted = {"homogeneous": ("T2", "T3", "T4"), "inhomogeneous-D": ("T3", "T4"), "full": ("T4",)}
     reports = []
-    for theorem in wanted[regime]:
+    for theorem in REGIME_THEOREMS[regime]:
         try:
             if theorem == "T2":
                 if poin is None:
@@ -307,7 +319,7 @@ def _envelope_block(scenario, regime, ledger, series) -> dict | None:
         return None
     gamma = scenario.theory.gamma
     g0 = series.records[0].dissipation
-    theorem = _REGIME_THEOREM[regime]
+    theorem = REGIME_THEOREMS[regime][0]
     block = {"theorem": theorem, "gamma": gamma, "g0": g0}
     try:
         envelope = theory.predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)
@@ -337,7 +349,7 @@ SOBOLEV_NOTE = (
 
 def _setup(scenario: Scenario):
     """Grid, coefficients, unit-mass f0, and the equilibrium with its shift."""
-    grid = build_grid(scenario.grid.dim, scenario.grid.cells_per_axis)
+    grid = scenario.grid
     coeffs, f0 = sample_coefficients(scenario.coefficients, grid)
     feq, shift = compute_equilibrium(coeffs, tol=1e-12)
     return grid, coeffs, f0, feq, shift
@@ -516,7 +528,7 @@ class SweepSpec:
 
 def parse_sweep(path) -> SweepSpec:
     path = Path(path)
-    data = _load_json(path, "sweep")
+    data = _object(_load_json(path, "sweep"), "sweep", ("axis", "values", "base"))
     base_block = _require(data, "base", "sweep")
     if isinstance(base_block, str):
         base = parse_scenario(path.parent / base_block)
@@ -551,7 +563,7 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
         return replace(
             scenario,
             name=f"{scenario.name}-n{value}",
-            grid=GridSettings(scenario.grid.dim, int(value)),
+            grid=Grid(scenario.grid.dim, value),  # the row's build_scenario validates it
         )
     raise ScenarioError(f"unknown sweep axis {axis!r}")
 
@@ -570,9 +582,8 @@ def _sweep_row(args) -> dict:
             if "error" in cond:
                 row["error"] = cond["error"]
                 break
-            for clause in cond["clauses"]:
-                lhs, rhs, op = clause["lhs"], clause["rhs"], clause["op"]
-                margins[clause["name"]] = (lhs - rhs) if op == ">=" else (rhs - lhs)
+            for c in cond["clauses"]:
+                margins[c["name"]] = theory.Clause(c["name"], c["lhs"], c["rhs"], c["op"]).margin
             row["overall_pass"] = cond["overall"]
     except Exception as exc:  # per-row failures recorded, sweep continues
         row["error"] = str(exc)
@@ -582,7 +593,7 @@ def _sweep_row(args) -> dict:
 def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = None) -> Path:
     """Run every sweep row and merge results, in input order, to sweep.csv."""
     out = _prepare_out_dir(Path(out_dir), force)
-    theorem = _REGIME_THEOREM[_regime(_setup(spec.base)[1])]
+    theorem = REGIME_THEOREMS[_regime(_setup(spec.base)[1])][0]
     tasks = []
     for index, value in enumerate(spec.values):
         row_scenario = apply_axis(spec.base, spec.axis, value)

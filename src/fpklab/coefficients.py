@@ -69,7 +69,7 @@ def _finite_samples(raw, expr: CoefficientExpr, grid: Grid, name: str) -> np.nda
     if not np.all(np.isfinite(arr)):
         cell = np.unravel_index(int(np.argmin(np.isfinite(arr))), grid.shape)
         raise ExpressionError(
-            f"coefficient {name!r} is not finite at cell {tuple(cell)}", expr.source, 0
+            f"coefficient {name!r} is not finite at cell {tuple(map(int, cell))}", expr.source, 0
         )
     return arr
 
@@ -92,7 +92,6 @@ class CoefficientSet:
     grad_phi: VectorField
     pi_expr: CoefficientExpr
     pi0: ScalarField  # mobility at t = 0, the value at every t when pi does not use t
-    sources: dict
 
     def pi_values(self, t: float) -> np.ndarray:
         """Mobility samples at time t (positivity checked), read-only.
@@ -178,7 +177,6 @@ def sample_coefficients(
         grad_phi=centered_gradient(phi_field),
         pi_expr=exprs["pi"],
         pi0=ScalarField(grid, pi0),
-        sources={name: exprs[name].source for name in ("D", "phi", "pi", "f0")},
     )
     f0_field = ScalarField(grid, f0_arr)
     f0_normalized = ScalarField(grid, f0_arr / integrate(f0_field))

@@ -189,17 +189,9 @@ def check_envelope(states, envelope: tuple[ScalarField, ScalarField]) -> float:
 
 
 def _jacobian(u: VectorField) -> np.ndarray:
-    """J[k, l] = d u_k / d x_l by centered differences; shape (n, n, ...).
-
-    Cached read-only on the immutable field: one evaluation per velocity.
-    """
-    jac = u.__dict__.get("_jacobian_cache")
-    if jac is None:
-        h = u.grid.spacing
-        jac = np.stack([np.stack(gradient_arrays(c, h)) for c in u.components])
-        jac.setflags(write=False)
-        u.__dict__["_jacobian_cache"] = jac
-    return jac
+    """J[k, l] = d u_k / d x_l by centered differences; shape (n, n, ...)."""
+    h = u.grid.spacing
+    return np.stack([np.stack(gradient_arrays(c, h)) for c in u.components])
 
 
 def _jensen_margin(jac: np.ndarray, grad_sq: np.ndarray) -> float:

@@ -178,23 +178,22 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
     return SolverState(f=new_f, t=state.t + dt, step_index=state.step_index + 1)
 
 
-def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder=None):
+def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder):
     """March from f0 to t_end (or max_steps), recording diagnostics.
 
-    ``recorder`` maps a SolverState to a DiagnosticsRecord; records are taken
-    at the initial state, every ``record_every`` accepted steps, and the
-    final state.  Returns the assembled TimeSeries.
+    ``recorder`` maps a SolverState to a DiagnosticsRecord (see
+    ``diagnostics.make_recorder``); records are taken at the initial state,
+    every ``record_every`` accepted steps, and the final state.  Returns the
+    assembled TimeSeries.
     """
     # local import: diagnostics builds on this module for velocities
-    from .diagnostics import TimeSeries, make_recorder
+    from .diagnostics import TimeSeries
 
     if f0.min() <= 0.0:
         raise NonPositiveDensityError("initial density must be strictly positive")
     mass = integrate(f0)
     if not abs(mass - 1.0) <= MASS_TOL:  # fails closed on NaN
         raise FpkError(f"initial density must have unit mass; got {mass!r}")
-    if recorder is None:
-        recorder = make_recorder(coeffs)
 
     state = SolverState(f=f0, t=0.0, step_index=0)
     records = [recorder(state)]

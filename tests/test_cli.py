@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict
-from fpklab import cli
+from fpklab import cli, theory
 from fpklab.errors import ScenarioError
 
 MINIMAL = {
@@ -51,6 +52,30 @@ class TestParseScenario:
         data = {**MINIMAL, "diagnostics": {"fit_window": [0.5, 0.1]}}
         with pytest.raises(ScenarioError):
             cli.build_scenario(data)
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            (None, "diagnostic"),
+            ("grid", "cells"),
+            ("coefficients", "psi"),
+            ("solver", "cfl_safty"),
+            ("diagnostics", "fit_windows"),
+            ("theory", "certified_sobolov"),
+        ],
+    )
+    def test_unknown_key_named(self, block, key):
+        data = json.loads(json.dumps({**MINIMAL, "diagnostics": {}, "theory": {"gamma": 1.0}}))
+        (data if block is None else data[block])[key] = 1
+        with pytest.raises(ScenarioError) as err:
+            cli.build_scenario(data)
+        assert f"unknown key {key!r}" in str(err.value)
+
+    def test_schema_forms_accepted(self):
+        grid = {"dim": 1.0, "cells_per_axis": 64.0}  # integral floats for int fields
+        scenario = cli.build_scenario({**MINIMAL, "grid": grid, "solver": {"t_end": 0.002, "record_every": 3}})
+        assert scenario.grid == cli.build_grid(1, 64)
+        assert scenario.solver.record_every == 3
 
     def test_time_dependence_rejected_outside_mobility(self):
         data = json.loads(json.dumps(MINIMAL))
@@ -271,17 +296,35 @@ class TestSweep:
 
     def test_row_failure_recorded_and_sweep_continues(self, tmp_path):
         base = {**MINIMAL, "name": "fsweep", "theory": {"gamma": 1.0}}
-        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=[2, 16])
+        values = [2, math.nan, math.inf, 16.5, 16]
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=values)
         path = cli.run_sweep(spec, tmp_path / "fsweep", force=True, jobs=1)
         rows = path.read_text().splitlines()
         assert rows[1].split(",")[-1] != ""  # N=2 fails validation
-        assert rows[2].split(",")[-1] == ""
+        assert [r.split(",")[-1] for r in rows[2:5]] == [
+            "grid.cells_per_axis must be a number; got nan",
+            "grid.cells_per_axis must be a number; got inf",
+            "grid.cells_per_axis must be an integer; got 16.5",
+        ]
+        assert rows[5].split(",")[-1] == ""
         # an error message with a comma survives the round trip through sweep.csv
         spec = cli.SweepSpec(base=cli.build_scenario(base), axis="d_scale", values=[-1.0])
         path = cli.run_sweep(spec, tmp_path / "csweep", force=True, jobs=1)
         with path.open(newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1][-1] == "D must be strictly positive; got -1.0 at cell (0,)"
+
+    def test_clause_names_match_checkers(self):
+        grid = cli.build_grid(1, 16)
+        coeffs, f0 = cli.sample_coefficients(MINIMAL["coefficients"], grid)
+        ledger = cli.build_constants_ledger(coeffs, f0, grid)
+        reports = [
+            theory.check_condition_T2(ledger, 1.0, 1.0, 0.5),
+            theory.check_condition_T3(ledger, 1.0, 1.0, 1.0, 0.5),
+            theory.check_condition_T4(ledger, 1.0, 1.0, 1.0, 0.5),
+        ]
+        names = {r.theorem: tuple(c.name for c in r.clauses) for r in reports}
+        assert names == cli.CLAUSE_NAMES
 
     def test_grad_pi_scale_axis_scales_mobility_deviation(self):
         base = cli.build_scenario(
@@ -336,6 +379,12 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         ("run", json.dumps({**MINIMAL, "solver": {"t_end": float("nan")}})),
         ("run", json.dumps({**MINIMAL, "solver": {"t_end": float("inf")}})),
         ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "positivity_floor": -1}})),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "cfl_safty": 0.1}})),
+        ("run", json.dumps({**MINIMAL, "diagnostic": {"record_every": 2}})),
+        ("sweep", json.dumps({"axis": "d_scale", "values": [1], "base": MINIMAL, "jobs": 2})),
+        ("run", json.dumps({**MINIMAL, "theory": {"gamma": 1.0, "certified_sobolev": -1}})),
+        ("check", json.dumps({**MINIMAL, "theory": {"gamma": 1.0, "certified_poincare": 0}})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": 16.5}})),
     ],
     ids=[
         "truncated_json",
@@ -346,6 +395,12 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         "t_end_nan",
         "t_end_infinite",
         "floor_negative",
+        "solver_key_misspelled",
+        "block_misspelled",
+        "sweep_key_unknown",
+        "certified_sobolev_negative",
+        "certified_poincare_zero",
+        "cells_not_integral",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):

@@ -114,7 +114,7 @@ class TestMobilitySamples:
         "pi, t, error, message",
         [
             ("1 - t*x1", 2.0, PositivityError, "pi must be strictly positive; got -0.875 at cell (7,)"),
-            ("2 + 1/(x1 - t)", 0.4375, ExpressionError, "coefficient 'pi' is not finite at cell"),
+            ("2 + 1/(x1 - t)", 0.4375, ExpressionError, "coefficient 'pi' is not finite at cell (3,)"),
         ],
     )
     def test_bad_time_raises_and_caches_nothing(self, pi, t, error, message):
