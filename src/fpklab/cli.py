@@ -58,13 +58,6 @@ SERIES_COLUMNS = (
 
 SWEEP_AXES = ("d_scale", "gamma", "grad_pi_scale", "resolution")
 
-#: decay theorems checked in each regime, the regime's own theorem first
-REGIME_THEOREMS = {
-    "homogeneous": ("T2", "T3", "T4"),
-    "inhomogeneous-D": ("T3", "T4"),
-    "full": ("T4",),
-}
-
 #: clause names per regime theorem; sweep.csv needs them before any row runs
 CLAUSE_NAMES = {
     "T2": ("rate", "initial_energy_finite"),
@@ -258,12 +251,6 @@ def parse_scenario(path) -> Scenario:
     return build_scenario(_load_json(path, "scenario"), fallback_name=path.stem)
 
 
-def _regime(coeffs) -> str:
-    if coeffs.pi_is_constant:
-        return "homogeneous" if coeffs.d_is_constant else "inhomogeneous-D"
-    return "full"
-
-
 def _ratio_maxima(records) -> dict:
     """Running maxima of the recorded empirical ratios; None where no state defines them."""
     defined = [r for r in records if not math.isnan(r.poincare)]
@@ -291,7 +278,7 @@ def _condition_reports(scenario, regime, ledger, empirical, g0) -> list[dict]:
     }
 
     reports = []
-    for theorem in REGIME_THEOREMS[regime]:
+    for theorem in theory.regime_theorems(regime):
         try:
             if theorem == "T2":
                 if poin is None:
@@ -319,7 +306,7 @@ def _envelope_block(scenario, regime, ledger, series) -> dict | None:
         return None
     gamma = scenario.theory.gamma
     g0 = series.records[0].dissipation
-    theorem = REGIME_THEOREMS[regime][0]
+    theorem = theory.regime_theorems(regime)[0]
     block = {"theorem": theorem, "gamma": gamma, "g0": g0}
     try:
         envelope = theory.predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)
@@ -402,7 +389,7 @@ def run_scenario_data(scenario: Scenario):
     if targets and final is not sampled[-1]:
         sampled.append(final)
 
-    regime = _regime(coeffs)
+    regime = coeffs.regime
     fit_window = scenario.fit_window or (t_end / 4.0, t_end)
     try:
         fit = diagnostics.decay_fit(series, fit_window)
@@ -462,7 +449,7 @@ def check_scenario_data(scenario: Scenario) -> dict:
     """
     grid, coeffs, f0, feq, shift = _setup(scenario)
     ledger = _ledger(scenario, grid, coeffs, f0, shift)
-    regime = _regime(coeffs)
+    regime = coeffs.regime
     initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
     empirical = _ratio_maxima([initial])
     return {
@@ -571,11 +558,12 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
 def _sweep_row(args) -> dict:
     scenario_dict, theorem, out_dir = args
     margins = {name: math.nan for name in CLAUSE_NAMES[theorem]}
-    row = {"measured_rate": math.nan, "margins": margins, "overall_pass": "", "error": ""}
+    row = dict(measured_rate=math.nan, margins=margins, overall_pass="", fit_error="", error="")
     try:
         scenario = build_scenario(scenario_dict, fallback_name=scenario_dict.get("name", "row"))
         report = run_scenario(scenario, Path(out_dir), force=True)
         row["measured_rate"] = report["decay_fit"].get("rate", math.nan)
+        row["fit_error"] = report["decay_fit"].get("error", "")
         for cond in report["condition_reports"]:
             if cond["theorem"] != theorem:
                 continue
@@ -593,7 +581,8 @@ def _sweep_row(args) -> dict:
 def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = None) -> Path:
     """Run every sweep row and merge results, in input order, to sweep.csv."""
     out = _prepare_out_dir(Path(out_dir), force)
-    theorem = REGIME_THEOREMS[_regime(_setup(spec.base)[1])][0]
+    coeffs, _ = sample_coefficients(spec.base.coefficients, spec.base.grid)
+    theorem = theory.regime_theorems(coeffs.regime)[0]
     tasks = []
     for index, value in enumerate(spec.values):
         row_scenario = apply_axis(spec.base, spec.axis, value)
@@ -609,13 +598,14 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
         rows = [_sweep_row(task) for task in tasks]
 
     clause_cols = [f"margin_{name}" for name in CLAUSE_NAMES[theorem]]
-    header = ["value", "measured_rate", *clause_cols, "overall_pass", "error"]
+    header = ["value", "measured_rate", *clause_cols, "overall_pass", "fit_error", "error"]
     csv_rows = [
         [
             _fmt(value),
             _fmt(row["measured_rate"]),
             *[_fmt(row["margins"][name]) for name in CLAUSE_NAMES[theorem]],
             str(row["overall_pass"]),
+            row["fit_error"],
             row["error"],
         ]
         for value, row in zip(spec.values, rows)

@@ -8,6 +8,9 @@ the diagnostic stencils; the mobility's time derivative is a centered
 difference of the analytic expression with a fixed small step, which avoids
 symbolic differentiation while staying exact to O(dt^2).
 
+``CoefficientSet.regime`` names the first of the nested REGIMES that covers
+the samples; a coefficient counts as constant only if its samples are equal.
+
 A time-dependent mobility is sampled once per distinct time: its expression
 is bound to the cell centers once, with every t-free subtree evaluated then,
 so a new time evaluates only the t-dependent part (bitwise equal to a full
@@ -39,6 +42,10 @@ from .grid import (
     centered_hessian,
     integrate,
 )
+
+#: coefficient regimes, each containing the ones before it: constant D and pi,
+#: spatial D with constant pi, and a mobility pi(x, t) varying in x or t
+REGIMES = ("homogeneous", "inhomogeneous-D", "full")
 
 #: time step for the centered difference defining pi_t from the expression
 PI_TIME_DELTA = 1e-4
@@ -129,12 +136,11 @@ class CoefficientSet:
         return centered_gradient(self.pi_at(t))
 
     @property
-    def d_is_constant(self) -> bool:
-        return float(np.ptp(self.D.values)) == 0.0
-
-    @property
-    def pi_is_constant(self) -> bool:
-        return (not self.pi_expr.uses_t) and float(np.ptp(self.pi0.values)) == 0.0
+    def regime(self) -> str:
+        """The first of REGIMES that covers the sampled coefficients."""
+        if self.pi_expr.uses_t or float(np.ptp(self.pi0.values)) != 0.0:
+            return "full"
+        return "homogeneous" if float(np.ptp(self.D.values)) == 0.0 else "inhomogeneous-D"
 
 
 def sample_coefficients(
@@ -205,7 +211,8 @@ def compute_equilibrium(coeffs: CoefficientSet, tol: float = 1e-12) -> tuple[Sca
     lo, hi = -phi_sup, phi_sup
     res_lo = mass_residual(lo)
     res_hi = mass_residual(hi)
-    if res_lo > 0.0 or res_hi < 0.0:
+    # phi = 0 gives the bracket [0, 0], whose residual is cell-volume round-off
+    if res_lo > tol or res_hi < -tol:
         raise EquilibriumBracketError(
             f"shift bracket [{lo}, {hi}] does not enclose the unit-mass root"
         )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import CoefficientSet
+from .coefficients import REGIMES, CoefficientSet
 from .errors import (
     NonPositiveDensityError,
     TooShortSeriesError,
@@ -48,8 +48,6 @@ from .grid import (
     integrate,
 )
 from .solver import SolverState, compute_velocity
-
-MODES = ("homogeneous", "inhomogeneous-D", "full")
 
 
 @dataclass(frozen=True)
@@ -228,15 +226,14 @@ def second_derivative_terms(
     """Evaluate the named integrals of d^2F/dt^2 for the requested regime.
 
     ``homogeneous`` (constant D and pi) has 2 terms, ``inhomogeneous-D``
-    (constant pi) 7, ``full`` 13.  All derivatives are centered differences;
+    (constant pi) 7, ``full`` 13.  The mode must be ``coeffs.regime`` or a
+    later regime of REGIMES.  All derivatives are centered differences;
     grad|u|^2 is the centered gradient of the sampled speed-squared field.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    if mode == "homogeneous" and not (coeffs.d_is_constant and coeffs.pi_is_constant):
-        raise WrongRegimeError("homogeneous mode requires constant D and constant pi")
-    if mode == "inhomogeneous-D" and not coeffs.pi_is_constant:
-        raise WrongRegimeError("inhomogeneous-D mode requires constant pi")
+    if mode not in REGIMES:
+        raise ValueError(f"mode must be one of {REGIMES}")
+    if REGIMES.index(mode) < REGIMES.index(coeffs.regime):
+        raise WrongRegimeError(f"{mode} mode does not cover the {coeffs.regime} regime")
 
     grid = f.grid
     fv = f.values

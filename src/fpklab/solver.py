@@ -148,7 +148,7 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
         try:
             new_values = _advance(state.f.values, coeffs, pi, dt, config.integrator)
             fmin = float(new_values.min())
-            accepted = fmin > floor if floor == 0.0 else fmin >= floor
+            accepted = fmin > floor  # false on NaN
         except NonPositiveDensityError:
             accepted = False
             fmin = float("nan")

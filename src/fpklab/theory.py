@@ -1,16 +1,17 @@
 """Sufficient-condition checkers and predicted decay envelopes.
 
-Three regimes are covered, each with its own clause set evaluated from the
-constants ledger plus weighted Sobolev/Poincare constants:
+The decay results form a ladder: THEOREMS[i] covers the coefficient regime
+``coefficients.REGIMES[i]`` and every earlier one, and a run checks its own
+regime's theorem and every later one (``regime_theorems``):
 
-* homogeneous (constant D, constant pi): a single rate clause
+* T2, homogeneous (constant D and pi): a single rate clause
   -2 lambda + 2 d_min / C_poincare >= gamma, plus initial-energy finiteness;
-* spatial D, constant pi: a diffusion-floor clause with three competing
-  entries, the rate clause -2(lambda + 1) + d_min / C_poincare >= gamma, and
-  a saturation threshold g(0) < sqrt(6 gamma) on the initial dissipation;
-* variable mobility: six clauses covering the diffusion floor, |pi_t|, a
+* T3, spatial D with constant pi: a diffusion-floor clause with three
+  competing entries, the rate clause -2(lambda + 1) + d_min / C_poincare >=
+  gamma, and a saturation threshold on the initial dissipation;
+* T4, variable mobility: six clauses covering the diffusion floor, |pi_t|, a
   four-entry bound on |grad pi|, a Poincare gate, the rate clause against
-  gamma * pi_max, and the threshold g(0) < sqrt(12 gamma pi_min^3).
+  gamma * pi_max, and a saturation threshold.
 
 The Sobolev/Poincare constants are non-constructive, so every report records
 the numeric value used together with its provenance (empirical running
@@ -18,10 +19,12 @@ maximum or a user-certified value).  Division-by-zero entries for grad_d = 0
 are treated as infinitely permissive, matching the degeneration of the
 derivation when D is constant.
 
-The saturation bound itself comes from the comparison inequality
-dg/dt <= -c g + d g^p: below the threshold (c/d)^{1/(p-1)} the closed form
-g(t) <= (g(0)^{-p+1} - d/c)^{-1/(p-1)} e^{-ct} holds, and a fixed-step RK4
-solution of the saturating ODE cross-checks it numerically.
+Each theorem closes with the comparison inequality dg/dt <= -c g + d g^p,
+c = gamma, p = 3, d = 0 (T2), 1/6 (T3) or 1/(12 pi_min^3) (T4).  Below the
+threshold (c/d)^{1/(p-1)} the closed form g(t) <= (g(0)^{-p+1} -
+d/c)^{-1/(p-1)} e^{-ct} holds; the threshold clauses and the run's envelope,
+from its own regime's theorem, evaluate this one closed form, and a
+fixed-step RK4 solution of the saturating ODE cross-checks it numerically.
 """
 
 from __future__ import annotations
@@ -31,10 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import ConstantsLedger
+from .coefficients import REGIMES, ConstantsLedger
 from .errors import FpkError, ThresholdError, WrongRegimeError
 
+#: the decay theorem of each regime, in the order of REGIMES
+THEOREMS = ("T2", "T3", "T4")
+
 _REGIME_ATOL = 1e-14
+
+
+def regime_theorems(regime: str) -> tuple[str, ...]:
+    """The theorems that cover a regime: its own theorem first, then every later one."""
+    return THEOREMS[REGIMES.index(regime):]
 
 
 @dataclass(frozen=True)
@@ -67,18 +78,17 @@ def gronwall_threshold(spec: GronwallSpec) -> float:
 def gronwall_bound(spec: GronwallSpec, t) -> float | np.ndarray:
     """Closed-form decay bound (g0^{-p+1} - d/c)^{-1/(p-1)} e^{-ct}.
 
-    Defined only below the threshold; g0 = 0 gives the zero bound.
+    Defined only below the threshold; g0 = 0 gives the zero bound and d = 0
+    the plain exponential g0 e^{-ct}.
     """
-    if spec.g0 >= gronwall_threshold(spec):
-        raise ThresholdError(
-            f"g0={spec.g0!r} is not below the threshold {gronwall_threshold(spec)!r}"
-        )
-    decay = np.exp(-spec.c * np.asarray(t, dtype=float))
-    if spec.g0 == 0.0:
-        coefficient = 0.0
-    else:
-        coefficient = (spec.g0 ** (-spec.p + 1.0) - spec.d / spec.c) ** (-1.0 / (spec.p - 1.0))
-    out = coefficient * decay
+    threshold = gronwall_threshold(spec)
+    saturating = spec.g0 > 0.0 and spec.d > 0.0
+    base = spec.g0 ** (-spec.p + 1.0) - spec.d / spec.c if saturating else 1.0
+    # within rounding of the threshold the base can reach zero while g0 < threshold
+    if spec.g0 >= threshold or base <= 0.0:
+        raise ThresholdError(f"g0={spec.g0!r} is not below the saturation threshold {threshold!r}")
+    coefficient = base ** (-1.0 / (spec.p - 1.0)) if saturating else spec.g0
+    out = coefficient * np.exp(-spec.c * np.asarray(t, dtype=float))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -275,7 +285,7 @@ def check_condition_T3(
     clauses = [
         Clause("diffusion_floor", floor_lhs, ledger.d_min, "<="),
         Clause("rate", -2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare3, gamma, ">="),
-        Clause("gronwall_threshold", g0, math.sqrt(6.0 * gamma), "<"),
+        Clause("gronwall_threshold", g0, gronwall_threshold(_comparison_spec("T3", gamma, g0)), "<"),
     ]
     return ConditionReport(
         theorem="T3",
@@ -318,6 +328,7 @@ def check_condition_T4(
         ledger.pi_min / (4.0 * math.sqrt(2.0 * (math.sqrt(n) * gd + 1.0) * ledger.d_min)),
         ledger.pi_min,
     )
+    comparison = _comparison_spec("T4", gamma, g0, ledger.pi_min)
     clauses = [
         Clause("diffusion_floor", floor_lhs, ledger.d_min, "<="),
         Clause("mobility_time", ledger.pi_time, 1.0 / 6.0, "<="),
@@ -329,7 +340,7 @@ def check_condition_T4(
             gamma * ledger.pi_max,
             ">=",
         ),
-        Clause("gronwall_threshold", g0, math.sqrt(12.0 * gamma * ledger.pi_min**3), "<"),
+        Clause("gronwall_threshold", g0, gronwall_threshold(comparison), "<"),
     ]
     return ConditionReport(
         theorem="T4",
@@ -355,35 +366,28 @@ class Envelope:
         return self.coefficient * np.exp(-self.rate * np.asarray(t, dtype=float))
 
 
-def predicted_envelope(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> Envelope:
-    """Envelope coefficient per regime.
-
-    Homogeneous: coefficient = g0 (the plain exponential estimate).  The
-    two saturating regimes inflate it: (g0^{-2} - 1/(6 gamma))^{-1/2} and,
-    with mobility bounds, (g0^{-2} - 1/(12 gamma pi_min^3))^{-1/2}; both
-    require g0 below the corresponding threshold.
-    """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if g0 < 0.0:
-        raise ValueError("g0 must be nonnegative")
+def _comparison_spec(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> GronwallSpec:
+    """The theorem's comparison ODE dg/dt = -gamma g + d g^3 started at g0."""
     if theorem == "T2":
-        return Envelope(coefficient=g0, rate=gamma)
-    if theorem == "T3":
-        saturation = 1.0 / (6.0 * gamma)
+        d = 0.0
+    elif theorem == "T3":
+        d = 1.0 / 6.0
     elif theorem == "T4":
-        if pi_min is None or pi_min <= 0.0:
-            raise ValueError("the variable-mobility envelope needs pi_min > 0")
-        saturation = 1.0 / (12.0 * gamma * pi_min**3)
+        if pi_min is None or not pi_min > 0.0:
+            raise ValueError("the variable-mobility comparison needs pi_min > 0")
+        d = 1.0 / (12.0 * pi_min**3)
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
-    if g0 == 0.0:
-        return Envelope(coefficient=0.0, rate=gamma)
-    if g0 ** (-2.0) <= saturation:
-        raise ThresholdError(
-            f"g0={g0!r} is not below the saturation threshold {saturation**-0.5!r}"
-        )
-    return Envelope(coefficient=(g0 ** (-2.0) - saturation) ** (-0.5), rate=gamma)
+    return GronwallSpec(c=gamma, d=d, p=3.0, g0=g0)
+
+
+def predicted_envelope(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> Envelope:
+    """Envelope gronwall_bound(spec, 0) e^{-gamma t} of the theorem's comparison ODE.
+
+    T2's coefficient is g0; T3 and T4 inflate it and need g0 below their threshold.
+    """
+    spec = _comparison_spec(theorem, gamma, g0, pi_min)
+    return Envelope(coefficient=gronwall_bound(spec, 0.0), rate=gamma)
 
 
 def compare_to_envelope(series, envelope: Envelope) -> float:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict
-from fpklab import cli, theory
-from fpklab.errors import ScenarioError
+from fpklab import cli, diagnostics, theory
+from fpklab.coefficients import REGIMES
+from fpklab.errors import ScenarioError, WrongRegimeError
 
 MINIMAL = {
     "grid": {"dim": 1, "cells_per_axis": 32},
@@ -251,6 +252,36 @@ class TestCheck:
         assert "initial state only" in report["sobolev_constant_note"]
 
 
+# one coefficient set per regime: (D, pi, regime, checked theorems, modes that raise)
+REGIME_TABLE = [
+    ("1", "1", "homogeneous", ["T2", "T3", "T4"], []),
+    ("1.5 + 0.25*cos(2*pi*x1)", "1", "inhomogeneous-D", ["T3", "T4"], ["homogeneous"]),
+    ("1", "1.2 + 0.1*cos(2*pi*x1)", "full", ["T4"], ["homogeneous", "inhomogeneous-D"]),
+    ("1", "1 + 0.1*sin(t)", "full", ["T4"], ["homogeneous", "inhomogeneous-D"]),
+]
+
+
+@pytest.mark.parametrize("d, pi, regime, theorems, raising", REGIME_TABLE)
+def test_regime_truth_table(d, pi, regime, theorems, raising):
+    coefficients = {**MINIMAL["coefficients"], "D": d, "pi": pi, "phi": "0.3*cos(2*pi*x1)"}
+    data = {**MINIMAL, "coefficients": coefficients, "theory": {"gamma": 1.0}}
+    scenario = cli.build_scenario(data)
+    _, report = cli.run_scenario_data(scenario)
+    assert report["regime"] == regime
+    assert [c["theorem"] for c in report["condition_reports"]] == theorems
+    assert report["envelope"]["theorem"] == theorems[0]
+    assert [c["theorem"] for c in cli.check_scenario_data(scenario)["condition_reports"]] == theorems
+
+    coeffs, f0 = cli.sample_coefficients(coefficients, scenario.grid)
+    raised = []
+    for mode in REGIMES:
+        try:
+            diagnostics.second_derivative_terms(f0, coeffs, 0.0, mode)
+        except WrongRegimeError:
+            raised.append(mode)
+    assert raised == raising
+
+
 class TestSweep:
     def test_gamma_sweep_flips_at_most_once(self, tmp_path):
         base = {
@@ -285,6 +316,18 @@ class TestSweep:
         rows = path.read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["16", "32"]
         assert all(r.split(",")[-1] == "" for r in rows[1:])  # no per-row errors
+
+    def test_failed_decay_fit_has_its_own_column(self, tmp_path):
+        base = {**MINIMAL, "name": "fitsweep", "theory": {"gamma": 1.0}}
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=[16])
+        path = cli.run_sweep(spec, tmp_path / "fitsweep", force=True, jobs=1)
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            (row,) = list(reader)
+        assert reader.fieldnames[-2:] == ["fit_error", "error"]
+        assert row["measured_rate"] == "nan"
+        assert row["fit_error"].startswith("need >= 5 records")
+        assert row["error"] == ""
 
     def test_empty_values_rejected(self):
         with pytest.raises(ScenarioError):

@@ -75,7 +75,7 @@ class TestSampling:
         assert coeffs.pi_at(0.0).values[0] == pytest.approx(2.0)
         assert coeffs.pi_at(math.pi / 2).values[0] == pytest.approx(3.0)
         assert coeffs.pi_t_values(0.0)[0] == pytest.approx(1.0, abs=1e-8)
-        assert not coeffs.pi_is_constant
+        assert coeffs.regime == "full"
 
     def test_static_pi_time_derivative_is_zero(self):
         _, coeffs, _ = sample({**UNIT, "pi": "1.5 + 0.5*cos(2*pi*x1)"})
@@ -137,6 +137,13 @@ SHIFT_ORACLE = -0.23591435850717948  # quad + brentq on exp(-(cos(2 pi x) - s))
 class TestEquilibrium:
     def test_flat_potential(self):
         _, coeffs, _ = sample(UNIT)
+        feq, shift = F.compute_equilibrium(coeffs)
+        assert shift == 0.0
+        assert np.all(feq.values == 1.0)
+
+    @pytest.mark.parametrize("dim, n", [(2, 5), (3, 5), (3, 6)])
+    def test_flat_potential_where_cell_volumes_do_not_sum_to_one(self, dim, n):
+        _, coeffs, _ = sample(UNIT, dim=dim, n=n)
         feq, shift = F.compute_equilibrium(coeffs)
         assert shift == 0.0
         assert np.all(feq.values == 1.0)

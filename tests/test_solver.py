@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,33 @@ class TestStep:
         with pytest.raises(StiffnessError) as err:
             F.step(state, coeffs, 1e-5, config)
         assert err.value.dump["positivity_floor"] == 2.0
+
+    def test_density_at_a_positive_floor_is_rejected(self, monkeypatch):
+        grid, coeffs, f0 = sample(UNIT)
+        at_floor = np.ones(grid.shape)
+        at_floor[:2] = (0.5, 1.5)  # unit mass, minimum exactly the floor
+        monkeypatch.setattr(solver, "_advance", lambda *args: at_floor.copy())
+        config = SolverConfig(t_end=1.0, positivity_floor=0.5)
+        with pytest.raises(StiffnessError) as err:
+            F.step(SolverState(f0, 0.0, 0), coeffs, 1e-5, config)
+        assert err.value.dump["min_new_value"] == 0.5
+
+    @pytest.mark.parametrize("stage", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_stage_result_never_accepted(self, monkeypatch, bad, stage):
+        grid, coeffs, f0 = sample(HEAT)
+        original = solver._rhs_values
+        calls = itertools.count()
+
+        def corrupted(*args):  # the RK4 stage `stage` of every attempt gets a bad cell
+            out = original(*args)
+            if next(calls) % 4 == stage:
+                out[5] = bad
+            return out
+
+        monkeypatch.setattr(solver, "_rhs_values", corrupted)
+        with np.errstate(all="ignore"), pytest.raises(FpkError):
+            F.step(SolverState(f0, 0.0, 0), coeffs, 1e-5, SolverConfig(t_end=1.0))
 
     def test_one_mobility_sample_per_rk4_step(self, monkeypatch):
         grid, coeffs, f0 = sample(VARPI)

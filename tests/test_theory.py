@@ -243,6 +243,29 @@ class TestPredictedEnvelope:
             th.predicted_envelope("T2", gamma=0.0, g0=1.0)
 
 
+def test_envelopes_and_thresholds_are_the_closed_form_bound():
+    # each theorem's comparison ODE dg/dt = -gamma g + d g^3, written out here
+    checked = 0
+    for gamma in np.geomspace(0.01, 100.0, 15).tolist():
+        for pi_min in np.linspace(0.3, 2.0, 8).tolist():
+            ledger = make_ledger(pi_min=pi_min, pi_max=max(1.0, pi_min))
+            saturation = {"T2": 0.0, "T3": 1.0 / 6.0, "T4": 1.0 / (12.0 * pi_min**3)}
+            for theorem, d in saturation.items():
+                for frac in np.linspace(0.0, 0.99, 12).tolist():
+                    g0 = frac * (math.sqrt(gamma / d) if d > 0.0 else 10.0)
+                    spec = th.GronwallSpec(c=gamma, d=d, p=3.0, g0=g0)
+                    env = th.predicted_envelope(theorem, gamma, g0, pi_min=pi_min)
+                    assert env.coefficient == th.gronwall_bound(spec, 0.0)
+                    assert env.rate == gamma
+                    if theorem == "T2":
+                        continue
+                    check = th.check_condition_T3 if theorem == "T3" else th.check_condition_T4
+                    report = check(ledger, 1.0, 0.01, gamma, g0)
+                    assert report.clause("gronwall_threshold").rhs == th.gronwall_threshold(spec)
+                    checked += 1
+    assert checked == 15 * 8 * 2 * 12
+
+
 class TestCompareToEnvelope:
     def test_stationary_series_gives_zero_ratio(self):
         # all-zero dissipation (the equilibrium start, in exact arithmetic)
