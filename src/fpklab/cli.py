@@ -138,8 +138,10 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(kind, value, where: str):
-    """int(value) or float(value); a value that converts to neither, or a
-    non-integral number for an int, is a ScenarioError."""
+    """int(value) or float(value); a boolean, a value that converts to
+    neither, or a non-integral number for an int, is a ScenarioError."""
+    if isinstance(value, bool):  # JSON true would otherwise read as 1
+        raise ScenarioError(f"{where} must be a number; got {value!r}")
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -151,8 +153,8 @@ def _number(kind, value, where: str):
 
 def _positive(value, where: str) -> float:
     number = _number(float, value, where)
-    if not number > 0.0:
-        raise ScenarioError(f"{where} must be positive; got {value!r}")
+    if not 0.0 < number < math.inf:
+        raise ScenarioError(f"{where} must be positive and finite; got {value!r}")
     return number
 
 
@@ -210,6 +212,8 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
         fit_window = tuple(
             _number(float, w, f"diagnostics.fit_window[{i}]") for i, w in enumerate(window)
         )
+        if not all(math.isfinite(w) for w in fit_window):
+            raise ScenarioError(f"diagnostics.fit_window must have finite ends; got {window!r}")
         if fit_window[1] <= fit_window[0]:
             raise ScenarioError("diagnostics.fit_window must have t_lo < t_hi")
 

@@ -101,11 +101,13 @@ class CoefficientSet:
     pi0: ScalarField  # mobility at t = 0, the value at every t when pi does not use t
 
     def pi_values(self, t: float) -> np.ndarray:
-        """Mobility samples at time t (positivity checked), read-only.
+        """Mobility samples at time t (finite and positive), read-only.
 
         The latest time's samples are cached, and a new time evaluates only
         the t-dependent part of the expression (bound once to the cell
-        centers), so every caller at one time shares one evaluation.
+        centers), so every caller at one time shares one evaluation.  A
+        sample passing 0 < min and max < inf is accepted as is; any other
+        raises the error the full per-cell checks give.
         """
         if not self.pi_expr.uses_t:
             return self.pi0.values
@@ -116,8 +118,11 @@ class CoefficientSet:
         at = cache.get("_pi_at")
         if at is None:
             at = cache["_pi_at"] = self.pi_expr.bind(_grid_coords(self.pi_expr, self.grid, "pi"))
-        arr = _finite_samples(at(t), self.pi_expr, self.grid, "pi")
-        _require_positive("pi", arr, self.grid)
+        arr = np.empty(self.grid.shape)
+        arr[...] = at(t)
+        if not (arr.min() > 0.0 and arr.max() < math.inf):  # false on NaN
+            # one of these raises, naming the same cell a full check names
+            _require_positive("pi", _finite_samples(arr, self.pi_expr, self.grid, "pi"), self.grid)
         arr.setflags(write=False)
         cache["_pi_last"] = (t, arr)
         return arr

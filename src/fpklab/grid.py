@@ -95,6 +95,17 @@ class ScalarField:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_field_array(self.grid, self.values, self.grid.shape))
 
+    @classmethod
+    def _trusted(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
+        """Field over a fresh C-contiguous float64 array of ``grid.shape``
+        whose finiteness the caller has checked: no copy and no check, only
+        the array is set read-only."""
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        return field
+
     def min(self) -> float:
         return float(self.values.min())
 
@@ -184,8 +195,8 @@ def face_divergence(grid: Grid, face_flux) -> ScalarField:
 
 def face_divergence_arrays(fluxes: list[np.ndarray], spacing: float) -> np.ndarray:
     """sum_k (flux_k[i] - flux_k[i-1]) / h for one flux array per axis."""
-    acc = np.zeros(fluxes[0].shape)
-    for k, flux in enumerate(fluxes):
-        acc += flux - shift(flux, -1, k)
+    acc = fluxes[0] - shift(fluxes[0], -1, 0)
+    for k in range(1, len(fluxes)):
+        acc += fluxes[k] - shift(fluxes[k], -1, k)
     acc /= spacing
     return acc

@@ -14,7 +14,10 @@ psi constant so the scheme is exactly stationary on it.  The harmonic mean
 vanishes when either cell vanishes, which helps positivity; steps that still
 produce a cell at or below the positivity floor are rejected and retried
 with a halved dt rather than clipped (clipping would silently break mass
-conservation).
+conservation).  The floor test and the mass test are also the only checks on
+a new state: a NaN or -inf cell fails the floor test and a +inf cell the
+mass test, so the accepted array is wrapped as a field without another copy
+or finiteness pass.
 
 Time stepping is explicit (forward Euler or the classical four-stage
 Runge-Kutta).  ``step`` samples the mobility once, at the step's start time,
@@ -22,7 +25,9 @@ and every stage and every retry of that step shares the sample; the O(dt)
 error this makes for time-dependent mobility is dominated by the parabolic
 step restriction dt ~ h^2.  The coefficient set caches its latest mobility
 sample, so ``stable_dt``, ``step`` and the recorder at one time share one
-evaluation of the mobility.
+evaluation of the mobility.  When the mobility does not use t, ``stable_dt``
+depends only on D and pi at t = 0, so ``run`` computes it once per run;
+otherwise once per step.
 
 Evaluations are vectorized whole-grid numpy operations; reductions use
 numpy's pairwise summation in array order, so results are bitwise
@@ -75,8 +80,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 <= self.t_end < math.inf):
             raise ValueError("t_end must be finite and nonnegative")
-        if not self.positivity_floor >= 0.0:
-            raise ValueError("positivity_floor must be nonnegative")
+        if not (0.0 <= self.positivity_floor < math.inf):
+            raise ValueError("positivity_floor must be finite and nonnegative")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must be in (0, 1]")
         if self.integrator not in INTEGRATORS:
@@ -169,7 +174,7 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
             )
         dt *= 0.5
 
-    new_f = ScalarField(state.f.grid, new_values)
+    new_f = ScalarField._trusted(state.f.grid, new_values)
     mass = integrate(new_f)
     if not abs(mass - 1.0) <= MASS_TOL:  # fails closed on NaN
         raise MassConservationError(
@@ -198,8 +203,9 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
     state = SolverState(f=f0, t=0.0, step_index=0)
     records = [recorder(state)]
     last_recorded = 0
+    fixed_dt = None if coeffs.pi_expr.uses_t else stable_dt(f0, coeffs, 0.0, config.cfl_safety)
     while state.t < config.t_end and state.step_index < config.max_steps:
-        dt = stable_dt(state.f, coeffs, state.t, config.cfl_safety)
+        dt = stable_dt(state.f, coeffs, state.t, config.cfl_safety) if fixed_dt is None else fixed_dt
         dt = min(dt, config.t_end - state.t)
         state = step(state, coeffs, dt, config)
         if state.step_index % config.record_every == 0:

@@ -428,6 +428,13 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         ("run", json.dumps({**MINIMAL, "theory": {"gamma": 1.0, "certified_sobolev": -1}})),
         ("check", json.dumps({**MINIMAL, "theory": {"gamma": 1.0, "certified_poincare": 0}})),
         ("run", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": 16.5}})),
+        ("run", json.dumps({**MINIMAL, "theory": {"gamma": float("inf")}})),
+        ("check", json.dumps({**MINIMAL, "theory": {"gamma": 1.0, "certified_poincare": float("inf")}})),
+        ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [float("nan"), 0.01]}})),
+        ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [0.004, float("inf")]}})),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "positivity_floor": float("inf")}})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": True, "cells_per_axis": 32}})),
+        ("run", json.dumps({**MINIMAL, "diagnostics": {"record_every": True}})),
     ],
     ids=[
         "truncated_json",
@@ -444,6 +451,13 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         "certified_sobolev_negative",
         "certified_poincare_zero",
         "cells_not_integral",
+        "gamma_infinite",
+        "certified_poincare_infinite",
+        "fit_window_nan",
+        "fit_window_infinite",
+        "floor_infinite",
+        "dim_boolean",
+        "record_every_boolean",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):

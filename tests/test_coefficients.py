@@ -113,8 +113,11 @@ class TestMobilitySamples:
     @pytest.mark.parametrize(
         "pi, t, error, message",
         [
+            ("1 - t", 1.0, PositivityError, "pi must be strictly positive; got 0.0 at cell (0,)"),
             ("1 - t*x1", 2.0, PositivityError, "pi must be strictly positive; got -0.875 at cell (7,)"),
+            ("2 + 0/(x1 - t)", 0.4375, ExpressionError, "coefficient 'pi' is not finite at cell (3,)"),
             ("2 + 1/(x1 - t)", 0.4375, ExpressionError, "coefficient 'pi' is not finite at cell (3,)"),
+            ("20 - 1/(x1 - t)", 0.4375, ExpressionError, "coefficient 'pi' is not finite at cell (3,)"),
         ],
     )
     def test_bad_time_raises_and_caches_nothing(self, pi, t, error, message):

@@ -19,6 +19,7 @@ from fpklab.grid import (
     centered_gradient,
     centered_hessian,
     face_divergence,
+    face_divergence_arrays,
     integrate,
     shift,
 )
@@ -181,6 +182,14 @@ class TestFaceDivergence:
             face_divergence(g, [np.zeros(g.shape)])
         with pytest.raises(ShapeError):
             face_divergence(g, [np.zeros(g.shape), np.zeros((8, 9))])
+
+    @pytest.mark.parametrize("shape", [(8,), (5, 7), (4, 5, 6)])
+    def test_kernel_bitwise_equal_to_roll_reference(self, shape):
+        rng = np.random.default_rng(1)
+        fluxes = [rng.standard_normal(shape) for _ in shape]
+        h = 0.125
+        reference = sum(flux - np.roll(flux, 1, axis=k) for k, flux in enumerate(fluxes)) / h
+        assert np.array_equal(face_divergence_arrays(fluxes, h), reference)
 
     @given(seed=st.integers(0, 2**16), dim=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)

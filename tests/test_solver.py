@@ -215,6 +215,15 @@ class TestStep:
             F.step(SolverState(f=f0, t=0.0, step_index=0), coeffs, 1e-5, config)
         assert calls == [0.0]
 
+    def test_new_state_is_read_only_c_contiguous_float64(self):
+        grid, coeffs, f0 = sample(VARPI)
+        new = F.step(SolverState(f0, 0.0, 0), coeffs, 1e-5, SolverConfig(t_end=1.0))
+        values = new.f.values
+        assert values.shape == grid.shape and values.dtype == np.float64
+        assert values.flags.c_contiguous and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+
     def test_dt_must_be_positive(self):
         grid, coeffs, f0 = sample(UNIT)
         with pytest.raises(ValueError):
@@ -291,6 +300,51 @@ class TestRun:
             F.run(f0, coeffs, SolverConfig(t_end=1e-4), dg.make_recorder(coeffs))
 
 
+class TestStepSize:
+    """stable_dt is sized once per run when pi does not use t, else once per step."""
+
+    STATIC_PI = {**VARPI, "pi": "1.2 + 0.2*cos(2*pi*x1)"}
+
+    @staticmethod
+    def count_stable_dt(monkeypatch):
+        calls = []
+        original = solver.stable_dt
+
+        def counted(f, coeffs, t, cfl_safety):
+            calls.append(t)
+            return original(f, coeffs, t, cfl_safety)
+
+        monkeypatch.setattr(solver, "stable_dt", counted)
+        return calls
+
+    @pytest.mark.parametrize("uses_t", [False, True])
+    def test_calls_per_run(self, monkeypatch, uses_t):
+        grid, coeffs, f0 = sample(VARPI if uses_t else self.STATIC_PI, n=32)
+        calls = self.count_stable_dt(monkeypatch)
+        series = F.run(f0, coeffs, SolverConfig(t_end=0.002), dg.make_recorder(coeffs))
+        steps = series.metadata["accepted_steps"]
+        assert steps > 1
+        assert len(calls) == (steps if uses_t else 1)
+
+    def test_run_bitwise_equal_to_per_step_dt(self, monkeypatch):
+        grid, coeffs, f0 = sample(self.STATIC_PI, n=32)
+        config = SolverConfig(t_end=0.002, record_every=3)
+
+        def run():
+            snaps = []
+            series = F.run(f0, coeffs, config, dg.make_recorder(coeffs, on_state=snaps.append))
+            rows = np.array([dataclasses.astuple(r) for r in series.records])
+            return rows.tobytes(), [s.f.values.tobytes() for s in snaps], series.metadata
+
+        hoisted = run()
+        calls = self.count_stable_dt(monkeypatch)
+        # a mobility claiming to use t makes run size dt at every step
+        monkeypatch.setattr(CoefficientExpr, "uses_t", property(lambda self: True))
+        per_step = run()
+        assert len(calls) == per_step[2]["accepted_steps"] > 1
+        assert hoisted == per_step
+
+
 class TestMobilitySampling:
     """variable_pi_1d: one evaluation of pi's t-dependent part per distinct time."""
 
@@ -339,3 +393,5 @@ class TestSolverConfig:
             SolverConfig(t_end=1.0, integrator="imex")
         with pytest.raises(ValueError):
             SolverConfig(t_end=1.0, max_steps=0)
+        with pytest.raises(ValueError):
+            SolverConfig(t_end=1.0, positivity_floor=math.inf)
