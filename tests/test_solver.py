@@ -39,6 +39,19 @@ def count_pi_values(monkeypatch):
     return calls
 
 
+def count_stable_dt(monkeypatch):
+    """Record the time of every solver.stable_dt call."""
+    calls = []
+    original = solver.stable_dt
+
+    def counted(f, coeffs, t, cfl_safety):
+        calls.append(t)
+        return original(f, coeffs, t, cfl_safety)
+
+    monkeypatch.setattr(solver, "stable_dt", counted)
+    return calls
+
+
 class TestComputeVelocity:
     def test_zero_at_equilibrium(self):
         grid, coeffs, _ = sample({**UNIT, "phi": "cos(2*pi*x1)"}, n=128)
@@ -305,22 +318,10 @@ class TestStepSize:
 
     STATIC_PI = {**VARPI, "pi": "1.2 + 0.2*cos(2*pi*x1)"}
 
-    @staticmethod
-    def count_stable_dt(monkeypatch):
-        calls = []
-        original = solver.stable_dt
-
-        def counted(f, coeffs, t, cfl_safety):
-            calls.append(t)
-            return original(f, coeffs, t, cfl_safety)
-
-        monkeypatch.setattr(solver, "stable_dt", counted)
-        return calls
-
     @pytest.mark.parametrize("uses_t", [False, True])
     def test_calls_per_run(self, monkeypatch, uses_t):
         grid, coeffs, f0 = sample(VARPI if uses_t else self.STATIC_PI, n=32)
-        calls = self.count_stable_dt(monkeypatch)
+        calls = count_stable_dt(monkeypatch)
         series = F.run(f0, coeffs, SolverConfig(t_end=0.002), dg.make_recorder(coeffs))
         steps = series.metadata["accepted_steps"]
         assert steps > 1
@@ -337,7 +338,7 @@ class TestStepSize:
             return rows.tobytes(), [s.f.values.tobytes() for s in snaps], series.metadata
 
         hoisted = run()
-        calls = self.count_stable_dt(monkeypatch)
+        calls = count_stable_dt(monkeypatch)
         # a mobility claiming to use t makes run size dt at every step
         monkeypatch.setattr(CoefficientExpr, "uses_t", property(lambda self: True))
         per_step = run()
