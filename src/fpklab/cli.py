@@ -484,9 +484,12 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _prepare_out_dir(out_dir: Path, force: bool) -> Path:
-    if out_dir.exists() and any(out_dir.iterdir()) and not force:
-        raise ScenarioError(f"output directory {out_dir} is not empty; pass --force to overwrite")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        if out_dir.exists() and any(out_dir.iterdir()) and not force:
+            raise ScenarioError(f"output directory {out_dir} is not empty; pass --force to overwrite")
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a file at or above out_dir
+        raise ScenarioError(f"output directory {out_dir}: {exc.strerror}") from None
     return out_dir
 
 
@@ -526,7 +529,8 @@ def parse_sweep(path) -> SweepSpec:
     else:
         base = build_scenario(base_block, fallback_name=path.stem + "-base")
     values = _require(data, "values", "sweep")
-    if not (isinstance(values, list) and all(isinstance(v, (int, float)) for v in values)):
+    # type(), not isinstance: JSON true would otherwise pass as the int 1
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
         raise ScenarioError(f"sweep values must be a list of numbers; got {values!r}")
     return SweepSpec(base=base, axis=str(_require(data, "axis", "sweep")), values=values)
 
@@ -584,6 +588,8 @@ def _sweep_row(args) -> dict:
 
 def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = None) -> Path:
     """Run every sweep row and merge results, in input order, to sweep.csv."""
+    if jobs is not None and jobs < 1:
+        raise ScenarioError(f"jobs must be at least 1; got {jobs}")
     out = _prepare_out_dir(Path(out_dir), force)
     coeffs, _ = sample_coefficients(spec.base.coefficients, spec.base.grid)
     theorem = theory.regime_theorems(coeffs.regime)[0]
@@ -594,8 +600,8 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
         row_dir.mkdir(parents=True, exist_ok=True)
         tasks.append((row_scenario.to_dict(), theorem, str(row_dir)))
 
-    jobs = jobs or os.cpu_count() or 1
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:

@@ -34,7 +34,6 @@ import numpy as np
 
 from .coefficients import REGIMES, CoefficientSet
 from .errors import (
-    NonPositiveDensityError,
     TooShortSeriesError,
     UndefinedRatioError,
     WrongRegimeError,
@@ -47,7 +46,7 @@ from .grid import (
     gradient_arrays,
     integrate,
 )
-from .solver import SolverState, compute_velocity
+from .solver import SolverState, compute_velocity, require_positive_density
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,7 @@ def _dissipation(grid: Grid, fv: np.ndarray, pi: np.ndarray, speed_sq: np.ndarra
 def free_energy(f: ScalarField, coeffs: CoefficientSet) -> float:
     """int D f (log f - 1) + f phi."""
     v = f.values
-    if v.min() <= 0.0:
-        raise NonPositiveDensityError("density has a nonpositive cell; log f undefined")
+    require_positive_density(v)
     return _free_energy(f.grid, v, np.log(v), coeffs)
 
 

@@ -30,6 +30,11 @@ from .errors import ExpressionError, UnknownIdentifierError
 
 VARIABLES = ("x1", "x2", "x3", "t")
 
+#: deepest tree, and deepest nesting of parentheses, calls, signs and
+#: exponents, that the parser builds; keeps parsing, evaluate and bind well
+#: inside Python's recursion limit
+MAX_DEPTH = 100
+
 _UNARY_FUNCS: dict[str, Callable] = {
     "sin": np.sin,
     "cos": np.cos,
@@ -78,7 +83,8 @@ def _tokenize(source: str) -> list[_Token]:
 # names to scalars or broadcastable numpy arrays.  ``bind`` returns the node
 # with every t-free subtree evaluated once against the environment and held
 # as a _Num; the t-dependent nodes that remain run the same numpy ops in the
-# same order, so their results are bitwise those of ``evaluate``.
+# same order, so their results are bitwise those of ``evaluate``.  ``depth``
+# is the height of the node's tree, a leaf's being 0.
 
 
 def _folded(node, children, env):
@@ -90,6 +96,7 @@ def _folded(node, children, env):
 
 class _Num:
     __slots__ = ("value",)
+    depth = 0
 
     def __init__(self, value: float):
         self.value = value
@@ -103,6 +110,7 @@ class _Num:
 
 class _Var:
     __slots__ = ("name",)
+    depth = 0
 
     def __init__(self, name: str):
         self.name = name
@@ -115,11 +123,12 @@ class _Var:
 
 
 class _Unary:
-    __slots__ = ("sign", "operand")
+    __slots__ = ("sign", "operand", "depth")
 
     def __init__(self, sign: float, operand):
         self.sign = sign
         self.operand = operand
+        self.depth = operand.depth + 1
 
     def evaluate(self, env):
         return self.sign * self.operand.evaluate(env)
@@ -130,7 +139,7 @@ class _Unary:
 
 
 class _BinOp:
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "depth")
 
     _OPS = {
         "+": np.add,
@@ -144,6 +153,7 @@ class _BinOp:
         self.op = self._OPS[op]
         self.left = left
         self.right = right
+        self.depth = max(left.depth, right.depth) + 1
 
     def evaluate(self, env):
         return self.op(self.left.evaluate(env), self.right.evaluate(env))
@@ -155,11 +165,12 @@ class _BinOp:
 
 
 class _Call:
-    __slots__ = ("func", "args")
+    __slots__ = ("func", "args", "depth")
 
     def __init__(self, func: Callable, args: list):
         self.func = func
         self.args = args
+        self.depth = max(a.depth for a in args) + 1
 
     def evaluate(self, env):
         vals = [a.evaluate(env) for a in self.args]
@@ -180,6 +191,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.nesting = 0
         self.variables: set[str] = set()
 
     def peek(self) -> _Token:
@@ -196,6 +208,10 @@ class _Parser:
             raise ExpressionError(f"expected {text!r}", self.source, tok.pos)
         self.advance()
 
+    def check_depth(self, depth: int, tok: _Token) -> None:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels", self.source, tok.pos)
+
     def parse(self):
         root = self.parse_expr()
         tok = self.peek()
@@ -204,10 +220,13 @@ class _Parser:
         return root
 
     def parse_expr(self):
+        # every node is built inside some parse_expr, so this bounds the tree
+        start = self.peek()
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             node = _BinOp(op, node, self.parse_term())
+        self.check_depth(node.depth, start)
         return node
 
     def parse_term(self):
@@ -218,12 +237,18 @@ class _Parser:
         return node
 
     def parse_unary(self):
+        # every recursion of the parser passes here, so this bounds its depth
         tok = self.peek()
+        self.nesting += 1
+        self.check_depth(self.nesting, tok)
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             operand = self.parse_unary()
-            return operand if tok.text == "+" else _Unary(-1.0, operand)
-        return self.parse_power()
+            node = operand if tok.text == "+" else _Unary(-1.0, operand)
+        else:
+            node = self.parse_power()
+        self.nesting -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()

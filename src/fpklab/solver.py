@@ -14,10 +14,10 @@ psi constant so the scheme is exactly stationary on it.  The harmonic mean
 vanishes when either cell vanishes, which helps positivity; steps that still
 produce a cell at or below the positivity floor are rejected and retried
 with a halved dt rather than clipped (clipping would silently break mass
-conservation).  The floor test and the mass test are also the only checks on
-a new state: a NaN or -inf cell fails the floor test and a +inf cell the
-mass test, so the accepted array is wrapped as a field without another copy
-or finiteness pass.
+conservation).  This floor test is the one rejection rule: stages are not
+checked, since a stage cell at or below 0 makes psi -inf or NaN and hence the
+result NaN there.  With the mass test, which +inf fails, it is the only check
+on a new state, so the array is wrapped with no copy or finiteness pass.
 
 Time stepping is explicit (forward Euler or the classical four-stage
 Runge-Kutta).  ``step`` samples the mobility once, at the step's start time,
@@ -92,14 +92,19 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
 
 
-def _potential(f_values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
+def require_positive_density(f_values: np.ndarray) -> None:
+    """Raise NonPositiveDensityError unless every cell is above 0 (NaN passes)."""
     if f_values.min() <= 0.0:
         raise NonPositiveDensityError("density has a nonpositive cell; log f undefined")
+
+
+def _potential(f_values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
     return coeffs.D.values * np.log(f_values) + coeffs.phi.values
 
 
 def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> VectorField:
     """u = -(1/pi) grad(D log f + phi), centered differences."""
+    require_positive_density(f.values)
     psi = _potential(f.values, coeffs)
     pi = coeffs.pi_values(t)
     comps = [-g / pi for g in gradient_arrays(psi, f.grid.spacing)]
@@ -120,6 +125,7 @@ def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) ->
 
 def rhs(f: ScalarField, coeffs: CoefficientSet, t: float) -> ScalarField:
     """Conservative right-hand side Div((f/pi) grad(D log f + phi))."""
+    require_positive_density(f.values)
     return ScalarField(f.grid, _rhs_values(f.values, coeffs, coeffs.pi_values(t)))
 
 
@@ -150,14 +156,10 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
     pi = coeffs.pi_values(state.t)
     rejections = 0
     while True:
-        try:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a nonpositive stage cell gives NaN
             new_values = _advance(state.f.values, coeffs, pi, dt, config.integrator)
-            fmin = float(new_values.min())
-            accepted = fmin > floor  # false on NaN
-        except NonPositiveDensityError:
-            accepted = False
-            fmin = float("nan")
-        if accepted:
+        fmin = float(new_values.min())
+        if fmin > floor:  # false on NaN
             break
         rejections += 1
         if rejections >= MAX_RETRIES:

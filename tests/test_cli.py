@@ -411,6 +411,10 @@ class TestMain:
 _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
 
 
+def _with_phi(source):
+    return json.dumps({**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "phi": source}})
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -435,6 +439,11 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "positivity_floor": float("inf")}})),
         ("run", json.dumps({**MINIMAL, "grid": {"dim": True, "cells_per_axis": 32}})),
         ("run", json.dumps({**MINIMAL, "diagnostics": {"record_every": True}})),
+        ("sweep", json.dumps({"axis": "gamma", "values": [True, 16], "base": {**MINIMAL, "theory": {"gamma": 1.0}}})),
+        ("run", _with_phi("+".join(["1"] * 5001))),
+        ("run", _with_phi("(" * 3000 + "1" + ")" * 3000)),
+        ("run", _with_phi("-" * 5000 + "1")),
+        ("run", _with_phi("^".join(["2"] * 3000))),
     ],
     ids=[
         "truncated_json",
@@ -458,6 +467,11 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
         "floor_infinite",
         "dim_boolean",
         "record_every_boolean",
+        "sweep_value_boolean",
+        "phi_5001_term_sum",
+        "phi_3000_parentheses",
+        "phi_5000_unary_minuses",
+        "phi_3000_power_chain",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
@@ -466,3 +480,51 @@ def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
     assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SWEEP = {"axis": "d_scale", "values": [1, 2], "base": MINIMAL}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["out_is_a_file", "out_below_a_file"])
+@pytest.mark.parametrize("command", ["run", "check", "sweep"])
+def test_out_at_or_below_a_file_exits_2(tmp_path, capsys, command, below):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_SWEEP if command == "sweep" else MINIMAL))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if below else blocker
+    assert cli.main([command, str(path), "--out", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out}: Not a directory\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_SWEEP))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be at least 1; got {jobs}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_pool_never_larger_than_the_row_count(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    spec = cli.SweepSpec(base=cli.build_scenario(MINIMAL), axis="d_scale", values=[1, 2])
+    path = cli.run_sweep(spec, tmp_path / "sweep", force=True, jobs=64)
+    assert started == [2]
+    assert [row.split(",")[0] for row in path.read_text().splitlines()[1:]] == ["1", "2"]

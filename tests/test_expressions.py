@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpklab.errors import ExpressionError, UnknownIdentifierError
-from fpklab.expressions import parse_expression
+from fpklab.expressions import MAX_DEPTH, parse_expression
 from fpklab.grid import build_grid
 
 
@@ -49,6 +49,38 @@ class TestBasics:
     def test_trailing_garbage(self):
         with pytest.raises(ExpressionError):
             parse_expression("1 2")
+
+
+def _nested(depth):
+    """Sources of each deep shape, nested ``depth`` levels, and the offset
+    at which one level more is rejected."""
+    inner = depth - 1
+    return {
+        "sum": ("+".join(["x1"] * (depth + 1)), 0),
+        "parentheses": ("(" * inner + "t" + ")" * inner, inner),
+        "unary_minus": ("-" * inner + "t", inner),
+        "power_chain": ("^".join(["x1"] * depth), 3 * inner),
+        "calls": ("sin(" * inner + "t" + ")" * inner, 4 * inner),
+        "sign_inside_sum": ("-(" + "+".join(["x1"] * depth) + ")", 0),
+    }
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", sorted(_nested(1)))
+    def test_deepest_accepted_tree_evaluates_and_binds(self, shape):
+        source, _ = _nested(MAX_DEPTH)[shape]
+        expr = parse_expression(source)
+        coords = {"x1": np.linspace(0.1, 0.9, 4)}
+        bound = np.asarray(expr.bind(coords)(0.5), dtype=np.float64)
+        plain = np.asarray(expr.evaluate(coords, 0.5), dtype=np.float64)
+        assert bound.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("shape", sorted(_nested(1)))
+    def test_one_level_deeper_rejected_with_offset(self, shape):
+        source, offset = _nested(MAX_DEPTH + 1)[shape]
+        with pytest.raises(ExpressionError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
+            parse_expression(source)
+        assert err.value.position == offset
 
 
 class TestPrecedence:

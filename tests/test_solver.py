@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +89,25 @@ class TestComputeVelocity:
 
 
 class TestRhs:
+    @pytest.mark.parametrize("bad", [0.0, -0.5])  # a field cannot hold -inf
+    def test_nonpositive_density_rejected(self, bad):
+        grid, coeffs, _ = sample(UNIT)
+        values = np.ones(grid.shape)
+        values[5] = bad
+        with pytest.raises(NonPositiveDensityError, match="nonpositive cell"):
+            F.rhs(ScalarField(grid, values), coeffs, 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, -math.inf])
+    def test_kernel_gives_nan_around_a_nonpositive_stage_cell(self, bad):
+        # stages are not checked: the cell and the two cells sharing its faces turn NaN
+        grid, coeffs, f0 = sample(HEAT)
+        stage = f0.values.copy()
+        stage[5] = bad
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = solver._rhs_values(stage, coeffs, coeffs.pi_values(0.0))
+        assert np.flatnonzero(np.isnan(out)).tolist() == [4, 5, 6]
+        assert np.isfinite(np.delete(out, [4, 5, 6])).all()
+
     def test_vanishes_at_equilibrium(self):
         grid, coeffs, _ = sample({**UNIT, "phi": "cos(2*pi*x1)", "D": "2+0.5*cos(2*pi*x1)"}, n=128)
         feq, _ = F.compute_equilibrium(coeffs)
@@ -182,6 +203,28 @@ class TestStep:
         with pytest.raises(StiffnessError) as err:
             F.step(state, coeffs, 1e-5, config)
         assert err.value.dump["positivity_floor"] == 2.0
+        assert err.value.dump["last_dt"] == 1e-5 / 2**9
+
+    # at these dt the RK4 stages go nonpositive; the halvings and the sha256 of
+    # the new state are those the solver gave when a stage check raised instead
+    @pytest.mark.parametrize(
+        "integrator, multiple, halvings, digest",
+        [
+            ("rk4", 400, 3, "b4d03dde0f2840f4d6f9f0c2386bc53c0c38b1c19af539a415c05cada56cbaf8"),
+            ("rk4", 4000, 6, "478f11c45570e2f925fbd7ae6c9e0c104b967761dfe0c85dfcc5070f406f7bb4"),
+            ("explicit-euler", 400, 0, "873b3749be2c4cfc73e259f2b455e490e0b04bdb4ca0c862ad680d3dc1dc9b9e"),
+            ("explicit-euler", 4000, 2, "0662db3e969c8aa4cb0f70baf07ce8ef5b52a3868fa5a804f17f21e5ac7eff57"),
+        ],
+    )
+    def test_nonpositive_stages_rejected_by_the_floor_test(self, integrator, multiple, halvings, digest):
+        grid, coeffs, f0 = sample({**HEAT, "f0": "1 + 0.9*sin(2*pi*x1)"})
+        dt = multiple * F.stable_dt(f0, coeffs, 0.0, 0.4)
+        config = SolverConfig(t_end=1.0, integrator=integrator)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = F.step(SolverState(f0, 0.0, 0), coeffs, dt, config)
+        assert new.t == dt / 2**halvings
+        assert hashlib.sha256(new.f.values.tobytes()).hexdigest() == digest
 
     def test_density_at_a_positive_floor_is_rejected(self, monkeypatch):
         grid, coeffs, f0 = sample(UNIT)
