@@ -10,8 +10,8 @@ scenario family along one axis and merges per-row results into sweep.csv;
 
 Numbers in CSV files are formatted with 17 significant digits so reruns with
 identical inputs are byte-identical.  Sweep rows execute concurrently (up to
---jobs processes) but are merged in input order, so concurrency never
-changes the output.
+--jobs processes, longest predicted row first) but are merged in input
+order, so concurrency never changes the output.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import numpy as np
 
 from . import diagnostics, solver, theory
 from .coefficients import (
+    CoefficientSet,
     build_constants_ledger,
     compute_equilibrium,
     sample_coefficients,
@@ -41,7 +42,7 @@ from .errors import (
     TooShortSeriesError,
 )
 from .expressions import parse_expression
-from .grid import Grid, build_grid, integrate
+from .grid import Grid, ScalarField, build_grid, integrate
 from .solver import SolverConfig
 
 SERIES_COLUMNS = (
@@ -586,6 +587,44 @@ def _sweep_row(args) -> dict:
     return row
 
 
+def _predicted_work(scenario_dict) -> int:
+    """A sweep row's predicted work: cell count x min(ceil(t_end / dt0), max_steps).
+
+    dt0 is stable_dt at t = 0 from the row's own D and pi samples, the step
+    the solver keeps throughout for a t-free mobility (an estimate for a
+    t-dependent one); phi, f0 and the gradients are not sampled.  A row that
+    does not build or sample predicts 0: it runs last, and its worker
+    records the error.
+    """
+    try:
+        scenario = build_scenario(scenario_dict)
+        grid = scenario.grid
+        coords = {f"x{k + 1}": c for k, c in enumerate(grid.coordinates())}
+        exprs = {name: parse_expression(scenario.coefficients[name]) for name in ("D", "pi")}
+        d, pi0 = (
+            ScalarField(grid, np.broadcast_to(exprs[name].evaluate(coords, 0.0), grid.shape))
+            for name in ("D", "pi")
+        )
+        if not (d.min() > 0.0 and pi0.min() > 0.0):
+            return 0
+        # stable_dt reads only the grid, D and the mobility
+        coeffs = CoefficientSet(
+            grid=grid, D=d, grad_D=None, phi=None, grad_phi=None, pi_expr=exprs["pi"], pi0=pi0
+        )
+        dt0 = solver.stable_dt(None, coeffs, 0.0, scenario.solver.cfl_safety)
+        steps = min(math.ceil(scenario.solver.t_end / dt0), scenario.solver.max_steps)
+        return grid.cell_count * steps
+    except Exception:  # MemoryError included: the worker meets and records it
+        return 0
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = None) -> Path:
     """Run every sweep row and merge results, in input order, to sweep.csv."""
     if jobs is not None and jobs < 1:
@@ -600,10 +639,14 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
         row_dir.mkdir(parents=True, exist_ok=True)
         tasks.append((row_scenario.to_dict(), theorem, str(row_dir)))
 
-    jobs = min(jobs or os.cpu_count() or 1, len(tasks))
+    jobs = min(jobs or _usable_cpus(), len(tasks))
     if jobs > 1:
+        # longest predicted row first, so the slowest row is not queued behind
+        # others; the sort is stable, so rows of equal work keep input order
+        order = sorted(range(len(tasks)), key=lambda i: _predicted_work(tasks[i][0]), reverse=True)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
+            done = dict(zip(order, pool.map(_sweep_row, [tasks[i] for i in order])))
+        rows = [done[i] for i in range(len(tasks))]
     else:
         rows = [_sweep_row(task) for task in tasks]
 
@@ -654,7 +697,7 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run a scenario family along one axis")
     p_sweep.add_argument("sweepspec")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=None, help="concurrent rows (default: logical cores)")
+    p_sweep.add_argument("--jobs", type=int, default=None, help="concurrent rows (default: usable CPUs)")
 
     p_eq = sub.add_parser("equilibrium", help="print equilibrium statistics for a scenario")
     p_eq.add_argument("scenario")
@@ -687,6 +730,9 @@ def main(argv=None) -> int:
                 print(f"{key.replace('_', ' '):<15}= {_fmt(value)}")
     except FpkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a grid too large to sample
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
     return 0
 

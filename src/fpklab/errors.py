@@ -21,13 +21,30 @@ class NonFiniteFieldError(FpkError):
     """A field value is NaN or infinite."""
 
 
+#: longest expression source an ExpressionError quotes whole; a longer one
+#: is quoted as a window this wide around the offset, with ellipses
+SOURCE_WINDOW = 60
+
+
+def quote_source(source: str, position: int = 0) -> str:
+    """repr(source), or for a source longer than SOURCE_WINDOW the repr of
+    a SOURCE_WINDOW-wide window around position, with ellipses and the length."""
+    if len(source) <= SOURCE_WINDOW:
+        return repr(source)
+    start = min(max(position - SOURCE_WINDOW // 2, 0), len(source) - SOURCE_WINDOW)
+    end = start + SOURCE_WINDOW
+    head = "..." if start > 0 else ""
+    tail = "..." if end < len(source) else ""
+    return f"{head}{source[start:end]!r}{tail} ({len(source)} characters)"
+
+
 class ExpressionError(FpkError):
     """Problem in a coefficient expression; carries the source offset."""
 
     def __init__(self, message: str, source: str, position: int):
         self.source = source
         self.position = position
-        super().__init__(f"{message} at offset {position} in {source!r}")
+        super().__init__(f"{message} at offset {position} in {quote_source(source, position)}")
 
 
 class UnknownIdentifierError(ExpressionError):

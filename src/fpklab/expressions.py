@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExpressionError, UnknownIdentifierError
+from .errors import ExpressionError, UnknownIdentifierError, quote_source
 
 VARIABLES = ("x1", "x2", "x3", "t")
 
@@ -216,7 +216,7 @@ class _Parser:
         root = self.parse_expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ExpressionError(f"unexpected {tok.text!r}", self.source, tok.pos)
+            raise ExpressionError(f"unexpected {quote_source(tok.text)}", self.source, tok.pos)
         return root
 
     def parse_expr(self):
@@ -293,7 +293,7 @@ class _Parser:
             if len(args) < 2:
                 raise ExpressionError(f"{name} takes at least two arguments", self.source, tok.pos)
             return _Call(_VARIADIC_FUNCS[name], args)
-        raise UnknownIdentifierError(f"unknown identifier {name!r}", self.source, tok.pos)
+        raise UnknownIdentifierError(f"unknown identifier {quote_source(name)}", self.source, tok.pos)
 
     def _at_call(self) -> bool:
         tok = self.peek()

@@ -340,22 +340,24 @@ class TestSweep:
     def test_row_failure_recorded_and_sweep_continues(self, tmp_path):
         base = {**MINIMAL, "name": "fsweep", "theory": {"gamma": 1.0}}
         values = [2, math.nan, math.inf, 16.5, 16]
-        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=values)
-        path = cli.run_sweep(spec, tmp_path / "fsweep", force=True, jobs=1)
-        rows = path.read_text().splitlines()
-        assert rows[1].split(",")[-1] != ""  # N=2 fails validation
-        assert [r.split(",")[-1] for r in rows[2:5]] == [
-            "grid.cells_per_axis must be a number; got nan",
-            "grid.cells_per_axis must be a number; got inf",
-            "grid.cells_per_axis must be an integer; got 16.5",
-        ]
-        assert rows[5].split(",")[-1] == ""
-        # an error message with a comma survives the round trip through sweep.csv
-        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="d_scale", values=[-1.0])
-        path = cli.run_sweep(spec, tmp_path / "csweep", force=True, jobs=1)
-        with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[1][-1] == "D must be strictly positive; got -1.0 at cell (0,)"
+        for jobs in (1, 2):  # the pool dispatches the failing rows last
+            spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=values)
+            path = cli.run_sweep(spec, tmp_path / f"fsweep{jobs}", force=True, jobs=jobs)
+            rows = path.read_text().splitlines()
+            assert rows[1].split(",")[-1] != ""  # N=2 fails validation
+            assert [r.split(",")[-1] for r in rows[2:5]] == [
+                "grid.cells_per_axis must be a number; got nan",
+                "grid.cells_per_axis must be a number; got inf",
+                "grid.cells_per_axis must be an integer; got 16.5",
+            ]
+            assert rows[5].split(",")[-1] == ""
+            # an error message with a comma survives the round trip through sweep.csv
+            spec = cli.SweepSpec(base=cli.build_scenario(base), axis="d_scale", values=[-1.0, 1.0])
+            path = cli.run_sweep(spec, tmp_path / f"csweep{jobs}", force=True, jobs=jobs)
+            with path.open(newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[1][-1] == "D must be strictly positive; got -1.0 at cell (0,)"
+            assert rows[2][-1] == ""
 
     def test_clause_names_match_checkers(self):
         grid = cli.build_grid(1, 16)
@@ -528,3 +530,127 @@ def test_sweep_pool_never_larger_than_the_row_count(tmp_path, monkeypatch):
     path = cli.run_sweep(spec, tmp_path / "sweep", force=True, jobs=64)
     assert started == [2]
     assert [row.split(",")[0] for row in path.read_text().splitlines()[1:]] == ["1", "2"]
+
+
+class RecordingPool:  # maps in this process and records the dispatch order
+    dispatched = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        RecordingPool.dispatched = [task[0]["name"] for task in tasks]
+        return map(fn, tasks)
+
+
+def _dispatch(tmp_path, monkeypatch, base, axis, values):
+    """(dispatched row names, sweep.csv value column) of a jobs=2 sweep."""
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    spec = cli.SweepSpec(base=cli.build_scenario(base), axis=axis, values=values)
+    path = cli.run_sweep(spec, tmp_path / "sweep", force=True, jobs=2)
+    with path.open(newline="") as fh:
+        return RecordingPool.dispatched, list(csv.DictReader(fh))
+
+
+def test_sweep_dispatches_longest_predicted_row_first(tmp_path, monkeypatch):
+    base = {**MINIMAL, "name": "s"}
+    dispatched, rows = _dispatch(tmp_path, monkeypatch, base, "d_scale", [1, 8, 2, 4])
+    assert dispatched == ["s-d8", "s-d4", "s-d2", "s-d1"]
+    assert [row["value"] for row in rows] == ["1", "8", "2", "4"]
+
+
+def test_sweep_rows_of_equal_work_keep_input_order(tmp_path, monkeypatch):
+    base = {**MINIMAL, "name": "s", "theory": {"gamma": 1.0}}
+    dispatched, rows = _dispatch(tmp_path, monkeypatch, base, "gamma", [4.0, 1.0, 2.0])
+    assert dispatched == ["s-g4.0", "s-g1.0", "s-g2.0"]
+    assert [row["value"] for row in rows] == ["4", "1", "2"]
+
+
+def test_sweep_row_that_fails_to_build_is_dispatched_last(tmp_path, monkeypatch):
+    base = {**MINIMAL, "name": "s", "theory": {"gamma": 1.0}}
+    dispatched, rows = _dispatch(tmp_path, monkeypatch, base, "resolution", [16.5, 16, 32])
+    assert dispatched == ["s-n32", "s-n16", "s-n16.5"]
+    assert [row["error"] for row in rows] == ["grid.cells_per_axis must be an integer; got 16.5", "", ""]
+
+
+def test_predicted_work_of_a_row_that_cannot_sample_is_zero(monkeypatch):
+    base = cli.build_scenario(MINIMAL)
+    assert cli._predicted_work(cli.apply_axis(base, "d_scale", -1.0).to_dict()) == 0
+    assert cli._predicted_work(cli.apply_axis(base, "resolution", 2).to_dict()) == 0
+
+    def exhausted(self):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli.Grid, "coordinates", exhausted)
+    assert cli._predicted_work(base.to_dict()) == 0
+
+
+@pytest.fixture(scope="module")
+def d_scale_sweep(tmp_path_factory):
+    """sweep_d_scale as shipped, run serially."""
+    spec = cli.parse_sweep(SCENARIO_DIR / "sweep_d_scale.json")
+    out = tmp_path_factory.mktemp("d_scale")
+    return spec, cli.run_sweep(spec, out / "jobs1", force=True, jobs=1)
+
+
+def test_predicted_steps_equal_accepted_steps(d_scale_sweep):
+    spec, path = d_scale_sweep
+    cells = spec.base.grid.cell_count
+    for index, value in enumerate(spec.values):
+        row = cli.apply_axis(spec.base, spec.axis, value)
+        report = json.loads((path.parent / "rows" / f"{index:03d}_{row.name}" / "report.json").read_text())
+        assert cli._predicted_work(row.to_dict()) == cells * report["accepted_steps"]
+
+
+def test_sweep_output_identical_at_one_and_two_jobs(d_scale_sweep):
+    spec, path = d_scale_sweep
+    pooled = cli.run_sweep(spec, path.parent.parent / "jobs2", force=True, jobs=2)
+    serial_files = sorted(p.relative_to(path.parent) for p in path.parent.rglob("*") if p.is_file())
+    pooled_files = sorted(p.relative_to(pooled.parent) for p in pooled.parent.rglob("*") if p.is_file())
+    assert serial_files == pooled_files and len(serial_files) == 1 + 3 * len(spec.values)
+    for name in serial_files:
+        assert (path.parent / name).read_bytes() == (pooled.parent / name).read_bytes(), name
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_use(tmp_path, monkeypatch):
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("a pool started on one usable CPU")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", NoPool)
+    spec = cli.SweepSpec(base=cli.build_scenario(MINIMAL), axis="d_scale", values=[1, 2])
+    path = cli.run_sweep(spec, tmp_path / "sweep", force=True)
+    assert [row.split(",")[0] for row in path.read_text().splitlines()[1:]] == ["1", "2"]
+
+
+@pytest.mark.parametrize("detail", ["Unable to allocate 7.28 TiB for an array", ""])
+@pytest.mark.parametrize("command", ["run", "check", "sweep", "equilibrium"])
+def test_out_of_memory_exits_2_with_one_line_error(tmp_path, capsys, monkeypatch, command, detail):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, "sample_coefficients", exhausted)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_SWEEP if command == "sweep" else MINIMAL))
+    out = [] if command == "equilibrium" else ["--out", str(tmp_path / "out")]
+    assert cli.main([command, str(path), *out]) == 2
+    expected = f"error: out of memory: {detail}\n" if detail else "error: out of memory\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_long_expression_error_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(_with_phi("+".join(["1"] * 5001)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "at offset 0 in '1+1+" in err and "(10001 characters)" in err

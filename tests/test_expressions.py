@@ -188,3 +188,32 @@ class TestBind:
         with pytest.raises(ExpressionError) as err:
             parse_expression("x2 + t").bind({"x1": 0.0})
         assert "x2" in str(err.value)
+
+
+class TestErrorSource:
+    def test_source_within_the_window_quoted_whole(self):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression("1 $ 2")
+        assert str(err.value) == "unexpected character '$' at offset 2 in '1 $ 2'"
+
+    def test_long_source_quoted_as_a_window_around_the_offset(self):
+        source = "1+" * 500 + "$" + "+1" * 500
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(source)
+        message = str(err.value)
+        assert err.value.position == 1000 and err.value.source == source
+        assert message.startswith("unexpected character '$' at offset 1000 in ...'")
+        assert message.endswith("'... (2001 characters)")
+        assert "+$+" in message and len(message) < 150
+
+    @pytest.mark.parametrize(
+        "source, quoted",
+        [("a" * 5000, "unknown identifier 'aaa"), ("1 " + "2" * 5000, "unexpected '222")],
+        ids=["identifier", "number"],
+    )
+    def test_long_token_quoted_as_a_window(self, source, quoted):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(source)
+        message = str(err.value)
+        assert message.startswith(quoted) and "'... (5000 characters) at offset" in message
+        assert len(message) < 250
