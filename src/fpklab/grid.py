@@ -194,9 +194,24 @@ def face_divergence(grid: Grid, face_flux) -> ScalarField:
 
 
 def face_divergence_arrays(fluxes: list[np.ndarray], spacing: float) -> np.ndarray:
-    """sum_k (flux_k[i] - flux_k[i-1]) / h for one flux array per axis."""
-    acc = fluxes[0] - shift(fluxes[0], -1, 0)
-    for k in range(1, len(fluxes)):
-        acc += fluxes[k] - shift(fluxes[k], -1, k)
+    """sum_k (flux_k[i] - flux_k[i-1]) / h for one flux array per axis.
+
+    Each axis's difference is written into its own shifted copy (the flux
+    arrays are only read), and the running sum moves into the next axis's
+    copy, so the result is the last array allocated here.  The arrays the
+    caller frees after the call then leave reusable holes below the result,
+    not free space at the top of the heap, which the C allocator returns to
+    the system and the next call faults back in page by page (summing into
+    the first axis's copy instead took a 32^3 RK4 step from about 200 page
+    faults to about 1,700).
+    """
+    diffs = []
+    for k, flux in enumerate(fluxes):
+        diff = shift(flux, -1, k)
+        np.subtract(flux, diff, out=diff)
+        diffs.append(diff)
+    for partial, diff in zip(diffs, diffs[1:]):
+        diff += partial
+    acc = diffs[-1]
     acc /= spacing
     return acc

@@ -29,9 +29,12 @@ evaluation of the mobility.  When the mobility does not use t, ``stable_dt``
 depends only on D and pi at t = 0, so ``run`` computes it once per run;
 otherwise once per step.
 
-Evaluations are vectorized whole-grid numpy operations; reductions use
-numpy's pairwise summation in array order, so results are bitwise
-deterministic run to run for a fixed build.
+Evaluations are vectorized whole-grid numpy operations.  The potential,
+each face flux, each Runge-Kutta stage and the stage sum are built in place,
+in arrays the evaluation already owns, with the IEEE operations of the plain
+formulas in the same order, so results are bitwise those of the plain
+formulas.  Reductions use numpy's pairwise summation in array order, so
+results are bitwise deterministic run to run for a fixed build.
 """
 
 from __future__ import annotations
@@ -99,7 +102,11 @@ def require_positive_density(f_values: np.ndarray) -> None:
 
 
 def _potential(f_values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
-    return coeffs.D.values * np.log(f_values) + coeffs.phi.values
+    """psi = D log f + phi, built in one fresh array."""
+    psi = np.log(f_values)
+    psi *= coeffs.D.values
+    psi += coeffs.phi.values
+    return psi
 
 
 def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> VectorField:
@@ -117,9 +124,17 @@ def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) ->
     mobility_density = f_values / pi
     fluxes = []
     for k in range(f_values.ndim):
-        m_east = shift(mobility_density, 1, k)
-        face = 2.0 * mobility_density * m_east / (mobility_density + m_east)
-        fluxes.append(face * (shift(psi, 1, k) - psi) / h)
+        # flux = ((2 m m_east) / (m + m_east) * (psi_east - psi)) / h, in place
+        east = shift(mobility_density, 1, k)
+        flux = 2.0 * mobility_density
+        flux *= east
+        east += mobility_density
+        flux /= east
+        east = shift(psi, 1, k)
+        east -= psi
+        flux *= east
+        flux /= h
+        fluxes.append(flux)
     return face_divergence_arrays(fluxes, h)
 
 
@@ -138,20 +153,41 @@ def stable_dt(f: ScalarField, coeffs: CoefficientSet, t: float, cfl_safety: floa
     return cfl_safety * grid.spacing**2 / (2.0 * grid.dim * diffusivity)
 
 
+def _stage(f_values: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """f + scale * k in one fresh array."""
+    stage = k * scale
+    stage += f_values
+    return stage
+
+
 def _advance(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray, dt: float, integrator: str) -> np.ndarray:
-    if integrator == "explicit-euler":
-        return f_values + dt * _rhs_values(f_values, coeffs, pi)
+    """f + dt k1 (Euler) or f + (dt/6)(k1 + 2 k2 + 2 k3 + k4) (RK4), built in
+    k1; f_values and pi are only read."""
     k1 = _rhs_values(f_values, coeffs, pi)
-    k2 = _rhs_values(f_values + 0.5 * dt * k1, coeffs, pi)
-    k3 = _rhs_values(f_values + 0.5 * dt * k2, coeffs, pi)
-    k4 = _rhs_values(f_values + dt * k3, coeffs, pi)
-    return f_values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    weight = dt
+    if integrator == "rk4":
+        # each k is added into k1, left to right, and freed once the next stage is built from it
+        k2 = _rhs_values(_stage(f_values, k1, 0.5 * dt), coeffs, pi)
+        stage = _stage(f_values, k2, 0.5 * dt)
+        k2 *= 2.0
+        k1 += k2
+        del k2
+        k3 = _rhs_values(stage, coeffs, pi)
+        stage = _stage(f_values, k3, dt)
+        k3 *= 2.0
+        k1 += k3
+        del k3
+        k1 += _rhs_values(stage, coeffs, pi)
+        weight = dt / 6.0
+    k1 *= weight
+    k1 += f_values
+    return k1
 
 
 def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverConfig) -> SolverState:
     """One accepted explicit step; rejects and halves dt at the positivity floor."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:  # false on NaN
+        raise ValueError("dt must be positive and finite")
     floor = config.positivity_floor
     pi = coeffs.pi_values(state.t)
     rejections = 0

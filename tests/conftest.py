@@ -2,11 +2,13 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fpklab as F
 from fpklab import cli, diagnostics as dg
 from fpklab.coefficients import _require_positive, _sample_expression
+from fpklab.grid import shift
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -60,6 +62,34 @@ def plain_pi_values(coeffs, t):
     arr = _sample_expression(coeffs.pi_expr, coeffs.grid, "pi", t)
     _require_positive("pi", arr, coeffs.grid)
     return arr
+
+
+def plain_rhs_values(f_values, coeffs, pi):
+    """Reference RHS: the face fluxes and their divergence as plain, allocating expressions."""
+    h = coeffs.grid.spacing
+    psi = coeffs.D.values * np.log(f_values) + coeffs.phi.values
+    m = f_values / pi
+    fluxes = []
+    for k in range(f_values.ndim):
+        m_east = shift(m, 1, k)
+        face = 2.0 * m * m_east / (m + m_east)
+        fluxes.append(face * (shift(psi, 1, k) - psi) / h)
+    acc = fluxes[0] - shift(fluxes[0], -1, 0)
+    for k in range(1, len(fluxes)):
+        acc += fluxes[k] - shift(fluxes[k], -1, k)
+    acc /= h
+    return acc
+
+
+def plain_advance(f_values, coeffs, pi, dt, integrator):
+    """Reference explicit step: forward Euler or classical RK4 as plain expressions."""
+    if integrator == "explicit-euler":
+        return f_values + dt * plain_rhs_values(f_values, coeffs, pi)
+    k1 = plain_rhs_values(f_values, coeffs, pi)
+    k2 = plain_rhs_values(f_values + 0.5 * dt * k1, coeffs, pi)
+    k3 = plain_rhs_values(f_values + 0.5 * dt * k2, coeffs, pi)
+    k4 = plain_rhs_values(f_values + dt * k3, coeffs, pi)
+    return f_values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @pytest.fixture(scope="session")

@@ -191,6 +191,16 @@ class TestFaceDivergence:
         reference = sum(flux - np.roll(flux, 1, axis=k) for k, flux in enumerate(fluxes)) / h
         assert np.array_equal(face_divergence_arrays(fluxes, h), reference)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_leaves_the_flux_arrays_unchanged(self, dim):
+        g = build_grid(dim, 6)
+        rng = np.random.default_rng(2)
+        fluxes = [rng.standard_normal(g.shape) for _ in range(dim)]  # writable
+        before = [flux.tobytes() for flux in fluxes]
+        div = face_divergence(g, fluxes)
+        assert [flux.tobytes() for flux in fluxes] == before
+        assert not any(np.shares_memory(div.values, flux) for flux in fluxes)
+
     @given(seed=st.integers(0, 2**16), dim=st.integers(1, 3))
     @settings(max_examples=25, deadline=None)
     def test_total_mass_is_zero(self, seed, dim):

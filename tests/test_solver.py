@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import load_scenario_dict, plain_pi_values
+from conftest import load_scenario_dict, plain_advance, plain_pi_values, plain_rhs_values
 from fpklab import cli, diagnostics as dg, solver
 from fpklab.errors import FpkError, MassConservationError, NonPositiveDensityError, StiffnessError
 from fpklab.coefficients import CoefficientSet
@@ -284,6 +284,75 @@ class TestStep:
         grid, coeffs, f0 = sample(UNIT)
         with pytest.raises(ValueError):
             F.step(SolverState(f0, 0.0, 0), coeffs, 0.0, SolverConfig(t_end=1.0))
+        for bad in (math.nan, math.inf, -1e-5):
+            with pytest.raises(ValueError, match="positive and finite"):
+                F.step(SolverState(f0, 0.0, 0), coeffs, bad, SolverConfig(t_end=1.0))
+
+
+def kernel_spec(dim, uses_t, f0_amplitude=0.3):
+    """Coefficients varying along the first and the last axis, pi with or without t."""
+    last = f"x{dim}"
+    return {
+        "D": "1.5+0.25*cos(2*pi*x1)",
+        "phi": f"0.3*sin(2*pi*x1) + 0.2*cos(2*pi*{last})",
+        "pi": "1.2 + 0.2*cos(2*pi*x1)" + (" + 0.1*sin(40*t)" if uses_t else ""),
+        "f0": f"1 + {f0_amplitude}*sin(2*pi*x1)*cos(2*pi*{last})",
+    }
+
+
+KERNEL_GRIDS = [(1, 64), (2, 12), (3, 8)]
+
+
+class TestInPlaceKernel:
+    """The in-place RHS and step are bitwise the plain expressions, and only read their inputs."""
+
+    @pytest.mark.parametrize("uses_t", [False, True])
+    @pytest.mark.parametrize("dim, n", KERNEL_GRIDS)
+    def test_rhs_bitwise_equal_to_plain_expressions(self, dim, n, uses_t):
+        grid, coeffs, f0 = sample(kernel_spec(dim, uses_t), dim=dim, n=n)
+        pi = coeffs.pi_values(0.3)
+        assert solver._rhs_values(f0.values, coeffs, pi).tobytes() == plain_rhs_values(f0.values, coeffs, pi).tobytes()
+
+    @pytest.mark.parametrize("integrator", solver.INTEGRATORS)
+    @pytest.mark.parametrize("uses_t", [False, True])
+    @pytest.mark.parametrize("dim, n", KERNEL_GRIDS)
+    def test_steps_bitwise_equal_to_plain_expressions(self, monkeypatch, dim, n, uses_t, integrator):
+        grid, coeffs, f0 = sample(kernel_spec(dim, uses_t), dim=dim, n=n)
+        config = SolverConfig(t_end=1.0, integrator=integrator)
+        dt = F.stable_dt(f0, coeffs, 0.0, 0.4)
+
+        def march():
+            state, states = SolverState(f0, 0.0, 0), []
+            for _ in range(20):
+                state = F.step(state, coeffs, dt, config)
+                states.append((state.t, state.f.values.tobytes()))
+            return states
+
+        kernel = march()
+        monkeypatch.setattr(solver, "_advance", plain_advance)
+        assert kernel == march()
+
+    @pytest.mark.parametrize("dim, n", KERNEL_GRIDS)
+    def test_nonpositive_stage_bitwise_equal_to_plain_expressions(self, dim, n):
+        grid, coeffs, f0 = sample(kernel_spec(dim, False, f0_amplitude=0.9), dim=dim, n=n)
+        pi = coeffs.pi_values(0.0)
+        dt = 400 * F.stable_dt(f0, coeffs, 0.0, 0.4)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kernel = solver._advance(f0.values, coeffs, pi, dt, "rk4")
+            plain = plain_advance(f0.values, coeffs, pi, dt, "rk4")
+        assert np.isnan(kernel).any()
+        assert kernel.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("integrator", solver.INTEGRATORS)
+    @pytest.mark.parametrize("dim, n", KERNEL_GRIDS)
+    def test_advance_only_reads_its_inputs(self, dim, n, integrator):
+        grid, coeffs, f0 = sample(kernel_spec(dim, True), dim=dim, n=n)
+        f_values, pi = f0.values.copy(), coeffs.pi_values(0.0).copy()  # writable
+        inputs = (f_values, pi, coeffs.D.values, coeffs.phi.values)
+        before = [a.tobytes() for a in inputs]
+        out = solver._advance(f_values, coeffs, pi, F.stable_dt(f0, coeffs, 0.0, 0.4), integrator)
+        assert [a.tobytes() for a in inputs] == before
+        assert not any(np.shares_memory(out, a) for a in inputs)
 
 
 class TestRun:
