@@ -8,10 +8,12 @@ evaluates the decay conditions without time stepping; ``fpk sweep`` runs a
 scenario family along one axis and merges per-row results into sweep.csv;
 ``fpk equilibrium`` prints equilibrium statistics.
 
-Numbers in CSV files are formatted with 17 significant digits so reruns with
-identical inputs are byte-identical.  Sweep rows execute concurrently (up to
---jobs processes, longest predicted row first) but are merged in input
-order, so concurrency never changes the output.
+A report is ``_report`` (what reads the name and theory) on ``_trajectory``
+(what the flow alone decides); sweep rows that differ only in name and theory
+share one trajectory.  CSV numbers have 17 significant digits, so reruns are
+byte-identical.  A sweep's distinct trajectories run concurrently (up to
+--jobs processes, longest predicted first) but merge in input order, so
+concurrency never changes the output.
 """
 
 from __future__ import annotations
@@ -29,20 +31,16 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, solver, theory
-from .coefficients import (
-    CoefficientSet,
-    build_constants_ledger,
-    compute_equilibrium,
-    sample_coefficients,
-)
+from .coefficients import build_constants_ledger, compute_equilibrium, sample_coefficients
 from .errors import (
     FpkError,
     ScenarioError,
     ThresholdError,
     TooShortSeriesError,
+    quote_source,
 )
 from .expressions import parse_expression
-from .grid import Grid, ScalarField, build_grid, integrate
+from .grid import Grid, build_grid, integrate
 from .solver import SolverConfig
 
 SERIES_COLUMNS = (
@@ -163,6 +161,10 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
     """Validate a scenario dict, applying defaults."""
     keys = ("name", "grid", "coefficients", "solver", "diagnostics", "theory")
     name = str(_object(data, "scenario", keys).get("name", fallback_name))
+    if any(c in name for c in "/\\\0"):  # a sweep row's directory is named after it
+        raise ScenarioError(
+            f"scenario name must not contain '/', '\\' or NUL; got {quote_source(name)}"
+        )
 
     grid_block = _object(_require(data, "grid", "scenario"), "grid", ("dim", "cells_per_axis"))
     cells = _require(grid_block, "cells_per_axis", "grid")
@@ -337,6 +339,14 @@ SOBOLEV_NOTE = (
     "uses empirical running maxima over recorded states unless a certified "
     "value was supplied (see each condition report's provenance)."
 )
+CHECK_NOTE = " (check mode: empirical values sampled at the initial state only)"
+
+#: report.json's keys, in order; an unstepped report has fewer of them
+REPORT_KEYS = (
+    "scenario", "regime", "equilibrium", "constants_ledger", "empirical_constants",
+    "certified_consistency", "term_breakdown_samples", "decay_fit", "condition_reports",
+    "envelope", "series_rows", "accepted_steps", "sobolev_constant_note",
+)
 
 
 def _setup(scenario: Scenario):
@@ -345,13 +355,6 @@ def _setup(scenario: Scenario):
     coeffs, f0 = sample_coefficients(scenario.coefficients, grid)
     feq, shift = compute_equilibrium(coeffs, tol=1e-12)
     return grid, coeffs, f0, feq, shift
-
-
-def _ledger(scenario: Scenario, grid, coeffs, f0, shift):
-    horizon = max(scenario.solver.t_end, 1e-6)
-    return build_constants_ledger(
-        coeffs, f0, grid, t_probe_count=T_PROBE_COUNT, t_horizon=horizon, feq_shift=shift
-    )
 
 
 def _equilibrium_block(feq, shift) -> dict:
@@ -363,20 +366,25 @@ def _equilibrium_block(feq, shift) -> dict:
     }
 
 
-def run_scenario_data(scenario: Scenario):
-    """Execute a scenario in memory; returns (series, report).
-
-    Everything the report says about the trajectory comes from the records
-    the recorder builds, one per recorded state.  The run keeps at most
-    TERM_SAMPLE_CAP states for term breakdowns: the first recorded state at
-    or after each target time j t_end / (TERM_SAMPLE_CAP - 1), with the
-    final state standing in for targets the run does not reach.
-    """
+def _trajectory(scenario: Scenario, steps: bool = True):
+    """(series, ledger, fields): what the flow alone decides, ``fields`` being
+    its report entries; it reads neither the scenario's name nor its theory.
+    With ``steps=False`` the series is the initial record alone.  A stepped
+    run keeps at most TERM_SAMPLE_CAP states for term breakdowns: the first
+    recorded state at or after each target time j t_end / (TERM_SAMPLE_CAP - 1),
+    the final state standing in for targets the run does not reach."""
     grid, coeffs, f0, feq, shift = _setup(scenario)
-    ledger = _ledger(scenario, grid, coeffs, f0, shift)
-    envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
-
     t_end = scenario.solver.t_end
+    ledger = build_constants_ledger(
+        coeffs, f0, grid, t_probe_count=T_PROBE_COUNT, t_horizon=max(t_end, 1e-6), feq_shift=shift
+    )
+    fields = {"regime": coeffs.regime, "equilibrium": _equilibrium_block(feq, shift)}
+    fields["constants_ledger"] = ledger.as_dict()
+    if not steps:
+        initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
+        return diagnostics.TimeSeries([initial]), ledger, fields
+
+    envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
     targets = [j * t_end / (TERM_SAMPLE_CAP - 1) for j in range(TERM_SAMPLE_CAP)]
     sampled: list[solver.SolverState] = []
     final = None
@@ -394,40 +402,52 @@ def run_scenario_data(scenario: Scenario):
     if targets and final is not sampled[-1]:
         sampled.append(final)
 
-    regime = coeffs.regime
-    fit_window = scenario.fit_window or (t_end / 4.0, t_end)
-    try:
-        fit = diagnostics.decay_fit(series, fit_window)
-        fit_dict = {**asdict(fit), "window": list(fit.window)}
-    except TooShortSeriesError as exc:
-        fit_dict = {"error": str(exc)}
-
-    empirical = _ratio_maxima(series.records)
-    g0 = series.records[0].dissipation
-
-    term_samples = []
+    fields["term_breakdown_samples"] = []
     for state in sampled:
-        breakdown = diagnostics.second_derivative_terms(state.f, coeffs, state.t, mode=regime)
-        term_samples.append(
+        breakdown = diagnostics.second_derivative_terms(state.f, coeffs, state.t, coeffs.regime)
+        fields["term_breakdown_samples"].append(
             {"t": state.t, "mode": breakdown.mode, "terms": breakdown.terms, "sum": breakdown.sum}
         )
+    try:
+        fit = diagnostics.decay_fit(series, scenario.fit_window or (t_end / 4.0, t_end))
+        fields["decay_fit"] = {**asdict(fit), "window": list(fit.window)}
+    except TooShortSeriesError as exc:
+        fields["decay_fit"] = {"error": str(exc)}
+    fields["series_rows"] = len(series)
+    fields["accepted_steps"] = series.metadata.get("accepted_steps")
+    return series, ledger, fields
 
+
+def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
+    """The report of ``scenario`` on its trajectory.  Empirical constants are
+    maxima of the recorded ratios: on an unstepped trajectory, of the initial
+    state's alone, as the note says; such a report has no envelope."""
+    empirical, regime = _ratio_maxima(series.records), fields["regime"]
+    g0 = series.records[0].dissipation
     report = {
         "scenario": scenario.to_dict(),
-        "regime": regime,
-        "equilibrium": _equilibrium_block(feq, shift),
-        "constants_ledger": ledger.as_dict(),
+        **fields,
         "empirical_constants": empirical,
-        "certified_consistency": _certified_consistency(scenario, empirical),
-        "term_breakdown_samples": term_samples,
-        "decay_fit": fit_dict,
         "condition_reports": _condition_reports(scenario, regime, ledger, empirical, g0),
-        "envelope": _envelope_block(scenario, regime, ledger, series),
-        "series_rows": len(series),
-        "accepted_steps": series.metadata.get("accepted_steps"),
         "sobolev_constant_note": SOBOLEV_NOTE,
     }
-    return series, report
+    if "accepted_steps" not in fields:  # unstepped, as fpk check reads it
+        report["sobolev_constant_note"] += CHECK_NOTE
+    else:
+        report["certified_consistency"] = _certified_consistency(scenario, empirical)
+        report["envelope"] = _envelope_block(scenario, regime, ledger, series)
+    return {key: report[key] for key in REPORT_KEYS if key in report}
+
+
+def run_scenario_data(scenario: Scenario):
+    """Execute a scenario in memory; returns (series, report)."""
+    series, ledger, fields = _trajectory(scenario)
+    return series, _report(scenario, series, ledger, fields)
+
+
+def check_scenario_data(scenario: Scenario) -> dict:
+    """Condition checks only: the report of the unstepped trajectory."""
+    return _report(scenario, *_trajectory(scenario, steps=False))
 
 
 def _certified_consistency(scenario, empirical) -> dict | None:
@@ -444,31 +464,6 @@ def _certified_consistency(scenario, empirical) -> dict | None:
                 "consistent": empirical[name] <= certified,
             }
     return checks or None
-
-
-def check_scenario_data(scenario: Scenario) -> dict:
-    """Condition checks only: no time stepping.
-
-    Empirical constants come from the initial state alone, so their
-    provenance is weaker than a full run's running maxima.
-    """
-    grid, coeffs, f0, feq, shift = _setup(scenario)
-    ledger = _ledger(scenario, grid, coeffs, f0, shift)
-    regime = coeffs.regime
-    initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
-    empirical = _ratio_maxima([initial])
-    return {
-        "scenario": scenario.to_dict(),
-        "regime": regime,
-        "equilibrium": _equilibrium_block(feq, shift),
-        "constants_ledger": ledger.as_dict(),
-        "empirical_constants": empirical,
-        "condition_reports": _condition_reports(
-            scenario, regime, ledger, empirical, initial.dissipation
-        ),
-        "sobolev_constant_note": SOBOLEV_NOTE
-        + " (check mode: empirical values sampled at the initial state only)",
-    }
 
 
 def _series_rows(series) -> list[list[str]]:
@@ -501,7 +496,10 @@ def write_report(path: Path, report: dict) -> None:
 def run_scenario(scenario: Scenario, out_dir, force: bool = False) -> dict:
     """Run and serialize; returns the report dict."""
     out = _prepare_out_dir(Path(out_dir), force)
-    series, report = run_scenario_data(scenario)
+    return _write_run(out, scenario, *run_scenario_data(scenario))
+
+
+def _write_run(out: Path, scenario: Scenario, series, report: dict) -> dict:
     _write_csv(out / "series.csv", SERIES_COLUMNS, _series_rows(series))
     write_report(out / "report.json", report)
     write_report(out / "scenario.normalized.json", scenario.to_dict())
@@ -564,57 +562,53 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     raise ScenarioError(f"unknown sweep axis {axis!r}")
 
 
-def _sweep_row(args) -> dict:
-    scenario_dict, theorem, out_dir = args
+def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> dict:
+    """A row's sweep.csv entry, from its report or the error that ended it."""
     margins = {name: math.nan for name in CLAUSE_NAMES[theorem]}
-    row = dict(measured_rate=math.nan, margins=margins, overall_pass="", fit_error="", error="")
-    try:
-        scenario = build_scenario(scenario_dict, fallback_name=scenario_dict.get("name", "row"))
-        report = run_scenario(scenario, Path(out_dir), force=True)
-        row["measured_rate"] = report["decay_fit"].get("rate", math.nan)
-        row["fit_error"] = report["decay_fit"].get("error", "")
-        for cond in report["condition_reports"]:
-            if cond["theorem"] != theorem:
-                continue
-            if "error" in cond:
-                row["error"] = cond["error"]
-                break
-            for c in cond["clauses"]:
-                margins[c["name"]] = theory.Clause(c["name"], c["lhs"], c["rhs"], c["op"]).margin
-            row["overall_pass"] = cond["overall"]
-    except Exception as exc:  # per-row failures recorded, sweep continues
-        row["error"] = str(exc)
+    row = dict(measured_rate=math.nan, margins=margins, overall_pass="", fit_error="", error=error)
+    if report is None:
+        return row
+    row["measured_rate"] = report["decay_fit"].get("rate", math.nan)
+    row["fit_error"] = report["decay_fit"].get("error", "")
+    for cond in report["condition_reports"]:
+        if cond["theorem"] != theorem:
+            continue
+        if "error" in cond:
+            row["error"] = cond["error"]
+            break
+        for c in cond["clauses"]:
+            margins[c["name"]] = theory.Clause(c["name"], c["lhs"], c["rhs"], c["op"]).margin
+        row["overall_pass"] = cond["overall"]
     return row
 
 
-def _predicted_work(scenario_dict) -> int:
-    """A sweep row's predicted work: cell count x min(ceil(t_end / dt0), max_steps).
-
-    dt0 is stable_dt at t = 0 from the row's own D and pi samples, the step
-    the solver keeps throughout for a t-free mobility (an estimate for a
-    t-dependent one); phi, f0 and the gradients are not sampled.  A row that
-    does not build or sample predicts 0: it runs last, and its worker
-    records the error.
-    """
+def _sweep_task(task) -> dict:
+    """One trajectory shared by a group of rows, then each row's report and files."""
+    theorem, rows = task  # rows: (index, scenario, row directory), one trajectory
     try:
-        scenario = build_scenario(scenario_dict)
-        grid = scenario.grid
-        coords = {f"x{k + 1}": c for k, c in enumerate(grid.coordinates())}
-        exprs = {name: parse_expression(scenario.coefficients[name]) for name in ("D", "pi")}
-        d, pi0 = (
-            ScalarField(grid, np.broadcast_to(exprs[name].evaluate(coords, 0.0), grid.shape))
-            for name in ("D", "pi")
-        )
-        if not (d.min() > 0.0 and pi0.min() > 0.0):
-            return 0
-        # stable_dt reads only the grid, D and the mobility
-        coeffs = CoefficientSet(
-            grid=grid, D=d, grad_D=None, phi=None, grad_phi=None, pi_expr=exprs["pi"], pi0=pi0
-        )
+        trajectory = _trajectory(rows[0][1])
+    except Exception as exc:  # per-row failures recorded, sweep continues
+        return {index: _sweep_row(theorem, error=str(exc)) for index, _, _ in rows}
+    results = {}
+    for index, scenario, row_dir in rows:
+        try:
+            report = _write_run(row_dir, scenario, trajectory[0], _report(scenario, *trajectory))
+            results[index] = _sweep_row(theorem, report)
+        except Exception as exc:
+            results[index] = _sweep_row(theorem, error=str(exc))
+    return results
+
+
+def _predicted_work(scenario: Scenario) -> int:
+    """A sweep run's predicted work: cell count x min(ceil(t_end / dt0), max_steps),
+    dt0 being stable_dt at t = 0, the step the solver keeps throughout for a
+    t-free mobility.  A run that does not sample predicts 0 and runs last."""
+    try:
+        coeffs, _ = sample_coefficients(scenario.coefficients, scenario.grid)
         dt0 = solver.stable_dt(None, coeffs, 0.0, scenario.solver.cfl_safety)
         steps = min(math.ceil(scenario.solver.t_end / dt0), scenario.solver.max_steps)
-        return grid.cell_count * steps
-    except Exception:  # MemoryError included: the worker meets and records it
+        return scenario.grid.cell_count * steps
+    except Exception:  # MemoryError included: the task meets and records it
         return 0
 
 
@@ -626,29 +620,39 @@ def _usable_cpus() -> int:
 
 
 def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = None) -> Path:
-    """Run every sweep row and merge results, in input order, to sweep.csv."""
+    """Run every sweep row and merge results, in input order, to sweep.csv.
+    A row that does not build records its error and is never dispatched;
+    each task is one trajectory and the rows that share it."""
     if jobs is not None and jobs < 1:
         raise ScenarioError(f"jobs must be at least 1; got {jobs}")
     out = _prepare_out_dir(Path(out_dir), force)
     coeffs, _ = sample_coefficients(spec.base.coefficients, spec.base.grid)
     theorem = theory.regime_theorems(coeffs.regime)[0]
-    tasks = []
+    rows, groups = [None] * len(spec.values), {}
     for index, value in enumerate(spec.values):
         row_scenario = apply_axis(spec.base, spec.axis, value)
-        row_dir = out / "rows" / f"{index:03d}_{row_scenario.name}"
-        row_dir.mkdir(parents=True, exist_ok=True)
-        tasks.append((row_scenario.to_dict(), theorem, str(row_dir)))
+        row_dir = _prepare_out_dir(out / "rows" / f"{index:03d}_{row_scenario.name}", force=True)
+        try:
+            row_scenario = build_scenario(row_scenario.to_dict())
+        except FpkError as exc:  # recorded in its row, which is never dispatched
+            rows[index] = _sweep_row(theorem, error=str(exc))
+            continue
+        # rows that differ only in name and theory share one trajectory
+        key = repr(replace(row_scenario, name="", theory=None))
+        groups.setdefault(key, []).append((index, row_scenario, row_dir))
 
+    tasks = [(theorem, group) for group in groups.values()]
     jobs = min(jobs or _usable_cpus(), len(tasks))
     if jobs > 1:
-        # longest predicted row first, so the slowest row is not queued behind
-        # others; the sort is stable, so rows of equal work keep input order
-        order = sorted(range(len(tasks)), key=lambda i: _predicted_work(tasks[i][0]), reverse=True)
+        # slowest run first, so it is not queued; stable, so equal work keeps input order
+        tasks.sort(key=lambda task: _predicted_work(task[1][0][1]), reverse=True)
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = dict(zip(order, pool.map(_sweep_row, [tasks[i] for i in order])))
-        rows = [done[i] for i in range(len(tasks))]
+            results = list(pool.map(_sweep_task, tasks))
     else:
-        rows = [_sweep_row(task) for task in tasks]
+        results = map(_sweep_task, tasks)
+    for task_rows in results:
+        for index, row in task_rows.items():
+            rows[index] = row
 
     clause_cols = [f"margin_{name}" for name in CLAUSE_NAMES[theorem]]
     header = ["value", "measured_rate", *clause_cols, "overall_pass", "fit_error", "error"]

@@ -102,6 +102,17 @@ class TestParseScenario:
         path.write_text(json.dumps(scenario.to_dict()))
         assert cli.parse_scenario(path) == scenario
 
+    @pytest.mark.parametrize("name", ["x/../escaped", "a\\b", "a\0b"], ids=["slash", "backslash", "nul"])
+    def test_name_with_a_path_separator_or_nul_rejected(self, name):
+        import jsonschema
+
+        with pytest.raises(ScenarioError, match="scenario name must not contain"):
+            cli.build_scenario({**MINIMAL, "name": name})
+        schema = json.loads((SCHEMA_DIR / "scenario.schema.json").read_text())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**MINIMAL, "name": name}, schema)
+        jsonschema.validate({**MINIMAL, "name": "a-b.c_d ..e"}, schema)
+
     def test_shipped_scenarios_parse_and_validate(self):
         import jsonschema
 
@@ -250,6 +261,17 @@ class TestCheck:
         assert report["regime"] == "homogeneous"
         assert any(c.get("theorem") == "T2" for c in report["condition_reports"])
         assert "initial state only" in report["sobolev_constant_note"]
+
+    def test_check_reports_the_runs_setup_and_first_record(self):
+        scenario = cli.build_scenario({**MINIMAL, "theory": {"gamma": 1.0}})
+        series, run = cli.run_scenario_data(scenario)
+        check = cli.check_scenario_data(scenario)
+        assert check["equilibrium"] == run["equilibrium"]
+        assert check["constants_ledger"] == run["constants_ledger"]
+        first = series.records[0]
+        names = ("poincare", "sobolev", "sobolev_weighted")
+        assert check["empirical_constants"] == {name: getattr(first, name) for name in names}
+        assert all(value is not None for value in check["empirical_constants"].values())
 
 
 # one coefficient set per regime: (D, pi, regime, checked theorems, modes that raise)
@@ -411,6 +433,7 @@ class TestMain:
 
 
 _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
+_SWEEP = {"axis": "d_scale", "values": [1, 2], "base": MINIMAL}
 
 
 def _with_phi(source):
@@ -446,6 +469,9 @@ def _with_phi(source):
         ("run", _with_phi("(" * 3000 + "1" + ")" * 3000)),
         ("run", _with_phi("-" * 5000 + "1")),
         ("run", _with_phi("^".join(["2"] * 3000))),
+        ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "x/../../../../escaped"}})),
+        ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "a\0b"}})),
+        ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "n" * 300}})),
     ],
     ids=[
         "truncated_json",
@@ -474,17 +500,20 @@ def _with_phi(source):
         "phi_3000_parentheses",
         "phi_5000_unary_minuses",
         "phi_3000_power_chain",
+        "sweep_name_climbs_out",
+        "sweep_name_with_nul",
+        "sweep_name_300_characters",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)
-    assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "a" / "b" / "out"  # deep enough that a path climbing out stays in tmp_path
+    assert cli.main([command, str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-_SWEEP = {"axis": "d_scale", "values": [1, 2], "base": MINIMAL}
+    inside_out = {out, *out.parents, *out.rglob("*")}
+    assert set(tmp_path.rglob("*")) - inside_out == {path}  # nothing written outside --out
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["out_is_a_file", "out_below_a_file"])
@@ -546,7 +575,7 @@ class RecordingPool:  # maps in this process and records the dispatch order
 
     def map(self, fn, tasks):
         tasks = list(tasks)
-        RecordingPool.dispatched = [task[0]["name"] for task in tasks]
+        RecordingPool.dispatched = [scenario.name for _, rows in tasks for _, scenario, _ in rows]
         return map(fn, tasks)
 
 
@@ -567,29 +596,30 @@ def test_sweep_dispatches_longest_predicted_row_first(tmp_path, monkeypatch):
 
 
 def test_sweep_rows_of_equal_work_keep_input_order(tmp_path, monkeypatch):
+    # on pi = 1 every scale leaves pi = 1: equal work, but distinct trajectories
     base = {**MINIMAL, "name": "s", "theory": {"gamma": 1.0}}
-    dispatched, rows = _dispatch(tmp_path, monkeypatch, base, "gamma", [4.0, 1.0, 2.0])
-    assert dispatched == ["s-g4.0", "s-g1.0", "s-g2.0"]
+    dispatched, rows = _dispatch(tmp_path, monkeypatch, base, "grad_pi_scale", [4.0, 1.0, 2.0])
+    assert dispatched == ["s-p4.0", "s-p1.0", "s-p2.0"]
     assert [row["value"] for row in rows] == ["4", "1", "2"]
 
 
-def test_sweep_row_that_fails_to_build_is_dispatched_last(tmp_path, monkeypatch):
+def test_sweep_row_that_fails_to_build_is_never_dispatched(tmp_path, monkeypatch):
     base = {**MINIMAL, "name": "s", "theory": {"gamma": 1.0}}
     dispatched, rows = _dispatch(tmp_path, monkeypatch, base, "resolution", [16.5, 16, 32])
-    assert dispatched == ["s-n32", "s-n16", "s-n16.5"]
+    assert dispatched == ["s-n32", "s-n16"]
     assert [row["error"] for row in rows] == ["grid.cells_per_axis must be an integer; got 16.5", "", ""]
 
 
 def test_predicted_work_of_a_row_that_cannot_sample_is_zero(monkeypatch):
     base = cli.build_scenario(MINIMAL)
-    assert cli._predicted_work(cli.apply_axis(base, "d_scale", -1.0).to_dict()) == 0
-    assert cli._predicted_work(cli.apply_axis(base, "resolution", 2).to_dict()) == 0
+    assert cli._predicted_work(base) > 0
+    assert cli._predicted_work(cli.apply_axis(base, "d_scale", -1.0)) == 0
 
     def exhausted(self):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
     monkeypatch.setattr(cli.Grid, "coordinates", exhausted)
-    assert cli._predicted_work(base.to_dict()) == 0
+    assert cli._predicted_work(base) == 0
 
 
 @pytest.fixture(scope="module")
@@ -606,17 +636,53 @@ def test_predicted_steps_equal_accepted_steps(d_scale_sweep):
     for index, value in enumerate(spec.values):
         row = cli.apply_axis(spec.base, spec.axis, value)
         report = json.loads((path.parent / "rows" / f"{index:03d}_{row.name}" / "report.json").read_text())
-        assert cli._predicted_work(row.to_dict()) == cells * report["accepted_steps"]
+        assert cli._predicted_work(row) == cells * report["accepted_steps"]
 
 
-def test_sweep_output_identical_at_one_and_two_jobs(d_scale_sweep):
-    spec, path = d_scale_sweep
-    pooled = cli.run_sweep(spec, path.parent.parent / "jobs2", force=True, jobs=2)
-    serial_files = sorted(p.relative_to(path.parent) for p in path.parent.rglob("*") if p.is_file())
-    pooled_files = sorted(p.relative_to(pooled.parent) for p in pooled.parent.rglob("*") if p.is_file())
-    assert serial_files == pooled_files and len(serial_files) == 1 + 3 * len(spec.values)
-    for name in serial_files:
-        assert (path.parent / name).read_bytes() == (pooled.parent / name).read_bytes(), name
+# per axis: values with one row that fails (to build or to sample) and one duplicate
+IDENTITY_SWEEPS = [
+    ("d_scale", [1, -1, 2, 1]),
+    ("gamma", [1.0, -1, 40.0, 1.0]),
+    ("grad_pi_scale", [0.5, 10, 1, 0.5]),
+    ("resolution", [16, 16.5, 32, 16]),
+]
+
+
+@pytest.mark.parametrize("axis, values", IDENTITY_SWEEPS, ids=[axis for axis, _ in IDENTITY_SWEEPS])
+def test_sweep_output_identical_at_one_and_two_jobs(tmp_path, axis, values):
+    coefficients = {**MINIMAL["coefficients"], "pi": "1 + 0.2*cos(2*pi*x1)"}
+    base = {**MINIMAL, "name": "s", "coefficients": coefficients, "theory": {"gamma": 1.0}}
+    spec = cli.SweepSpec(base=cli.build_scenario(base), axis=axis, values=values)
+    serial, pooled = (cli.run_sweep(spec, tmp_path / f"jobs{j}", jobs=j).parent for j in (1, 2))
+    serial_paths = sorted(p.relative_to(serial) for p in serial.rglob("*"))
+    assert serial_paths == sorted(p.relative_to(pooled) for p in pooled.rglob("*"))
+    files = [name for name in serial_paths if (serial / name).is_file()]
+    assert len(files) == 1 + 3 * (len(values) - 1)  # sweep.csv, and 3 files per row that ran
+    for name in files:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes(), name
+    with (serial / "sweep.csv").open(newline="") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh)]
+    assert [error != "" for error in errors] == [False, True, False, False]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_gamma_sweep_runs_one_trajectory(tmp_path, monkeypatch, jobs):
+    runs, solver_run = [], cli.solver.run
+
+    def spy(*args, **kwargs):
+        runs.append(args)
+        return solver_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli.solver, "run", spy)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    base = cli.build_scenario({**MINIMAL, "name": "s", "theory": {"gamma": 1.0}})
+    values = [0.5, 1.0, 40.0, 200.0]
+    out = cli.run_sweep(cli.SweepSpec(base=base, axis="gamma", values=values), tmp_path, jobs=jobs).parent
+    assert len(runs) == 1
+    rows = [out / "rows" / f"{i:03d}_s-g{float(v)}" for i, v in enumerate(values)]
+    assert len({(row / "series.csv").read_bytes() for row in rows}) == 1
+    gammas = [json.loads((row / "report.json").read_text())["scenario"]["theory"]["gamma"] for row in rows]
+    assert gammas == values
 
 
 def test_default_jobs_counts_the_cpus_this_process_may_use(tmp_path, monkeypatch):
