@@ -480,12 +480,13 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _prepare_out_dir(out_dir: Path, force: bool) -> Path:
+    quoted = quote_source(str(out_dir), len(str(out_dir)))  # a long path shows its end
     try:
         if out_dir.exists() and any(out_dir.iterdir()) and not force:
-            raise ScenarioError(f"output directory {out_dir} is not empty; pass --force to overwrite")
+            raise ScenarioError(f"output directory {quoted} is not empty; pass --force to overwrite")
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. a file at or above out_dir
-        raise ScenarioError(f"output directory {out_dir}: {exc.strerror}") from None
+        raise ScenarioError(f"output directory {quoted}: {exc.strerror}") from None
     return out_dir
 
 

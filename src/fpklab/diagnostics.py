@@ -34,6 +34,7 @@ import numpy as np
 
 from .coefficients import REGIMES, CoefficientSet
 from .errors import (
+    NonFiniteFieldError,
     TooShortSeriesError,
     UndefinedRatioError,
     WrongRegimeError,
@@ -46,7 +47,7 @@ from .grid import (
     gradient_arrays,
     integrate,
 )
-from .solver import SolverState, compute_velocity, require_positive_density
+from .solver import SolverState, _velocity_arrays, compute_velocity, require_positive_density
 
 
 @dataclass(frozen=True)
@@ -110,16 +111,27 @@ def _cell_integral(grid: Grid, integrand: np.ndarray) -> float:
     return grid.cell_volume * float(integrand.sum())
 
 
-# Array kernels shared by the public functions and the recorder, which
-# computes each per-cell array (log f, |u|^2, |u|, |grad u|^2) once per state.
+# Array kernels shared by the public functions and the recorder: one pass over
+# the velocity's derivatives, so each quantity has one definition and one bit pattern.
 
 
-def _speed_sq(u: VectorField) -> np.ndarray:
-    return np.sum(u.components**2, axis=0)
-
-
-def _grad_sq(jac: np.ndarray) -> np.ndarray:
-    return np.sum(jac**2, axis=(0, 1))
+def _velocity_sums(components, spacing: float, jacobian=None):
+    """|u|^2, |grad u|^2 and div u, one component u_k at a time: each centered d_l u_k
+    is squared in its own array after d_k u_k joins div u.  The sums start at 0 in the
+    order of np.sum(u**2, axis=0), np.sum(J**2, axis=(0, 1)) and np.trace(J), so each is
+    bitwise theirs.  No Jacobian is built; given an (n, n, ...) array ``jacobian``,
+    each d_l u_k is copied into jacobian[k, l] before it is squared."""
+    speed_sq, grad_sq, div = (np.zeros(components[0].shape) for _ in range(3))
+    for k, uk in enumerate(components):
+        speed_sq += uk * uk
+        for l, grad in enumerate(gradient_arrays(uk, spacing)):
+            if jacobian is not None:
+                jacobian[k, l] = grad
+            if l == k:
+                div += grad
+            grad *= grad
+            grad_sq += grad
+    return speed_sq, grad_sq, div
 
 
 def _free_energy(grid: Grid, fv: np.ndarray, log_f: np.ndarray, coeffs: CoefficientSet) -> float:
@@ -139,8 +151,8 @@ def free_energy(f: ScalarField, coeffs: CoefficientSet) -> float:
 
 def dissipation(f: ScalarField, coeffs: CoefficientSet, t: float) -> float:
     """int pi |u|^2 f  (nonnegative; zero exactly at equilibrium)."""
-    u = compute_velocity(f, coeffs, t)
-    return _dissipation(f.grid, f.values, coeffs.pi_values(t), _speed_sq(u))
+    speed_sq = _velocity_sums(compute_velocity(f, coeffs, t).components, f.grid.spacing)[0]
+    return _dissipation(f.grid, f.values, coeffs.pi_values(t), speed_sq)
 
 
 def energy_law_residual(series: TimeSeries) -> np.ndarray:
@@ -184,21 +196,14 @@ def check_envelope(states, envelope: tuple[ScalarField, ScalarField]) -> float:
     return min(envelope_margin(f, envelope) for f in states)
 
 
-def _jacobian(u: VectorField) -> np.ndarray:
-    """J[k, l] = d u_k / d x_l by centered differences; shape (n, n, ...)."""
-    h = u.grid.spacing
-    return np.stack([np.stack(gradient_arrays(c, h)) for c in u.components])
-
-
-def _jensen_margin(jac: np.ndarray, grad_sq: np.ndarray) -> float:
-    div = np.trace(jac, axis1=0, axis2=1)
-    return float((jac.shape[0] * grad_sq - div**2).min())
+def _jensen_margin(dim: int, grad_sq: np.ndarray, div: np.ndarray) -> float:
+    return float((dim * grad_sq - div**2).min())
 
 
 def jensen_check(u: VectorField) -> float:
     """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off)."""
-    jac = _jacobian(u)
-    return _jensen_margin(jac, _grad_sq(jac))
+    _, grad_sq, div = _velocity_sums(u.components, u.grid.spacing)
+    return _jensen_margin(u.grid.dim, grad_sq, div)
 
 
 _FULL_TERM_NAMES = (
@@ -236,12 +241,9 @@ def second_derivative_terms(
     grid = f.grid
     fv = f.values
     log_f = np.log(fv)
-    u = compute_velocity(f, coeffs, t)
-    uc = u.components
-    jac = _jacobian(u)
-    grad_u_sq = _grad_sq(jac)
-    div_u = np.trace(jac, axis1=0, axis2=1)
-    speed_sq = _speed_sq(u)
+    uc = compute_velocity(f, coeffs, t).components
+    jac = np.empty((grid.dim, grid.dim) + grid.shape) if mode == "full" else None  # for J.u
+    speed_sq, grad_u_sq, div_u = _velocity_sums(uc, grid.spacing, jac)
     hess_phi = centered_hessian(coeffs.phi)
     hess_u = np.einsum("kl...,l...->k...", hess_phi, uc)
     d = coeffs.D.values
@@ -289,17 +291,31 @@ def second_derivative_terms(
     return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
 
 
-def _poincare_ratio(grid: Grid, fv: np.ndarray, speed_sq: np.ndarray, grad_sq: np.ndarray) -> float:
-    num = _cell_integral(grid, speed_sq * fv)
-    den = _cell_integral(grid, grad_sq * fv)
-    if den <= 0.0:
-        raise UndefinedRatioError("int |grad u|^2 f vanishes; Poincare ratio undefined")
-    return num / den
+def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq, p_star=6.0, eps=2.0) -> dict[str, float]:
+    """The empirical ratios of one velocity pass, NaN where a denominator is
+    not positive; int |grad u|^2 f and int |u|^p* f are formed once for all three."""
+    grad_int = _cell_integral(grid, grad_sq * fv)
+    moment = _cell_integral(grid, speed**p_star * fv) ** (1.0 / p_star)
+    # speed**2, not |u|^2 summed again: the two differ in the last bit
+    weighted_sq = _cell_integral(grid, (2.0 * grad_sq + eps * speed**2) * fv)
+    return {
+        "poincare": _cell_integral(grid, speed_sq * fv) / grad_int if grad_int > 0.0 else math.nan,
+        "sobolev": moment / math.sqrt(grad_int) if grad_int > 0.0 else math.nan,
+        "sobolev_weighted": moment / math.sqrt(weighted_sq) if weighted_sq > 0.0 else math.nan,
+    }
+
+
+def _sample_ratio(f: ScalarField, u: VectorField, name: str, p_star=6.0, eps=2.0) -> float:
+    speed_sq, grad_sq, _ = _velocity_sums(u.components, f.grid.spacing)
+    ratio = _ratios(f.grid, f.values, speed_sq, np.sqrt(speed_sq), grad_sq, p_star, eps)[name]
+    if math.isnan(ratio):
+        raise UndefinedRatioError(f"{name} ratio undefined: its denominator vanishes (u constant)")
+    return ratio
 
 
 def empirical_poincare(f: ScalarField, u: VectorField) -> float:
     """Ratio int |u|^2 f / int |grad u|^2 f (empirical constant sample)."""
-    return _poincare_ratio(f.grid, f.values, _speed_sq(u), _grad_sq(_jacobian(u)))
+    return _sample_ratio(f, u, "poincare")
 
 
 def empirical_sobolev(
@@ -316,27 +332,7 @@ def empirical_sobolev(
     """
     if not p_star > 2.0:
         raise ValueError("p_star must exceed 2")
-    return _sobolev_ratio(f.grid, f.values, u.magnitude(), _grad_sq(_jacobian(u)), p_star, weighted, eps)
-
-
-def _sobolev_ratio(
-    grid: Grid,
-    fv: np.ndarray,
-    speed: np.ndarray,
-    grad_sq: np.ndarray,
-    p_star: float = 6.0,
-    weighted: bool = False,
-    eps: float = 2.0,
-) -> float:
-    num = _cell_integral(grid, speed**p_star * fv) ** (1.0 / p_star)
-    if weighted:
-        # speed**2, not |u|^2 summed again: the two differ in the last bit
-        den_sq = _cell_integral(grid, (2.0 * grad_sq + eps * speed**2) * fv)
-    else:
-        den_sq = _cell_integral(grid, grad_sq * fv)
-    if den_sq <= 0.0:
-        raise UndefinedRatioError("Sobolev-ratio denominator vanishes (u constant)")
-    return num / math.sqrt(den_sq)
+    return _sample_ratio(f, u, "sobolev_weighted" if weighted else "sobolev", p_star, eps)
 
 
 def interpolation_check(
@@ -356,9 +352,10 @@ def interpolation_check(
     if mode not in ("pi-constant", "pi-variable"):
         raise ValueError("mode must be 'pi-constant' or 'pi-variable'")
     grid = f.grid
-    speed = u.magnitude()
+    speed_sq, grad_sq, _ = _velocity_sums(u.components, grid.spacing)
+    speed = np.sqrt(speed_sq)  # u.magnitude()
     lhs = _cell_integral(grid, speed**3 * f.values)
-    grad_term = _cell_integral(grid, _grad_sq(_jacobian(u)) * f.values)
+    grad_term = _cell_integral(grid, grad_sq * f.values)
     speed_sq_term = _cell_integral(grid, speed**2 * f.values)
     k32 = sobolev_const**1.5
     if mode == "pi-constant":
@@ -394,42 +391,42 @@ def decay_fit(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
 def make_recorder(coeffs: CoefficientSet, envelope=None, on_state=None):
     """Build the per-state diagnostics callback used by solver.run.
 
-    The callback is the one place a recorded state is read: from one
-    velocity and Jacobian it records the series row and the empirical
-    Poincare, Sobolev and weighted Sobolev (eps = 2) ratios, all NaN when
-    any is undefined.  ``envelope`` is the (lower, upper) pair from
-    max_principle_envelope; without it the containment margin is recorded
-    as NaN.  ``on_state`` receives each recorded SolverState.
+    The callback is the one place a recorded state is read: from log f, taken
+    once, and one _velocity_sums pass (no VectorField or Jacobian) it records
+    the series row and the Poincare, Sobolev and weighted Sobolev (eps = 2)
+    ratios, all NaN when any is undefined, each bitwise what the public
+    functions give.  A nonpositive cell raises NonPositiveDensityError, a NaN
+    or infinite |u| (|u|^2 overflowing too) NonFiniteFieldError.  ``envelope``
+    is the pair from max_principle_envelope (else the margin is NaN);
+    ``on_state`` receives each recorded SolverState.
     """
 
     def recorder(state: SolverState) -> DiagnosticsRecord:
-        f = state.f
-        grid, fv = f.grid, f.values
-        u = compute_velocity(f, coeffs, state.t)  # raises on a nonpositive cell
-        jac = _jacobian(u)
-        speed_sq = _speed_sq(u)
-        speed = np.sqrt(speed_sq)  # u.magnitude()
-        grad_sq = _grad_sq(jac)
-        try:
-            ratios = {
-                "poincare": _poincare_ratio(grid, fv, speed_sq, grad_sq),
-                "sobolev": _sobolev_ratio(grid, fv, speed, grad_sq),
-                "sobolev_weighted": _sobolev_ratio(grid, fv, speed, grad_sq, weighted=True),
-            }
-        except UndefinedRatioError:
-            ratios = {}  # the record's NaN defaults
+        f, t, grid, fv = state.f, state.t, state.f.grid, state.f.values
+        require_positive_density(fv)
         log_f = np.log(fv)
+        psi = log_f * coeffs.D.values  # solver._potential, from the one log f
+        psi += coeffs.phi.values
+        pi = coeffs.pi_values(t)
+        speed_sq, grad_sq, div = _velocity_sums(_velocity_arrays(psi, pi, grid.spacing), grid.spacing)
+        speed = np.sqrt(speed_sq)  # u.magnitude()
+        u_sup = float(speed.max())  # NaN if any component is NaN
+        if not math.isfinite(u_sup):
+            raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 overflows")
+        ratios = _ratios(grid, fv, speed_sq, speed, grad_sq)
+        if any(map(math.isnan, ratios.values())):
+            ratios = {}  # the record's NaN defaults: one undefined ratio voids all three
         record = DiagnosticsRecord(
-            t=state.t,
+            t=t,
             mass=integrate(f),
             free_energy=_free_energy(grid, fv, log_f, coeffs),
-            dissipation=_dissipation(grid, fv, coeffs.pi_values(state.t), speed_sq),
+            dissipation=_dissipation(grid, fv, pi, speed_sq),
             f_min=f.min(),
             f_max=f.max(),
             log_f_sup=float(np.abs(log_f).max()),
-            u_sup=float(speed.max()),
+            u_sup=u_sup,
             envelope_violation=envelope_margin(f, envelope) if envelope is not None else math.nan,
-            jensen_margin=_jensen_margin(jac, grad_sq),
+            jensen_margin=_jensen_margin(grid.dim, grad_sq, div),
             **ratios,
         )
         if on_state is not None:

@@ -109,12 +109,19 @@ def _potential(f_values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
     return psi
 
 
+def _velocity_arrays(psi: np.ndarray, pi: np.ndarray, spacing: float) -> list[np.ndarray]:
+    """u_k = -(d_k psi) / pi per axis, each formed in its gradient's own array."""
+    comps = gradient_arrays(psi, spacing)
+    for g in comps:
+        np.negative(g, out=g)
+        g /= pi
+    return comps
+
+
 def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> VectorField:
     """u = -(1/pi) grad(D log f + phi), centered differences."""
     require_positive_density(f.values)
-    psi = _potential(f.values, coeffs)
-    pi = coeffs.pi_values(t)
-    comps = [-g / pi for g in gradient_arrays(psi, f.grid.spacing)]
+    comps = _velocity_arrays(_potential(f.values, coeffs), coeffs.pi_values(t), f.grid.spacing)
     return VectorField(f.grid, np.stack(comps))
 
 

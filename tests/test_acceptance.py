@@ -348,22 +348,40 @@ def test_suite_weighted_interpolation_margins(suite_runs):
 
 
 def test_suite_single_pass_diagnostics(suite_runs):
+    # every record field is bitwise its public definition in 1-D, 2-D and 3-D,
     # the recorder's ratios give the report's maxima bit for bit, and the
     # term breakdowns sample at most TERM_SAMPLE_CAP states by target time
     assert suite_runs["variable_pi_1d"]["report"]["regime"] == "full"
-    for name in ("variable_pi_1d", "mixed_2d"):
+    for name in ("variable_pi_1d", "mixed_2d", "torus_3d"):
         run = suite_runs[name]
         data = load_scenario_dict(name)
         grid = F.build_grid(data["grid"]["dim"], data["grid"]["cells_per_axis"])
-        coeffs, _ = F.sample_coefficients(data["coefficients"], grid)
+        coeffs, f0 = F.sample_coefficients(data["coefficients"], grid)
+        envelope = dg.max_principle_envelope(f0, F.compute_equilibrium(coeffs)[0], coeffs)
+        assert len(run["snapshots"]) == len(run["series"]), name
         maxima = {}
-        for state in run["snapshots"]:
-            u = F.compute_velocity(state.f, coeffs, state.t)
+        for state, record in zip(run["snapshots"], run["series"].records):
+            f = state.f
+            u = F.compute_velocity(f, coeffs, state.t)
             ratios = {
-                "poincare": dg.empirical_poincare(state.f, u),
-                "sobolev": dg.empirical_sobolev(state.f, u, p_star=6.0),
-                "sobolev_weighted": dg.empirical_sobolev(state.f, u, p_star=6.0, weighted=True, eps=2.0),
+                "poincare": dg.empirical_poincare(f, u),
+                "sobolev": dg.empirical_sobolev(f, u, p_star=6.0),
+                "sobolev_weighted": dg.empirical_sobolev(f, u, p_star=6.0, weighted=True, eps=2.0),
             }
+            public = dg.DiagnosticsRecord(
+                t=state.t,
+                mass=F.integrate(f),
+                free_energy=dg.free_energy(f, coeffs),
+                dissipation=dg.dissipation(f, coeffs, state.t),
+                f_min=f.min(),
+                f_max=f.max(),
+                log_f_sup=float(np.abs(np.log(f.values)).max()),
+                u_sup=float(u.magnitude().max()),
+                envelope_violation=dg.envelope_margin(f, envelope),
+                jensen_margin=dg.jensen_check(u),
+                **ratios,
+            )
+            assert record == public, (name, state.t)
             for key, value in ratios.items():
                 maxima[key] = max(maxima.get(key, value), value)
         assert run["report"]["empirical_constants"] == maxima, name

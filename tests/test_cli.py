@@ -8,7 +8,7 @@ import pytest
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict
 from fpklab import cli, diagnostics, theory
 from fpklab.coefficients import REGIMES
-from fpklab.errors import ScenarioError, WrongRegimeError
+from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
 
 MINIMAL = {
     "grid": {"dim": 1, "cells_per_axis": 32},
@@ -526,7 +526,18 @@ def test_out_at_or_below_a_file_exits_2(tmp_path, capsys, command, below):
     out = blocker / "out" if below else blocker
     assert cli.main([command, str(path), "--out", str(out), "--force"]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: output directory {out}: Not a directory\n"
+    assert err == f"error: output directory {quote_source(str(out), len(str(out)))}: Not a directory\n"
+
+
+def test_long_path_error_quotes_a_window(tmp_path, capsys):
+    # the row directory of a 300-character name is refused by the file system;
+    # the error quotes the path's last 60 characters, not the whole path
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "n" * 300}}))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ...") and err.count("\n") == 1
+    assert len(err.rstrip("\n")) <= 200, err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

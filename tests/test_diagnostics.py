@@ -6,6 +6,7 @@ import pytest
 import fpklab as F
 from fpklab import diagnostics as dg
 from fpklab.errors import (
+    NonFiniteFieldError,
     NonPositiveDensityError,
     TooShortSeriesError,
     UndefinedRatioError,
@@ -83,6 +84,31 @@ class TestDissipation:
         grid, coeffs, f0 = sample({**UNIT, "f0": "1 + 0.01*sin(2*pi*x1)"}, n=128)
         target = 0.01**2 * (2 * np.pi) ** 2 / 2
         assert dg.dissipation(f0, coeffs, 0.0) == pytest.approx(target, rel=0.05)
+
+
+class TestRecorderFailsClosed:
+    def _record(self, values, spec=UNIT, dim=1):
+        grid, coeffs, _ = sample(spec, dim=dim, n=8)
+        f = ScalarField._trusted(grid, np.asarray(values, dtype=np.float64).reshape(grid.shape))
+        return dg.make_recorder(coeffs)(F.SolverState(f=f, t=0.0, step_index=0))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_nonpositive_cell_raises(self, bad):
+        with pytest.raises(NonPositiveDensityError):
+            self._record([1.0] * 7 + [bad])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_velocity_raises(self, dim, bad):
+        values = np.ones(8**dim)
+        values[3] = bad  # log f, psi and the neighbors' u_k are NaN or infinite
+        with pytest.raises(NonFiniteFieldError):
+            self._record(values, dim=dim)
+
+    def test_overflowing_speed_squared_raises(self):
+        # every u_k is finite (about 1e200) but |u|^2 overflows to inf
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
+            self._record(np.ones(8), spec={**UNIT, "phi": "1e200*sin(2*pi*x1)"})
 
 
 class TestEnergyLawResidual:
