@@ -74,10 +74,6 @@ CLAUSE_NAMES = {
 #: probe count for the mobility sups in the constants ledger
 T_PROBE_COUNT = 9
 
-#: at most this many recorded states get a term breakdown in the report
-TERM_SAMPLE_CAP = 5
-
-
 def _fmt(value) -> str:
     """17-significant-digit formatting; stable across reruns."""
     if isinstance(value, bool):
@@ -370,9 +366,8 @@ def _trajectory(scenario: Scenario, steps: bool = True):
     """(series, ledger, fields): what the flow alone decides, ``fields`` being
     its report entries; it reads neither the scenario's name nor its theory.
     With ``steps=False`` the series is the initial record alone.  A stepped
-    run keeps at most TERM_SAMPLE_CAP states for term breakdowns: the first
-    recorded state at or after each target time j t_end / (TERM_SAMPLE_CAP - 1),
-    the final state standing in for targets the run does not reach."""
+    run's term breakdowns are those its recorder put on the records it
+    sampled (see diagnostics.make_recorder); no state outlives its record."""
     grid, coeffs, f0, feq, shift = _setup(scenario)
     t_end = scenario.solver.t_end
     ledger = build_constants_ledger(
@@ -385,29 +380,11 @@ def _trajectory(scenario: Scenario, steps: bool = True):
         return diagnostics.TimeSeries([initial]), ledger, fields
 
     envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
-    targets = [j * t_end / (TERM_SAMPLE_CAP - 1) for j in range(TERM_SAMPLE_CAP)]
-    sampled: list[solver.SolverState] = []
-    final = None
-
-    def keep(state):
-        nonlocal final
-        final = state
-        if targets and state.t >= targets[0]:
-            sampled.append(state)
-            while targets and state.t >= targets[0]:
-                targets.pop(0)
-
-    recorder = diagnostics.make_recorder(coeffs, envelope=envelope, on_state=keep)
+    recorder = diagnostics.make_recorder(coeffs, envelope=envelope, config=scenario.solver)
     series = solver.run(f0, coeffs, scenario.solver, recorder)
-    if targets and final is not sampled[-1]:
-        sampled.append(final)
-
-    fields["term_breakdown_samples"] = []
-    for state in sampled:
-        breakdown = diagnostics.second_derivative_terms(state.f, coeffs, state.t, coeffs.regime)
-        fields["term_breakdown_samples"].append(
-            {"t": state.t, "mode": breakdown.mode, "terms": breakdown.terms, "sum": breakdown.sum}
-        )
+    fields["term_breakdown_samples"] = [
+        {"t": r.t, **asdict(r.terms)} for r in series.records if r.terms is not None
+    ]
     try:
         fit = diagnostics.decay_fit(series, scenario.fit_window or (t_end / 4.0, t_end))
         fields["decay_fit"] = {**asdict(fit), "window": list(fit.window)}

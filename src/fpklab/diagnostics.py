@@ -49,6 +49,9 @@ from .grid import (
 )
 from .solver import SolverState, _velocity_arrays, compute_velocity, require_positive_density
 
+#: a run's records carry at most this many term breakdowns, picked by target time
+TERM_SAMPLES = 5
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -66,6 +69,8 @@ class DiagnosticsRecord:
     poincare: float = math.nan
     sobolev: float = math.nan
     sobolev_weighted: float = math.nan
+    # the d^2F/dt^2 breakdown, on the records make_recorder samples by target time
+    terms: TermBreakdown | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -206,21 +211,22 @@ def jensen_check(u: VectorField) -> float:
     return _jensen_margin(u.grid.dim, grad_sq, div)
 
 
-_FULL_TERM_NAMES = (
-    "hessian_phi",
-    "d_grad_u_sq",
-    "logf_gradDu_sq_cross",
-    "divu_cross",
-    "cubic_logf",
-    "gradD_sq_logf_sq",
-    "gradD_gradPhi_cross",
-    "pi_t",
-    "cubic_gradPi",
-    "gradPi_gradD",
-    "gradPi_gradD_directional",
-    "grad_usq_gradPi",
-    "jacobian_u_gradPi",
-)
+def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jacobian: bool = False):
+    """(log f, pi, u, J, |u|^2, |grad u|^2, div u) of one state, log f taken once; the
+    u_k are compute_velocity's, in a list, and J, the (n, n, ...) Jacobian, is None
+    unless asked for.  A nonpositive cell raises NonPositiveDensityError, a NaN or
+    infinite |u| (|u|^2 overflowing too) NonFiniteFieldError."""
+    require_positive_density(f.values)
+    grid, log_f = f.grid, np.log(f.values)
+    psi = log_f * coeffs.D.values  # solver._potential, from the one log f
+    psi += coeffs.phi.values
+    pi = coeffs.pi_values(t)
+    u = _velocity_arrays(psi, pi, grid.spacing)
+    jac = np.empty((grid.dim, grid.dim) + grid.shape) if jacobian else None
+    sums = _velocity_sums(u, grid.spacing, jac)
+    if not math.isfinite(float(sums[0].max())):  # NaN if any component is NaN
+        raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 overflows")
+    return (log_f, pi, u, jac, *sums)
 
 
 def second_derivative_terms(
@@ -237,20 +243,19 @@ def second_derivative_terms(
         raise ValueError(f"mode must be one of {REGIMES}")
     if REGIMES.index(mode) < REGIMES.index(coeffs.regime):
         raise WrongRegimeError(f"{mode} mode does not cover the {coeffs.regime} regime")
+    velocity = _velocity_pass(f, coeffs, t, jacobian=mode == "full")
+    return _term_breakdown(f, coeffs, t, mode, centered_hessian(coeffs.phi), velocity)
 
-    grid = f.grid
-    fv = f.values
-    log_f = np.log(fv)
-    uc = compute_velocity(f, coeffs, t).components
-    jac = np.empty((grid.dim, grid.dim) + grid.shape) if mode == "full" else None  # for J.u
-    speed_sq, grad_u_sq, div_u = _velocity_sums(uc, grid.spacing, jac)
-    hess_phi = centered_hessian(coeffs.phi)
-    hess_u = np.einsum("kl...,l...->k...", hess_phi, uc)
-    d = coeffs.D.values
+
+def _term_breakdown(f, coeffs, t, mode, hess_phi, velocity) -> TermBreakdown:
+    """second_derivative_terms from a _velocity_pass (with J in full mode)."""
+    log_f, pi, uc, jac, speed_sq, grad_u_sq, div_u = velocity
+    grid, fv, d = f.grid, f.values, coeffs.D.values
 
     def quad(x: np.ndarray) -> float:
         return _cell_integral(grid, x * fv)
 
+    hess_u = np.einsum("kl...,l...->k...", hess_phi, uc)
     terms: dict[str, float] = {}
     terms["hessian_phi"] = 2.0 * quad(np.sum(hess_u * uc, axis=0))
     terms["d_grad_u_sq"] = 2.0 * quad(d * grad_u_sq)
@@ -261,14 +266,13 @@ def second_derivative_terms(
         u_dot_grad_d = np.sum(uc * grad_d, axis=0)
         u_dot_grad_phi = np.sum(uc * grad_phi, axis=0)
         grad_speed_sq = np.stack(gradient_arrays(speed_sq, grid.spacing))
-        pi_now = coeffs.pi_values(t)
 
         terms["logf_gradDu_sq_cross"] = -quad(
             (log_f - 1.0) * np.sum(grad_speed_sq * grad_d, axis=0)
         )
         terms["divu_cross"] = -2.0 * quad((1.0 + log_f) * u_dot_grad_d * div_u)
         # with constant pi the pi/D weight reduces to the constant over D
-        terms["cubic_logf"] = 2.0 * quad((pi_now / d) * speed_sq * log_f * u_dot_grad_d)
+        terms["cubic_logf"] = 2.0 * quad((pi / d) * speed_sq * log_f * u_dot_grad_d)
         terms["gradD_sq_logf_sq"] = 2.0 * quad((log_f**2) * (u_dot_grad_d**2) / d)
         terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d * u_dot_grad_phi / d)
 
@@ -281,12 +285,12 @@ def second_derivative_terms(
 
         terms["pi_t"] = quad(pi_t * speed_sq)
         terms["cubic_gradPi"] = quad(speed_sq * u_dot_grad_pi)
-        terms["gradPi_gradD"] = -2.0 * quad((log_f - 1.0) * speed_sq * grad_pi_dot_grad_d / pi_now)
+        terms["gradPi_gradD"] = -2.0 * quad((log_f - 1.0) * speed_sq * grad_pi_dot_grad_d / pi)
         terms["gradPi_gradD_directional"] = 2.0 * quad(
-            (log_f - 1.0) * u_dot_grad_pi * u_dot_grad_d / pi_now
+            (log_f - 1.0) * u_dot_grad_pi * u_dot_grad_d / pi
         )
-        terms["grad_usq_gradPi"] = quad((d / pi_now) * np.sum(grad_speed_sq * grad_pi, axis=0))
-        terms["jacobian_u_gradPi"] = -2.0 * quad((d / pi_now) * np.sum(jac_u * grad_pi, axis=0))
+        terms["grad_usq_gradPi"] = quad((d / pi) * np.sum(grad_speed_sq * grad_pi, axis=0))
+        terms["jacobian_u_gradPi"] = -2.0 * quad((d / pi) * np.sum(jac_u * grad_pi, axis=0))
 
     return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
 
@@ -295,7 +299,8 @@ def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq, p_star=6.0, eps=2.0) -> di
     """The empirical ratios of one velocity pass, NaN where a denominator is
     not positive; int |grad u|^2 f and int |u|^p* f are formed once for all three."""
     grad_int = _cell_integral(grid, grad_sq * fv)
-    moment = _cell_integral(grid, speed**p_star * fv) ** (1.0 / p_star)
+    with np.errstate(over="ignore"):  # |u|^p* overflowing makes the moment, and both Sobolev ratios, +inf
+        moment = _cell_integral(grid, speed**p_star * fv) ** (1.0 / p_star)
     # speed**2, not |u|^2 summed again: the two differ in the last bit
     weighted_sq = _cell_integral(grid, (2.0 * grad_sq + eps * speed**2) * fv)
     return {
@@ -388,35 +393,39 @@ def decay_fit(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
     )
 
 
-def make_recorder(coeffs: CoefficientSet, envelope=None, on_state=None):
+def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
     """Build the per-state diagnostics callback used by solver.run.
 
-    The callback is the one place a recorded state is read: from log f, taken
-    once, and one _velocity_sums pass (no VectorField or Jacobian) it records
-    the series row and the Poincare, Sobolev and weighted Sobolev (eps = 2)
-    ratios, all NaN when any is undefined, each bitwise what the public
-    functions give.  A nonpositive cell raises NonPositiveDensityError, a NaN
-    or infinite |u| (|u|^2 overflowing too) NonFiniteFieldError.  ``envelope``
-    is the pair from max_principle_envelope (else the margin is NaN);
-    ``on_state`` receives each recorded SolverState.
+    The callback is the one place a recorded state is read: from one
+    _velocity_pass (which raises on a nonpositive cell or a non-finite |u|)
+    it records the series row and the Poincare, Sobolev and weighted Sobolev
+    (eps = 2) ratios, all NaN when any is undefined, each bitwise what the
+    public functions give.  ``envelope`` is the pair from
+    max_principle_envelope (else the margin is NaN).  Given the run's
+    SolverConfig, the first record at or after each target time j t_end /
+    (TERM_SAMPLES - 1), and the final record of a run max_steps stops early,
+    carry in ``terms`` their pass's bitwise second_derivative_terms in the
+    coefficients' regime.  A recorder serves one run.
     """
+    mode, targets, hess_phi = coeffs.regime, [], None
+    if config is not None:
+        targets = [j * config.t_end / (TERM_SAMPLES - 1) for j in range(TERM_SAMPLES)]
+        hess_phi = centered_hessian(coeffs.phi)  # phi does not depend on t
 
     def recorder(state: SolverState) -> DiagnosticsRecord:
         f, t, grid, fv = state.f, state.t, state.f.grid, state.f.values
-        require_positive_density(fv)
-        log_f = np.log(fv)
-        psi = log_f * coeffs.D.values  # solver._potential, from the one log f
-        psi += coeffs.phi.values
-        pi = coeffs.pi_values(t)
-        speed_sq, grad_sq, div = _velocity_sums(_velocity_arrays(psi, pi, grid.spacing), grid.spacing)
+        final = config is not None and state.step_index >= config.max_steps
+        sampled = bool(targets) and (final or t >= targets[0])
+        targets[:] = [target for target in targets if target > t and not final]
+        velocity = _velocity_pass(f, coeffs, t, jacobian=sampled and mode == "full")
+        terms = _term_breakdown(f, coeffs, t, mode, hess_phi, velocity) if sampled else None
+        log_f, pi, u, jac, speed_sq, grad_sq, div = velocity
+        del velocity, u, jac  # freed before the ratios' arrays are built
         speed = np.sqrt(speed_sq)  # u.magnitude()
-        u_sup = float(speed.max())  # NaN if any component is NaN
-        if not math.isfinite(u_sup):
-            raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 overflows")
         ratios = _ratios(grid, fv, speed_sq, speed, grad_sq)
         if any(map(math.isnan, ratios.values())):
             ratios = {}  # the record's NaN defaults: one undefined ratio voids all three
-        record = DiagnosticsRecord(
+        return DiagnosticsRecord(
             t=t,
             mass=integrate(f),
             free_energy=_free_energy(grid, fv, log_f, coeffs),
@@ -424,13 +433,11 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, on_state=None):
             f_min=f.min(),
             f_max=f.max(),
             log_f_sup=float(np.abs(log_f).max()),
-            u_sup=u_sup,
+            u_sup=float(speed.max()),
             envelope_violation=envelope_margin(f, envelope) if envelope is not None else math.nan,
             jensen_margin=_jensen_margin(grid.dim, grad_sq, div),
+            terms=terms,
             **ratios,
         )
-        if on_state is not None:
-            on_state(state)
-        return record
 
     return recorder

@@ -17,7 +17,8 @@ The Sobolev/Poincare constants are non-constructive, so every report records
 the numeric value used together with its provenance (empirical running
 maximum or a user-certified value).  Division-by-zero entries for grad_d = 0
 are treated as infinitely permissive, matching the degeneration of the
-derivation when D is constant.
+derivation when D is constant.  An entry that overflows a float is +inf, and
+a zero factor keeps its entry at 0 beside it, so no clause sees a NaN.
 
 Each theorem closes with the comparison inequality dg/dt <= -c g + d g^p,
 c = gamma, p = 3, d = 0 (T2), 1/6 (T3) or 1/(12 pi_min^3) (T4).  Below the
@@ -219,6 +220,20 @@ class ConditionReport:
         }
 
 
+def _power(base: float, exponent: float) -> float:
+    """base**exponent, +inf where it overflows a float."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _entry(*factors: float) -> float:
+    """The product of the factors, left to right; 0 when a factor is 0, even beside
+    an infinite one (as grad_d = 0 is treated), so no entry is NaN."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def _validate_common(ledger: ConstantsLedger, gamma: float) -> None:
     if gamma <= 0.0:
         raise ValueError("gamma must be positive (the decay results quantify over gamma > 0)")
@@ -278,7 +293,7 @@ def check_condition_T3(
     gd = ledger.grad_d
     n = ledger.dim
     floor_lhs = max(
-        3.0 * lf * gd * sobolev3**1.5,
+        _entry(3.0, lf, gd, _power(sobolev3, 1.5)),
         2.0 * lf * gd * ledger.grad_phi_sup,
         4.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
     )
@@ -316,14 +331,15 @@ def check_condition_T4(
     lf = ledger.log_f_bound
     gd = ledger.grad_d
     n = ledger.dim
+    k32 = _power(sobolev4, 1.5)  # K^{3/2}
     floor_lhs = max(
-        12.0 * lf * ledger.pi_max * gd * sobolev4**1.5,
+        _entry(12.0, lf, ledger.pi_max, gd, k32),
         12.0 * lf * gd * ledger.grad_phi_sup,
         16.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
     )
     # grad_d = 0 makes the second entry infinitely permissive
     grad_pi_cap = min(
-        1.0 / (6.0 * sobolev4**1.5),
+        1.0 / (6.0 * k32),
         ledger.pi_min / (24.0 * (lf + 1.0) * gd) if gd > 0.0 else math.inf,
         ledger.pi_min / (4.0 * math.sqrt(2.0 * (math.sqrt(n) * gd + 1.0) * ledger.d_min)),
         ledger.pi_min,
@@ -375,7 +391,8 @@ def _comparison_spec(theorem: str, gamma: float, g0: float, pi_min: float | None
     elif theorem == "T4":
         if pi_min is None or not pi_min > 0.0:
             raise ValueError("the variable-mobility comparison needs pi_min > 0")
-        d = 1.0 / (12.0 * pi_min**3)
+        denominator = 12.0 * _power(pi_min, 3)
+        d = 1.0 / denominator if denominator > 0.0 else math.inf  # pi_min**3 underflowed
     else:
         raise ValueError(f"unknown theorem {theorem!r}")
     return GronwallSpec(c=gamma, d=d, p=3.0, g0=g0)

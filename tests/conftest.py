@@ -28,6 +28,17 @@ def load_scenario_dict(name: str, **overrides) -> dict:
     return data
 
 
+def capturing(recorder, states: list):
+    """``recorder``, also appending each state it records to ``states``."""
+
+    def capture(state):
+        record = recorder(state)
+        states.append(state)
+        return record
+
+    return capture
+
+
 def run_with_snapshots(scenario_dict: dict):
     """Run a scenario dict in memory; returns (series, report, snapshots).
 
@@ -37,17 +48,7 @@ def run_with_snapshots(scenario_dict: dict):
     scenario = cli.build_scenario(scenario_dict, fallback_name=scenario_dict.get("name", "test"))
     snapshots = []
     make_recorder = dg.make_recorder
-
-    def capturing_make_recorder(*args, **kwargs):
-        recorder = make_recorder(*args, **kwargs)
-
-        def capture(state):
-            snapshots.append(state)
-            return recorder(state)
-
-        return capture
-
-    dg.make_recorder = capturing_make_recorder
+    dg.make_recorder = lambda *args, **kwargs: capturing(make_recorder(*args, **kwargs), snapshots)
     try:
         series, report = cli.run_scenario_data(scenario)
     finally:
@@ -102,7 +103,7 @@ def heat_run_64():
     feq, _ = F.compute_equilibrium(coeffs)
     envelope = dg.max_principle_envelope(f0, feq, coeffs)
     snapshots = []
-    recorder = dg.make_recorder(coeffs, envelope=envelope, on_state=snapshots.append)
+    recorder = capturing(dg.make_recorder(coeffs, envelope=envelope), snapshots)
     series = F.run(
         f0, coeffs, F.SolverConfig(t_end=0.03, cfl_safety=0.4, record_every=8), recorder
     )

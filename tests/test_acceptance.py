@@ -349,8 +349,9 @@ def test_suite_weighted_interpolation_margins(suite_runs):
 
 def test_suite_single_pass_diagnostics(suite_runs):
     # every record field is bitwise its public definition in 1-D, 2-D and 3-D,
-    # the recorder's ratios give the report's maxima bit for bit, and the
-    # term breakdowns sample at most TERM_SAMPLE_CAP states by target time
+    # the recorder's ratios give the report's maxima bit for bit, and exactly
+    # the records picked by target time carry a term breakdown, bitwise
+    # second_derivative_terms of their state
     assert suite_runs["variable_pi_1d"]["report"]["regime"] == "full"
     for name in ("variable_pi_1d", "mixed_2d", "torus_3d"):
         run = suite_runs[name]
@@ -382,11 +383,19 @@ def test_suite_single_pass_diagnostics(suite_runs):
                 **ratios,
             )
             assert record == public, (name, state.t)
+            if record.terms is not None:
+                terms = dg.second_derivative_terms(f, coeffs, state.t, coeffs.regime)
+                assert record.terms == terms, (name, state.t)
             for key, value in ratios.items():
                 maxima[key] = max(maxima.get(key, value), value)
         assert run["report"]["empirical_constants"] == maxima, name
 
-        times = [sample["t"] for sample in run["report"]["term_breakdown_samples"]]
-        assert len(times) <= cli.TERM_SAMPLE_CAP, name
-        assert all(a < b for a, b in zip(times, times[1:])), name
-        assert times[0] == 0.0 and times[-1] == run["series"].records[-1].t, name
+        t_end = data["solver"]["t_end"]
+        times = run["series"].column("t")
+        targets = [j * t_end / (dg.TERM_SAMPLES - 1) for j in range(dg.TERM_SAMPLES)]
+        picked = sorted({int(np.argmax(times >= target)) for target in targets})
+        carrying = [i for i, r in enumerate(run["series"].records) if r.terms is not None]
+        assert carrying == picked and picked[0] == 0 and picked[-1] == len(times) - 1, name
+        samples = [tuple(sample.values()) for sample in run["report"]["term_breakdown_samples"]]
+        records = [run["series"].records[i] for i in picked]
+        assert samples == [(r.t, r.terms.mode, r.terms.terms, r.terms.sum) for r in records], name

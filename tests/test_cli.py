@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict
+from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict, run_with_snapshots
 from fpklab import cli, diagnostics, theory
 from fpklab.coefficients import REGIMES
 from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
@@ -241,12 +241,16 @@ class TestRunScenario:
             "solver": {"t_end": 0.002, "max_steps": 2},
             "diagnostics": {"record_every": 1},
         }
-        series, report = cli.run_scenario_data(cli.build_scenario(data))
+        series, report, snapshots = run_with_snapshots(data)
         final = series.records[-1].t
         assert final < 0.002 / 4  # only the first target time is reached
         times = [sample["t"] for sample in report["term_breakdown_samples"]]
-        assert times[0] == 0.0 and times[-1] == final
-        assert all(a < b for a, b in zip(times, times[1:]))
+        assert times == [0.0, final]  # the final record takes the targets left
+        assert [r.terms is not None for r in series.records] == [True, False, True]
+        coeffs, _ = cli.sample_coefficients(data["coefficients"], snapshots[-1].f.grid)
+        terms = diagnostics.second_derivative_terms(snapshots[-1].f, coeffs, final, "homogeneous")
+        assert series.records[-1].terms == terms
+        assert report["term_breakdown_samples"][-1]["terms"] == terms.terms
 
     def test_overclaimed_certified_constant_flagged(self, tmp_path):
         data = {**MINIMAL, "name": "overclaim", "theory": {"gamma": 1.0, "certified_poincare": 1e-4}}
@@ -438,6 +442,48 @@ _SWEEP = {"axis": "d_scale", "values": [1, 2], "base": MINIMAL}
 
 def _with_phi(source):
     return json.dumps({**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "phi": source}})
+
+
+# admissible theory inputs at the edge of float range: each ends in a verdict
+EXTREME_THEORY = [
+    (
+        {"D": "1.5 + 0.25*cos(2*pi*x1)"},
+        {"certified_sobolev": 1e300},
+        {"T3": ["diffusion_floor"], "T4": ["diffusion_floor"]},
+    ),
+    (
+        {"pi": "1.2 + 0.1*cos(2*pi*x1)"},
+        {"certified_sobolev": 1e300},
+        {"T4": ["mobility_gradient", "poincare_gate"]},
+    ),
+    (
+        {"pi": "1e-150*(2 + cos(2*pi*x1))"},
+        {},
+        {"T4": ["mobility_gradient", "poincare_gate", "gronwall_threshold"]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "coefficients, theory_block, failing", EXTREME_THEORY, ids=["sobolev_t3", "sobolev_t4", "tiny_pi"]
+)
+def test_extreme_theory_inputs_give_a_verdict(tmp_path, capsys, coefficients, theory_block, failing):
+    import jsonschema
+
+    data = {
+        **MINIMAL,
+        "grid": {"dim": 1, "cells_per_axis": 16},
+        "coefficients": {**MINIMAL["coefficients"], **coefficients},
+        "theory": {"gamma": 1.0, **theory_block},
+    }
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{theorem}: FAIL" for theorem in failing]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    jsonschema.validate(report, json.loads((SCHEMA_DIR / "report.schema.json").read_text()))
+    for cond in report["condition_reports"]:
+        assert [c["name"] for c in cond["clauses"] if not c["pass"]] == failing[cond["theorem"]]
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
+from conftest import capturing
 from fpklab import diagnostics as dg
 from fpklab.errors import (
     NonFiniteFieldError,
@@ -244,6 +245,37 @@ class TestSecondDerivativeTerms:
         with pytest.raises(WrongRegimeError):
             dg.second_derivative_terms(f0_t, coeffs_t, 0.0, "inhomogeneous-D")
 
+    def test_non_finite_velocity_raises(self):
+        grid, coeffs, _ = sample({**UNIT, "D": "2+0.5*cos(2*pi*x1)"}, n=8)
+        values = np.ones(8)
+        values[3] = math.nan
+        with pytest.raises(NonFiniteFieldError):
+            dg.second_derivative_terms(ScalarField._trusted(grid, values), coeffs, 0.0, "full")
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_recorder_carries_terms_only_given_a_config(self, monkeypatch, dim):
+        spec = {
+            "D": "2+0.5*cos(2*pi*x1)",
+            "phi": f"0.3*cos(2*pi*x{dim})",
+            "pi": "1.2+0.2*sin(2*pi*x1)*(1+t)",
+            "f0": "1+0.1*sin(2*pi*x1)",
+        }
+        grid, coeffs, f0 = sample(spec, dim=dim, n=16)
+        config = F.SolverConfig(t_end=0.004, record_every=1)
+        plain = F.run(f0, coeffs, config, dg.make_recorder(coeffs))
+        assert all(r.terms is None for r in plain.records)
+
+        hessian, hessians = dg.centered_hessian, []
+        monkeypatch.setattr(dg, "centered_hessian", lambda phi: hessians.append(phi) or hessian(phi))
+        snaps = []
+        series = F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs, config=config), snaps))
+        assert len(hessians) == 1  # once per recorder, not per sampled record
+        assert series.records == plain.records  # terms do not take part in ==
+        carrying = [(s, r) for s, r in zip(snaps, series.records) if r.terms is not None]
+        assert len(carrying) == dg.TERM_SAMPLES
+        for state, record in carrying:
+            assert record.terms == dg.second_derivative_terms(state.f, coeffs, state.t, "full")
+
     def test_convex_case_certifies_nonnegative_sum(self, heat_run_64):
         # flat potential: the two-term sum is a weighted square, so >= -1e-10
         coeffs = heat_run_64["coeffs"]
@@ -258,7 +290,7 @@ class TestSecondDerivativeTerms:
         snaps = []
         series = F.run(
             f0, coeffs, F.SolverConfig(t_end=t_end, cfl_safety=0.4, record_every=record_every),
-            dg.make_recorder(coeffs, on_state=snaps.append),
+            capturing(dg.make_recorder(coeffs), snaps),
         )
         t = series.column("t")
         dis = series.column("dissipation")

@@ -8,13 +8,19 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import load_scenario_dict, plain_advance, plain_pi_values, plain_rhs_values
+from conftest import capturing, load_scenario_dict, plain_advance, plain_pi_values, plain_rhs_values
 from fpklab import cli, diagnostics as dg, solver
 from fpklab.errors import FpkError, MassConservationError, NonPositiveDensityError, StiffnessError
 from fpklab.coefficients import CoefficientSet
 from fpklab.expressions import CoefficientExpr
 from fpklab.grid import ScalarField, face_divergence, integrate
 from fpklab.solver import SolverConfig, SolverState
+
+
+def record_rows(series) -> np.ndarray:
+    """Every float field of every record (all but ``terms``), one row per record."""
+    names = [f.name for f in dataclasses.fields(dg.DiagnosticsRecord) if f.compare]
+    return np.array([[getattr(r, name) for name in names] for r in series.records])
 
 
 def sample(spec, dim=1, n=64):
@@ -191,7 +197,7 @@ class TestStep:
         grid, coeffs, f0 = sample(HEAT, n=64)
         config = SolverConfig(t_end=0.01, cfl_safety=0.4, record_every=1000)
         snaps = []
-        F.run(f0, coeffs, config, dg.make_recorder(coeffs, on_state=snaps.append))
+        F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs), snaps))
         amp = np.abs(snaps[-1].f.values - 1.0).max()
         target = 0.1 * np.exp(-4 * np.pi**2 * 0.01)
         assert amp == pytest.approx(target, rel=0.02)
@@ -403,7 +409,7 @@ class TestRun:
                 f0,
                 coeffs,
                 SolverConfig(t_end=0.01, cfl_safety=0.4, record_every=10**6),
-                dg.make_recorder(coeffs, on_state=snaps.append),
+                capturing(dg.make_recorder(coeffs), snaps),
             )
             finals[n] = snaps[-1].f.values
 
@@ -445,9 +451,8 @@ class TestStepSize:
 
         def run():
             snaps = []
-            series = F.run(f0, coeffs, config, dg.make_recorder(coeffs, on_state=snaps.append))
-            rows = np.array([dataclasses.astuple(r) for r in series.records])
-            return rows.tobytes(), [s.f.values.tobytes() for s in snaps], series.metadata
+            series = F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs), snaps))
+            return record_rows(series).tobytes(), [s.f.values.tobytes() for s in snaps], series.metadata
 
         hoisted = run()
         calls = count_stable_dt(monkeypatch)
@@ -485,13 +490,10 @@ class TestMobilitySampling:
     def test_run_bitwise_equal_to_uncached_sampling(self, monkeypatch):
         scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
 
-        def rows(series):
-            return np.array([dataclasses.astuple(r) for r in series.records]).tobytes()
-
         series, report = cli.run_scenario_data(scenario)
         monkeypatch.setattr(CoefficientSet, "pi_values", plain_pi_values)
         plain_series, plain_report = cli.run_scenario_data(scenario)
-        assert rows(series) == rows(plain_series)
+        assert record_rows(series).tobytes() == record_rows(plain_series).tobytes()
         assert series.metadata == plain_series.metadata
         assert repr(report) == repr(plain_report)
 

@@ -206,6 +206,52 @@ class TestConditionT4:
                     assert c_small.name in flippable
 
 
+class TestExtremeConstants:
+    """Admissible but extreme inputs: an overflowing entry is +inf, a zero factor
+    keeps its entry at 0, and no clause sees a NaN."""
+
+    @staticmethod
+    def _no_nan(report):
+        for c in report.clauses:
+            assert not (math.isnan(c.lhs) or math.isnan(c.rhs)), c
+
+    def test_overflowing_sobolev_power_fails_t3_floor(self):
+        report = th.check_condition_T3(make_ledger(grad_d=0.5), 1e300, 0.05, gamma=1.0, g0=0.5)
+        assert report.clause("diffusion_floor").lhs == math.inf
+        assert not report.clause("diffusion_floor").passed
+        self._no_nan(report)
+
+    def test_overflowing_sobolev_power_with_constant_d(self):
+        report = th.check_condition_T3(make_ledger(), 1e300, 0.05, gamma=1.0, g0=0.5)
+        assert report.clause("diffusion_floor").lhs == 0.0  # 3 lf 0 inf stays 0
+        report = th.check_condition_T4(make_ledger(grad_pi=0.05), 1e300, 0.05, gamma=1.0, g0=0.5)
+        assert report.clause("diffusion_floor").lhs == 0.0
+        assert report.clause("mobility_gradient").rhs == 0.0  # 1 / (6 inf)
+        assert not report.clause("mobility_gradient").passed
+        self._no_nan(report)
+
+    def test_overflowing_sobolev_power_fails_t4_floor(self):
+        report = th.check_condition_T4(make_ledger(grad_d=0.5), 1e300, 0.05, gamma=1.0, g0=0.5)
+        assert report.clause("diffusion_floor").lhs == math.inf
+        assert not report.clause("diffusion_floor").passed
+        self._no_nan(report)
+
+    def test_underflowing_pi_min_cubed_leaves_no_threshold(self):
+        led = make_ledger(pi_min=1e-150, pi_max=3e-150, grad_pi=6e-150)
+        report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
+        assert report.clause("gronwall_threshold").rhs == 0.0
+        assert not report.clause("gronwall_threshold").passed
+        self._no_nan(report)
+        with pytest.raises(ThresholdError):
+            th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e-150)
+
+    def test_overflowing_pi_min_cubed_leaves_no_saturation(self):
+        led = make_ledger(pi_min=1e200, pi_max=1e200)
+        report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
+        assert report.clause("gronwall_threshold").rhs == math.inf
+        assert th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e200).coefficient == 0.5
+
+
 class TestPredictedEnvelope:
     def test_homogeneous_coefficient_is_initial_value(self):
         env = th.predicted_envelope("T2", gamma=2.0, g0=0.5)
