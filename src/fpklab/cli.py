@@ -32,13 +32,7 @@ import numpy as np
 
 from . import diagnostics, solver, theory
 from .coefficients import build_constants_ledger, compute_equilibrium, sample_coefficients
-from .errors import (
-    FpkError,
-    ScenarioError,
-    ThresholdError,
-    TooShortSeriesError,
-    quote_source,
-)
+from .errors import FpkError, ScenarioError, TooShortSeriesError, quote_source
 from .expressions import parse_expression
 from .grid import Grid, build_grid, integrate
 from .solver import SolverConfig
@@ -56,20 +50,6 @@ SERIES_COLUMNS = (
 )
 
 SWEEP_AXES = ("d_scale", "gamma", "grad_pi_scale", "resolution")
-
-#: clause names per regime theorem; sweep.csv needs them before any row runs
-CLAUSE_NAMES = {
-    "T2": ("rate", "initial_energy_finite"),
-    "T3": ("diffusion_floor", "rate", "gronwall_threshold"),
-    "T4": (
-        "diffusion_floor",
-        "mobility_time",
-        "mobility_gradient",
-        "poincare_gate",
-        "rate",
-        "gronwall_threshold",
-    ),
-}
 
 #: probe count for the mobility sups in the constants ledger
 T_PROBE_COUNT = 9
@@ -261,73 +241,17 @@ def _ratio_maxima(records) -> dict:
     return {name: max((getattr(r, name) for r in defined), default=None) for name in names}
 
 
-def _condition_reports(scenario, regime, ledger, empirical, g0) -> list[dict]:
-    """All condition reports applicable to the regime, with provenance."""
-    if scenario.theory is None:
-        return []
-    gamma = scenario.theory.gamma
-    certified_sob = scenario.theory.certified_sobolev
+def _constants(settings: TheorySettings, empirical: dict) -> dict:
+    """Each constant as a (value, provenance) pair: certified where the scenario gives one."""
 
-    def pick(certified, empirical_value):
-        if certified is not None:
-            return certified, "certified"
-        return empirical_value, "empirical"
+    def pick(certified, name):
+        return (certified, "certified") if certified is not None else (empirical[name], "empirical")
 
-    poin, poin_prov = pick(scenario.theory.certified_poincare, empirical["poincare"])
-    # T3 takes the plain Sobolev ratio, T4 the weighted one
-    sobolev = {
-        "T3": pick(certified_sob, empirical["sobolev"]),
-        "T4": pick(certified_sob, empirical["sobolev_weighted"]),
+    return {
+        "poincare": pick(settings.certified_poincare, "poincare"),
+        "sobolev": pick(settings.certified_sobolev, "sobolev"),
+        "sobolev_weighted": pick(settings.certified_sobolev, "sobolev_weighted"),
     }
-
-    reports = []
-    for theorem in theory.regime_theorems(regime):
-        try:
-            if theorem == "T2":
-                if poin is None:
-                    raise FpkError("no Poincare constant available (trajectory had u = 0)")
-                report = theory.check_condition_T2(
-                    ledger, poin, gamma, g0, poincare_provenance=poin_prov
-                )
-            else:
-                sob, sob_prov = sobolev[theorem]
-                if poin is None or sob is None:
-                    raise FpkError("no empirical constants available (trajectory had u = 0)")
-                check = theory.check_condition_T3 if theorem == "T3" else theory.check_condition_T4
-                report = check(
-                    ledger, sob, poin, gamma, g0,
-                    sobolev_provenance=sob_prov, poincare_provenance=poin_prov,
-                )
-            reports.append(report.as_dict())
-        except FpkError as exc:
-            reports.append({"theorem": theorem, "error": str(exc)})
-    return reports
-
-
-def _envelope_block(scenario, regime, ledger, series) -> dict | None:
-    if scenario.theory is None:
-        return None
-    gamma = scenario.theory.gamma
-    g0 = series.records[0].dissipation
-    theorem = theory.regime_theorems(regime)[0]
-    block = {"theorem": theorem, "gamma": gamma, "g0": g0}
-    try:
-        envelope = theory.predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)
-    except ThresholdError as exc:
-        block["threshold_violated"] = True
-        block["error"] = str(exc)
-        return block
-    worst = theory.compare_to_envelope(series, envelope)
-    block.update(
-        {
-            "threshold_violated": False,
-            "coefficient": envelope.coefficient,
-            "rate": envelope.rate,
-            "worst_ratio": worst,
-            "dominates": worst <= 1.0 + 1e-6,
-        }
-    )
-    return block
 
 
 SOBOLEV_NOTE = (
@@ -399,20 +323,25 @@ def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
     """The report of ``scenario`` on its trajectory.  Empirical constants are
     maxima of the recorded ratios: on an unstepped trajectory, of the initial
     state's alone, as the note says; such a report has no envelope."""
-    empirical, regime = _ratio_maxima(series.records), fields["regime"]
-    g0 = series.records[0].dissipation
+    empirical, regime, settings = _ratio_maxima(series.records), fields["regime"], scenario.theory
     report = {
         "scenario": scenario.to_dict(),
         **fields,
         "empirical_constants": empirical,
-        "condition_reports": _condition_reports(scenario, regime, ledger, empirical, g0),
+        "condition_reports": [],
         "sobolev_constant_note": SOBOLEV_NOTE,
     }
+    if settings is not None:
+        gamma, g0 = settings.gamma, series.records[0].dissipation
+        constants = _constants(settings, empirical)
+        report["condition_reports"] = theory.condition_reports(regime, ledger, gamma, g0, **constants)
     if "accepted_steps" not in fields:  # unstepped, as fpk check reads it
         report["sobolev_constant_note"] += CHECK_NOTE
     else:
         report["certified_consistency"] = _certified_consistency(scenario, empirical)
-        report["envelope"] = _envelope_block(scenario, regime, ledger, series)
+        report["envelope"] = None
+        if settings is not None:
+            report["envelope"] = theory.envelope_report(regime, ledger, settings.gamma, series)
     return {key: report[key] for key in REPORT_KEYS if key in report}
 
 
@@ -444,9 +373,7 @@ def _certified_consistency(scenario, empirical) -> dict | None:
 
 
 def _series_rows(series) -> list[list[str]]:
-    # the envelope_margin column holds each record's envelope_violation
-    fields = [{"envelope_margin": "envelope_violation"}.get(c, c) for c in SERIES_COLUMNS]
-    return [[_fmt(getattr(r, name)) for name in fields] for r in series.records]
+    return [[_fmt(getattr(r, name)) for name in SERIES_COLUMNS] for r in series.records]
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -542,7 +469,7 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
 
 def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> dict:
     """A row's sweep.csv entry, from its report or the error that ended it."""
-    margins = {name: math.nan for name in CLAUSE_NAMES[theorem]}
+    margins = {name: math.nan for name in theory.CLAUSES[theorem]}
     row = dict(measured_rate=math.nan, margins=margins, overall_pass="", fit_error="", error=error)
     if report is None:
         return row
@@ -632,13 +559,13 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
         for index, row in task_rows.items():
             rows[index] = row
 
-    clause_cols = [f"margin_{name}" for name in CLAUSE_NAMES[theorem]]
+    clause_cols = [f"margin_{name}" for name in theory.CLAUSES[theorem]]
     header = ["value", "measured_rate", *clause_cols, "overall_pass", "fit_error", "error"]
     csv_rows = [
         [
             _fmt(value),
             _fmt(row["measured_rate"]),
-            *[_fmt(row["margins"][name]) for name in CLAUSE_NAMES[theorem]],
+            *[_fmt(row["margins"][name]) for name in theory.CLAUSES[theorem]],
             str(row["overall_pass"]),
             row["fit_error"],
             row["error"],

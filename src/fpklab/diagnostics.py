@@ -21,8 +21,8 @@ face stencil is intentionally different.
 The weighted Sobolev/Poincare constants in the decay conditions are not
 constructive, so by default the running maxima of the empirical ratios stand
 in for them; a user-supplied certified value can replace either.  The
-exponent p* is fixed at 6 in all dimensions (one code path), and the
-weighted-denominator variant exposes its epsilon with default 2.
+exponent P_STAR = 6 holds in all dimensions (one code path), and the
+weighted denominator's epsilon is EPS = 2.
 """
 
 from __future__ import annotations
@@ -52,6 +52,10 @@ from .solver import SolverState, _velocity_arrays, compute_velocity, require_pos
 #: a run's records carry at most this many term breakdowns, picked by target time
 TERM_SAMPLES = 5
 
+#: the Sobolev ratios' moment exponent p*, and the weighted denominator's epsilon
+P_STAR = 6.0
+EPS = 2.0
+
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -63,7 +67,7 @@ class DiagnosticsRecord:
     f_max: float
     log_f_sup: float
     u_sup: float
-    envelope_violation: float
+    envelope_margin: float
     jensen_margin: float
     # empirical ratios of the decay conditions (NaN together where undefined)
     poincare: float = math.nan
@@ -295,14 +299,14 @@ def _term_breakdown(f, coeffs, t, mode, hess_phi, velocity) -> TermBreakdown:
     return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
 
 
-def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq, p_star=6.0, eps=2.0) -> dict[str, float]:
+def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, float]:
     """The empirical ratios of one velocity pass, NaN where a denominator is
     not positive; int |grad u|^2 f and int |u|^p* f are formed once for all three."""
     grad_int = _cell_integral(grid, grad_sq * fv)
     with np.errstate(over="ignore"):  # |u|^p* overflowing makes the moment, and both Sobolev ratios, +inf
-        moment = _cell_integral(grid, speed**p_star * fv) ** (1.0 / p_star)
+        moment = _cell_integral(grid, speed**P_STAR * fv) ** (1.0 / P_STAR)
     # speed**2, not |u|^2 summed again: the two differ in the last bit
-    weighted_sq = _cell_integral(grid, (2.0 * grad_sq + eps * speed**2) * fv)
+    weighted_sq = _cell_integral(grid, (2.0 * grad_sq + EPS * speed**2) * fv)
     return {
         "poincare": _cell_integral(grid, speed_sq * fv) / grad_int if grad_int > 0.0 else math.nan,
         "sobolev": moment / math.sqrt(grad_int) if grad_int > 0.0 else math.nan,
@@ -310,9 +314,9 @@ def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq, p_star=6.0, eps=2.0) -> di
     }
 
 
-def _sample_ratio(f: ScalarField, u: VectorField, name: str, p_star=6.0, eps=2.0) -> float:
+def _sample_ratio(f: ScalarField, u: VectorField, name: str) -> float:
     speed_sq, grad_sq, _ = _velocity_sums(u.components, f.grid.spacing)
-    ratio = _ratios(f.grid, f.values, speed_sq, np.sqrt(speed_sq), grad_sq, p_star, eps)[name]
+    ratio = _ratios(f.grid, f.values, speed_sq, np.sqrt(speed_sq), grad_sq)[name]
     if math.isnan(ratio):
         raise UndefinedRatioError(f"{name} ratio undefined: its denominator vanishes (u constant)")
     return ratio
@@ -323,21 +327,13 @@ def empirical_poincare(f: ScalarField, u: VectorField) -> float:
     return _sample_ratio(f, u, "poincare")
 
 
-def empirical_sobolev(
-    f: ScalarField,
-    u: VectorField,
-    p_star: float = 6.0,
-    weighted: bool = False,
-    eps: float = 2.0,
-) -> float:
-    """Ratio (int |u|^p* f)^(1/p*) / (int |grad u|^2 f)^(1/2).
+def empirical_sobolev(f: ScalarField, u: VectorField, *, weighted: bool = False) -> float:
+    """Ratio (int |u|^p* f)^(1/p*) / (int |grad u|^2 f)^(1/2), p* = P_STAR.
 
-    The ``weighted`` variant divides by (int (2|grad u|^2 + eps |u|^2) f)^(1/2)
+    The ``weighted`` variant divides by (int (2|grad u|^2 + EPS |u|^2) f)^(1/2)
     instead, matching the form needed when the velocity is not a gradient.
     """
-    if not p_star > 2.0:
-        raise ValueError("p_star must exceed 2")
-    return _sample_ratio(f, u, "sobolev_weighted" if weighted else "sobolev", p_star, eps)
+    return _sample_ratio(f, u, "sobolev_weighted" if weighted else "sobolev")
 
 
 def interpolation_check(
@@ -399,7 +395,7 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
     The callback is the one place a recorded state is read: from one
     _velocity_pass (which raises on a nonpositive cell or a non-finite |u|)
     it records the series row and the Poincare, Sobolev and weighted Sobolev
-    (eps = 2) ratios, all NaN when any is undefined, each bitwise what the
+    ratios, all NaN when any is undefined, each bitwise what the
     public functions give.  ``envelope`` is the pair from
     max_principle_envelope (else the margin is NaN).  Given the run's
     SolverConfig, the first record at or after each target time j t_end /
@@ -434,7 +430,7 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
             f_max=f.max(),
             log_f_sup=float(np.abs(log_f).max()),
             u_sup=float(speed.max()),
-            envelope_violation=envelope_margin(f, envelope) if envelope is not None else math.nan,
+            envelope_margin=envelope_margin(f, envelope) if envelope is not None else math.nan,
             jensen_margin=_jensen_margin(grid.dim, grad_sq, div),
             terms=terms,
             **ratios,

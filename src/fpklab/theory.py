@@ -2,7 +2,11 @@
 
 The decay results form a ladder: THEOREMS[i] covers the coefficient regime
 ``coefficients.REGIMES[i]`` and every earlier one, and a run checks its own
-regime's theorem and every later one (``regime_theorems``):
+regime's theorem and every later one (``regime_theorems``).  This module is
+the one place that knows the theorems: ``condition_reports`` gives each of a
+regime's theorems its constants and returns their reports, and
+``envelope_report`` compares a series with the envelope of the regime's own
+theorem.  The clauses, named once in CLAUSES, are:
 
 * T2, homogeneous (constant D and pi): a single rate clause
   -2 lambda + 2 d_min / C_poincare >= gamma, plus initial-energy finiteness;
@@ -15,7 +19,10 @@ regime's theorem and every later one (``regime_theorems``):
 
 The Sobolev/Poincare constants are non-constructive, so every report records
 the numeric value used together with its provenance (empirical running
-maximum or a user-certified value).  Division-by-zero entries for grad_d = 0
+maximum or a user-certified value).  A constant that is missing, 0 or NaN
+gives each theorem that takes it an error entry naming it, not a verdict: a
+ratio that underflowed to 0 lies below the true constant and would loosen
+the T3/T4 diffusion floor.  Division-by-zero entries for grad_d = 0
 are treated as infinitely permissive, matching the degeneration of the
 derivation when D is constant.  An entry that overflows a float is +inf, and
 a zero factor keeps its entry at 0 beside it, so no clause sees a NaN.
@@ -26,6 +33,9 @@ threshold (c/d)^{1/(p-1)} the closed form g(t) <= (g(0)^{-p+1} -
 d/c)^{-1/(p-1)} e^{-ct} holds; the threshold clauses and the run's envelope,
 from its own regime's theorem, evaluate this one closed form, and a
 fixed-step RK4 solution of the saturating ODE cross-checks it numerically.
+Where g(0)^{-p+1} overflows, the same bound is formed as g(0) (1 - (g(0) /
+threshold)^{p-1})^{-1/(p-1)} e^{-ct}, whose factor is 1 to the last bit
+unless the threshold is as small as g(0).
 """
 
 from __future__ import annotations
@@ -38,8 +48,22 @@ import numpy as np
 from .coefficients import REGIMES, ConstantsLedger
 from .errors import FpkError, ThresholdError, WrongRegimeError
 
+#: each theorem's clause names, in report order; sweep.csv needs them before any row runs
+CLAUSES = {
+    "T2": ("rate", "initial_energy_finite"),
+    "T3": ("diffusion_floor", "rate", "gronwall_threshold"),
+    "T4": (
+        "diffusion_floor",
+        "mobility_time",
+        "mobility_gradient",
+        "poincare_gate",
+        "rate",
+        "gronwall_threshold",
+    ),
+}
+
 #: the decay theorem of each regime, in the order of REGIMES
-THEOREMS = ("T2", "T3", "T4")
+THEOREMS = tuple(CLAUSES)
 
 _REGIME_ATOL = 1e-14
 
@@ -79,16 +103,22 @@ def gronwall_threshold(spec: GronwallSpec) -> float:
 def gronwall_bound(spec: GronwallSpec, t) -> float | np.ndarray:
     """Closed-form decay bound (g0^{-p+1} - d/c)^{-1/(p-1)} e^{-ct}.
 
-    Defined only below the threshold; g0 = 0 gives the zero bound and d = 0
-    the plain exponential g0 e^{-ct}.
+    Defined only below the threshold; g0 = 0 gives the zero bound, d = 0 the
+    plain exponential g0 e^{-ct}, and a g0 whose g0^{-p+1} overflows the same
+    bound with g0 factored out.
     """
     threshold = gronwall_threshold(spec)
     saturating = spec.g0 > 0.0 and spec.d > 0.0
-    base = spec.g0 ** (-spec.p + 1.0) - spec.d / spec.c if saturating else 1.0
+    power = _power(spec.g0, -spec.p + 1.0) if saturating else 0.0
+    base = power - spec.d / spec.c if saturating else 1.0
     # within rounding of the threshold the base can reach zero while g0 < threshold
     if spec.g0 >= threshold or base <= 0.0:
         raise ThresholdError(f"g0={spec.g0!r} is not below the saturation threshold {threshold!r}")
-    coefficient = base ** (-1.0 / (spec.p - 1.0)) if saturating else spec.g0
+    exponent = -1.0 / (spec.p - 1.0)
+    if power == math.inf:  # g0^(1-p) overflowed: the same bound with g0 factored out
+        coefficient = spec.g0 * (1.0 - (spec.g0 / threshold) ** (spec.p - 1.0)) ** exponent
+    else:
+        coefficient = base**exponent if saturating else spec.g0
     out = coefficient * np.exp(-spec.c * np.asarray(t, dtype=float))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -243,8 +273,12 @@ def _validate_common(ledger: ConstantsLedger, gamma: float) -> None:
         raise WrongRegimeError("decay conditions cover dimensions 1, 2, 3 only")
 
 
-def _constant(value: float, provenance: str) -> dict:
-    return {"value": value, "provenance": provenance}
+def _report(theorem: str, ledger: ConstantsLedger, gamma, g0, sides, **constants) -> ConditionReport:
+    """The theorem's report: ``sides`` holds each clause's (lhs, rhs, op) in CLAUSES
+    order, and each constant it used is a (value, provenance) pair."""
+    clauses = [Clause(name, *side) for name, side in zip(CLAUSES[theorem], sides, strict=True)]
+    used = {name: {"value": value, "provenance": prov} for name, (value, prov) in constants.items()}
+    return ConditionReport(theorem, gamma, g0, ledger.as_dict(), used, clauses)
 
 
 def check_condition_T2(
@@ -260,18 +294,11 @@ def check_condition_T2(
         raise ValueError("poincare_const must be positive")
     if ledger.grad_d > _REGIME_ATOL or ledger.grad_pi > _REGIME_ATOL or ledger.pi_time > _REGIME_ATOL:
         raise WrongRegimeError("homogeneous check requires constant D and constant pi")
-    clauses = [
-        Clause("rate", -2.0 * ledger.hess_phi_lower + 2.0 * ledger.d_min / poincare_const, gamma, ">="),
-        Clause("initial_energy_finite", g0, math.inf, "<"),
+    sides = [
+        (-2.0 * ledger.hess_phi_lower + 2.0 * ledger.d_min / poincare_const, gamma, ">="),
+        (g0, math.inf, "<"),
     ]
-    return ConditionReport(
-        theorem="T2",
-        gamma=gamma,
-        g0=g0,
-        ledger=ledger.as_dict(),
-        constants={"poincare": _constant(poincare_const, poincare_provenance)},
-        clauses=clauses,
-    )
+    return _report("T2", ledger, gamma, g0, sides, poincare=(poincare_const, poincare_provenance))
 
 
 def check_condition_T3(
@@ -297,21 +324,14 @@ def check_condition_T3(
         2.0 * lf * gd * ledger.grad_phi_sup,
         4.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
     )
-    clauses = [
-        Clause("diffusion_floor", floor_lhs, ledger.d_min, "<="),
-        Clause("rate", -2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare3, gamma, ">="),
-        Clause("gronwall_threshold", g0, gronwall_threshold(_comparison_spec("T3", gamma, g0)), "<"),
+    sides = [
+        (floor_lhs, ledger.d_min, "<="),
+        (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare3, gamma, ">="),
+        (g0, gronwall_threshold(_comparison_spec("T3", gamma, g0)), "<"),
     ]
-    return ConditionReport(
-        theorem="T3",
-        gamma=gamma,
-        g0=g0,
-        ledger=ledger.as_dict(),
-        constants={
-            "sobolev": _constant(sobolev3, sobolev_provenance),
-            "poincare": _constant(poincare3, poincare_provenance),
-        },
-        clauses=clauses,
+    return _report(
+        "T3", ledger, gamma, g0, sides,
+        sobolev=(sobolev3, sobolev_provenance), poincare=(poincare3, poincare_provenance),
     )
 
 
@@ -345,29 +365,17 @@ def check_condition_T4(
         ledger.pi_min,
     )
     comparison = _comparison_spec("T4", gamma, g0, ledger.pi_min)
-    clauses = [
-        Clause("diffusion_floor", floor_lhs, ledger.d_min, "<="),
-        Clause("mobility_time", ledger.pi_time, 1.0 / 6.0, "<="),
-        Clause("mobility_gradient", ledger.grad_pi, grad_pi_cap, "<="),
-        Clause("poincare_gate", ledger.grad_pi, ledger.pi_min / (2.0 * sobolev4), "<="),
-        Clause(
-            "rate",
-            -2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare4,
-            gamma * ledger.pi_max,
-            ">=",
-        ),
-        Clause("gronwall_threshold", g0, gronwall_threshold(comparison), "<"),
+    sides = [
+        (floor_lhs, ledger.d_min, "<="),
+        (ledger.pi_time, 1.0 / 6.0, "<="),
+        (ledger.grad_pi, grad_pi_cap, "<="),
+        (ledger.grad_pi, ledger.pi_min / (2.0 * sobolev4), "<="),
+        (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare4, gamma * ledger.pi_max, ">="),
+        (g0, gronwall_threshold(comparison), "<"),
     ]
-    return ConditionReport(
-        theorem="T4",
-        gamma=gamma,
-        g0=g0,
-        ledger=ledger.as_dict(),
-        constants={
-            "sobolev": _constant(sobolev4, sobolev_provenance),
-            "poincare": _constant(poincare4, poincare_provenance),
-        },
-        clauses=clauses,
+    return _report(
+        "T4", ledger, gamma, g0, sides,
+        sobolev=(sobolev4, sobolev_provenance), poincare=(poincare4, poincare_provenance),
     )
 
 
@@ -421,3 +429,65 @@ def compare_to_envelope(series, envelope: Envelope) -> float:
             continue
         ratios.append(record.dissipation / bound if bound > 0.0 else math.inf)
     return float(np.max(ratios))
+
+
+def _usable(name: str, constant) -> float:
+    """The value of a (value, provenance) constant; an FpkError naming it when the
+    value is None, 0 (an underflowed ratio, below the true constant) or NaN."""
+    value, provenance = constant
+    if value is None:
+        raise FpkError(f"no {provenance} {name} constant available (trajectory had u = 0)")
+    if not value > 0.0:
+        raise FpkError(f"the {provenance} {name} constant is {value!r}, not positive")
+    return value
+
+
+def condition_reports(regime, ledger, gamma, g0, poincare, sobolev, sobolev_weighted) -> list[dict]:
+    """The report of each theorem that covers ``regime``, as a dict.
+
+    Each constant is a (value, provenance) pair.  Every theorem takes the
+    Poincare constant; T3 also the plain Sobolev ratio, T4 the weighted one.
+    A theorem whose constant is unusable (see _usable), or whose check raises
+    an FpkError, gets {"theorem", "error"} in place of its report.
+    """
+    with_sobolev = {
+        "T3": (check_condition_T3, "Sobolev", sobolev),
+        "T4": (check_condition_T4, "weighted Sobolev", sobolev_weighted),
+    }
+    reports = []
+    for theorem in regime_theorems(regime):
+        try:
+            poin = _usable("Poincare", poincare)
+            if theorem == "T2":
+                report = check_condition_T2(ledger, poin, gamma, g0, poincare_provenance=poincare[1])
+            else:
+                check, name, sob = with_sobolev[theorem]
+                report = check(
+                    ledger, _usable(name, sob), poin, gamma, g0,
+                    sobolev_provenance=sob[1], poincare_provenance=poincare[1],
+                )
+            reports.append(report.as_dict())
+        except FpkError as exc:
+            reports.append({"theorem": theorem, "error": str(exc)})
+    return reports
+
+
+def envelope_report(regime, ledger, gamma, series) -> dict:
+    """The envelope of the regime's own theorem, started at the first record's
+    dissipation, against the series; or the threshold that start violates."""
+    theorem = regime_theorems(regime)[0]
+    g0 = series.records[0].dissipation
+    block = {"theorem": theorem, "gamma": gamma, "g0": g0}
+    try:
+        envelope = predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)
+    except ThresholdError as exc:
+        return {**block, "threshold_violated": True, "error": str(exc)}
+    worst = compare_to_envelope(series, envelope)
+    return {
+        **block,
+        "threshold_violated": False,
+        "coefficient": envelope.coefficient,
+        "rate": envelope.rate,
+        "worst_ratio": worst,
+        "dominates": worst <= 1.0 + 1e-6,
+    }

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict, run_with_snapshots
-from fpklab import cli, diagnostics, theory
+from fpklab import cli, diagnostics
 from fpklab.coefficients import REGIMES
 from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
 
@@ -385,18 +385,6 @@ class TestSweep:
             assert rows[1][-1] == "D must be strictly positive; got -1.0 at cell (0,)"
             assert rows[2][-1] == ""
 
-    def test_clause_names_match_checkers(self):
-        grid = cli.build_grid(1, 16)
-        coeffs, f0 = cli.sample_coefficients(MINIMAL["coefficients"], grid)
-        ledger = cli.build_constants_ledger(coeffs, f0, grid)
-        reports = [
-            theory.check_condition_T2(ledger, 1.0, 1.0, 0.5),
-            theory.check_condition_T3(ledger, 1.0, 1.0, 1.0, 0.5),
-            theory.check_condition_T4(ledger, 1.0, 1.0, 1.0, 0.5),
-        ]
-        names = {r.theorem: tuple(c.name for c in r.clauses) for r in reports}
-        assert names == cli.CLAUSE_NAMES
-
     def test_grad_pi_scale_axis_scales_mobility_deviation(self):
         base = cli.build_scenario(
             {**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "pi": "1 + 0.2*cos(2*pi*x1)"}}
@@ -484,6 +472,42 @@ def test_extreme_theory_inputs_give_a_verdict(tmp_path, capsys, coefficients, th
     jsonschema.validate(report, json.loads((SCHEMA_DIR / "report.schema.json").read_text()))
     for cond in report["condition_reports"]:
         assert [c["name"] for c in cond["clauses"] if not c["pass"]] == failing[cond["theorem"]]
+
+
+# |u|^6 underflows while |grad u|^2 does not, so both empirical Sobolev ratios
+# are 0; and g0, about 4e-157, makes g0^-2 overflow in the envelope's bound
+UNDERFLOWING_MOMENT = {
+    **MINIMAL,
+    "grid": {"dim": 1, "cells_per_axis": 16},
+    "coefficients": {
+        "D": "1.5 + 0.25*cos(2*pi*x1)",
+        "phi": "0",
+        "pi": "1e140",
+        "f0": "1 + 1e-9*sin(2*pi*x1)",
+    },
+    "theory": {"gamma": 1.0},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command):
+    import jsonschema
+
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(UNDERFLOWING_MOMENT))
+    assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    jsonschema.validate(report, json.loads((SCHEMA_DIR / "report.schema.json").read_text()))
+    assert report["empirical_constants"]["sobolev"] == 0.0
+    assert report["condition_reports"] == [
+        {"theorem": "T3", "error": "the empirical Sobolev constant is 0.0, not positive"},
+        {"theorem": "T4", "error": "the empirical weighted Sobolev constant is 0.0, not positive"},
+    ]
+    if command == "run":
+        envelope = report["envelope"]
+        assert envelope["theorem"] == "T3" and 0.0 < envelope["g0"] < 1e-154
+        assert envelope["coefficient"] == envelope["g0"]
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,25 @@ class TestGronwallClosedForm:
         with pytest.raises(ThresholdError):
             th.gronwall_bound(spec, 1.0)
 
+    def test_overflowing_power_keeps_g0_as_coefficient(self):
+        # g0^-2 overflows a float; the factor (1 - 6 g0^2)^(-1/2) is 1 to the last bit
+        g0 = 4e-157
+        spec = th.GronwallSpec(c=1.0, d=1 / 6, p=3.0, g0=g0)
+        assert th.gronwall_bound(spec, 0.0) == g0
+        assert th.gronwall_bound(spec, 2.0) == pytest.approx(g0 * math.exp(-2.0), rel=1e-15)
+        assert th.predicted_envelope("T3", 1.0, g0).coefficient == g0
+        assert th.predicted_envelope("T4", 1.0, g0, pi_min=1.0).coefficient == g0
+
+    def test_overflowing_power_near_a_tiny_threshold(self):
+        # threshold sqrt(1e-307): g0 = 5e-155 has (d/c) g0^2 = 0.025, a factor far from 1
+        spec = th.GronwallSpec(c=1.0, d=1e307, p=3.0, g0=5e-155)
+        ratio_sq = (5e-155 * 1e154) ** 2 * (1e307 * 1e-308)
+        expected = 5e-155 * (1 - ratio_sq) ** -0.5
+        assert th.gronwall_bound(spec, 0.0) == pytest.approx(expected, rel=1e-12)
+        # threshold sqrt(1e-310), and d/c overflows too
+        with pytest.raises(ThresholdError):
+            th.gronwall_bound(th.GronwallSpec(c=1e-10, d=1e300, p=3.0, g0=2e-155), 0.0)
+
     def test_no_saturation_reduces_to_pure_exponential(self):
         spec = th.GronwallSpec(c=1.5, d=0.0, p=3.0, g0=0.8)
         assert th.gronwall_threshold(spec) == math.inf
@@ -252,6 +271,75 @@ class TestExtremeConstants:
         assert th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e200).coefficient == 0.5
 
 
+def _series(*dissipations):
+    """A series with the given dissipations at t = 0, 0.1, 0.2, ..."""
+    records = [
+        dg.DiagnosticsRecord(
+            t=0.1 * i, mass=1.0, free_energy=-1.0, dissipation=d, f_min=1.0, f_max=1.0,
+            log_f_sup=0.0, u_sup=0.0, envelope_margin=math.nan, jensen_margin=0.0,
+        )
+        for i, d in enumerate(dissipations)
+    ]
+    return dg.TimeSeries(records=records)
+
+
+class TestConditionReports:
+    POINCARE = (0.0254, "empirical")
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, None], ids=["zero", "nan", "none"])
+    def test_unusable_sobolev_constant_gives_error_entries(self, value):
+        ledger = make_ledger()
+        sobolev = (value, "empirical")
+        reports = th.condition_reports("homogeneous", ledger, 1.0, 0.5, self.POINCARE, sobolev, sobolev)
+        assert reports[0] == th.check_condition_T2(ledger, 0.0254, 1.0, 0.5).as_dict()
+        assert reports[0]["overall"] is True
+        assert [set(r) for r in reports[1:]] == [{"theorem", "error"}] * 2
+        assert [r["theorem"] for r in reports[1:]] == ["T3", "T4"]
+        assert "empirical Sobolev constant" in reports[1]["error"]
+        assert "empirical weighted Sobolev constant" in reports[2]["error"]
+
+    @pytest.mark.parametrize("value", [0.0, math.nan, None], ids=["zero", "nan", "none"])
+    def test_unusable_poincare_constant_gives_error_entries(self, value):
+        sobolev = (0.3, "certified")
+        poincare = (value, "empirical")
+        reports = th.condition_reports("homogeneous", make_ledger(), 1.0, 0.5, poincare, sobolev, sobolev)
+        assert [r["theorem"] for r in reports] == ["T2", "T3", "T4"]
+        assert all("empirical Poincare constant" in r["error"] for r in reports)
+
+    def test_each_theorem_takes_its_constants(self):
+        ledger = make_ledger(grad_d=0.1)
+        poincare, sobolev, weighted = (0.02, "certified"), (0.3, "empirical"), (0.2, "empirical")
+        reports = th.condition_reports("inhomogeneous-D", ledger, 1.0, 0.5, poincare, sobolev, weighted)
+        assert reports == [
+            th.check_condition_T3(ledger, 0.3, 0.02, 1.0, 0.5, poincare_provenance="certified").as_dict(),
+            th.check_condition_T4(ledger, 0.2, 0.02, 1.0, 0.5, poincare_provenance="certified").as_dict(),
+        ]
+
+    def test_checker_error_becomes_an_error_entry(self):
+        constant = (0.1, "empirical")
+        reports = th.condition_reports("full", make_ledger(d_min=0.5), 1.0, 0.5, *[constant] * 3)
+        error = "decay conditions require the diffusion floor d_min >= 1"
+        assert reports == [{"theorem": "T4", "error": error}]
+
+
+class TestEnvelopeReport:
+    def test_own_theorem_envelope_with_pi_min(self):
+        series = _series(1.0, 0.9, 0.85)
+        block = th.envelope_report("full", make_ledger(pi_min=0.5), 2.0, series)
+        envelope = th.predicted_envelope("T4", 2.0, 1.0, pi_min=0.5)
+        worst = th.compare_to_envelope(series, envelope)
+        assert block == {
+            "theorem": "T4", "gamma": 2.0, "g0": 1.0, "threshold_violated": False,
+            "coefficient": envelope.coefficient, "rate": 2.0, "worst_ratio": worst, "dominates": False,
+        }
+        assert worst > 1.0  # 0.85 at t = 0.2 is above (3/2)^(1/2) e^{-0.4} = 0.82
+
+    def test_threshold_violation(self):
+        block = th.envelope_report("inhomogeneous-D", make_ledger(), 0.01, _series(10.0, 5.0))
+        assert block["theorem"] == "T3" and block["threshold_violated"] is True
+        assert "saturation threshold" in block["error"]
+
+
 class TestPredictedEnvelope:
     def test_homogeneous_coefficient_is_initial_value(self):
         env = th.predicted_envelope("T2", gamma=2.0, g0=0.5)
@@ -315,17 +403,7 @@ def test_envelopes_and_thresholds_are_the_closed_form_bound():
 class TestCompareToEnvelope:
     def test_stationary_series_gives_zero_ratio(self):
         # all-zero dissipation (the equilibrium start, in exact arithmetic)
-        import math as _math
-
-        records = [
-            dg.DiagnosticsRecord(
-                t=float(t), mass=1.0, free_energy=-1.0, dissipation=0.0, f_min=1.0,
-                f_max=1.0, log_f_sup=0.0, u_sup=0.0, envelope_violation=_math.nan,
-                jensen_margin=0.0,
-            )
-            for t in np.linspace(0.0, 1.0, 6)
-        ]
-        series = dg.TimeSeries(records=records)
+        series = _series(*[0.0] * 6)
         env = th.predicted_envelope("T2", gamma=1.0, g0=0.0)
         assert th.compare_to_envelope(series, env) == 0.0
 
@@ -363,6 +441,17 @@ class TestClauseBookkeeping:
             else:
                 assert clause.passed == (clause.lhs < clause.rhs)
         assert report.overall == all(c.passed for c in report.clauses)
+
+    def test_clause_names_match_checkers(self):
+        led = make_ledger()
+        reports = [
+            th.check_condition_T2(led, 1.0, 1.0, 0.5),
+            th.check_condition_T3(led, 1.0, 1.0, 1.0, 0.5),
+            th.check_condition_T4(led, 1.0, 1.0, 1.0, 0.5),
+        ]
+        names = {r.theorem: tuple(c.name for c in r.clauses) for r in reports}
+        assert names == th.CLAUSES
+        assert th.THEOREMS == tuple(th.CLAUSES)
 
     def test_as_dict_round_trips_pass_flags(self):
         led = make_ledger()
