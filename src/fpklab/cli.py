@@ -510,7 +510,7 @@ def _predicted_work(scenario: Scenario) -> int:
     t-free mobility.  A run that does not sample predicts 0 and runs last."""
     try:
         coeffs, _ = sample_coefficients(scenario.coefficients, scenario.grid)
-        dt0 = solver.stable_dt(None, coeffs, 0.0, scenario.solver.cfl_safety)
+        dt0 = solver.stable_dt(coeffs, 0.0, scenario.solver.cfl_safety)
         steps = min(math.ceil(scenario.solver.t_end / dt0), scenario.solver.max_steps)
         return scenario.grid.cell_count * steps
     except Exception:  # MemoryError included: the task meets and records it

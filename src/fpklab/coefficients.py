@@ -11,10 +11,12 @@ symbolic differentiation while staying exact to O(dt^2).
 ``CoefficientSet.regime`` names the first of the nested REGIMES that covers
 the samples; a coefficient counts as constant only if its samples are equal.
 
-A time-dependent mobility is sampled once per distinct time: its expression
-is bound to the cell centers once, with every t-free subtree evaluated then,
-so a new time evaluates only the t-dependent part (bitwise equal to a full
-evaluation), and the latest sample is cached read-only.
+The mobility's expression is bound to the cell centers once, when the
+coefficients are sampled, with every t-free subtree evaluated then; pi at
+t = 0, every later sample and both samples of the pi_t difference evaluate
+that one binding, which runs only the t-dependent part (bitwise equal to a
+full evaluation).  A time-dependent mobility is sampled once per distinct
+time: the latest sample is cached read-only.
 
 The constants ledger collects every named bound the decay conditions
 consume: initial-density bounds, the diffusion floor, mobility bounds and
@@ -27,8 +29,8 @@ smooth coefficients the gap is O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -67,8 +69,8 @@ def _grid_coords(expr: CoefficientExpr, grid: Grid, name: str) -> dict[str, np.n
     return {f"x{k + 1}": c for k, c in enumerate(grid.coordinates())}
 
 
-def _sample_expression(expr: CoefficientExpr, grid: Grid, name: str, t: float | None = None) -> np.ndarray:
-    return _finite_samples(expr.evaluate(_grid_coords(expr, grid, name), t), expr, grid, name)
+def _sample_expression(expr: CoefficientExpr, grid: Grid, name: str) -> np.ndarray:
+    return _finite_samples(expr.evaluate(_grid_coords(expr, grid, name)), expr, grid, name)
 
 
 def _finite_samples(raw, expr: CoefficientExpr, grid: Grid, name: str) -> np.ndarray:
@@ -99,15 +101,16 @@ class CoefficientSet:
     grad_phi: VectorField
     pi_expr: CoefficientExpr
     pi0: ScalarField  # mobility at t = 0, the value at every t when pi does not use t
+    #: pi_expr bound to the cell centers: t -> its values there, unchecked
+    pi_bound: Callable[[float], object] = field(repr=False, compare=False)
 
     def pi_values(self, t: float) -> np.ndarray:
         """Mobility samples at time t (finite and positive), read-only.
 
-        The latest time's samples are cached, and a new time evaluates only
-        the t-dependent part of the expression (bound once to the cell
-        centers), so every caller at one time shares one evaluation.  A
-        sample passing 0 < min and max < inf is accepted as is; any other
-        raises the error the full per-cell checks give.
+        The latest time's samples are cached, so every caller at one time
+        shares one evaluation of the binding.  A sample passing 0 < min and
+        max < inf is accepted as is; any other raises the error the full
+        per-cell checks give.
         """
         if not self.pi_expr.uses_t:
             return self.pi0.values
@@ -115,11 +118,8 @@ class CoefficientSet:
         last = cache.get("_pi_last")
         if last is not None and last[0] == t:
             return last[1]
-        at = cache.get("_pi_at")
-        if at is None:
-            at = cache["_pi_at"] = self.pi_expr.bind(_grid_coords(self.pi_expr, self.grid, "pi"))
         arr = np.empty(self.grid.shape)
-        arr[...] = at(t)
+        arr[...] = self.pi_bound(t)
         if not (arr.min() > 0.0 and arr.max() < math.inf):  # false on NaN
             # one of these raises, naming the same cell a full check names
             _require_positive("pi", _finite_samples(arr, self.pi_expr, self.grid, "pi"), self.grid)
@@ -127,18 +127,15 @@ class CoefficientSet:
         cache["_pi_last"] = (t, arr)
         return arr
 
-    def pi_at(self, t: float) -> ScalarField:
-        return ScalarField(self.grid, self.pi_values(t))
-
     def pi_t_values(self, t: float) -> np.ndarray:
         if not self.pi_expr.uses_t:
             return np.zeros(self.grid.shape)
-        ahead = _sample_expression(self.pi_expr, self.grid, "pi", t + PI_TIME_DELTA)
-        behind = _sample_expression(self.pi_expr, self.grid, "pi", t - PI_TIME_DELTA)
+        ahead = _finite_samples(self.pi_bound(t + PI_TIME_DELTA), self.pi_expr, self.grid, "pi")
+        behind = _finite_samples(self.pi_bound(t - PI_TIME_DELTA), self.pi_expr, self.grid, "pi")
         return (ahead - behind) / (2.0 * PI_TIME_DELTA)
 
     def grad_pi_at(self, t: float) -> VectorField:
-        return centered_gradient(self.pi_at(t))
+        return centered_gradient(ScalarField(self.grid, self.pi_values(t)))
 
     @property
     def regime(self) -> str:
@@ -154,7 +151,8 @@ def sample_coefficients(
     """Sample D, phi, pi, f0 at cell centers; f0 is rescaled to unit mass.
 
     D, phi and f0 are spatial-only; an expression using t in those slots is
-    rejected.  D, pi and f0 must be strictly positive at every sample point.
+    rejected.  D, pi and f0 must be strictly positive at every sample point,
+    and so must the rescaled f0, which also must be finite.
     """
     exprs = {}
     for name in ("D", "phi", "pi", "f0"):
@@ -173,7 +171,8 @@ def sample_coefficients(
     d_arr = _sample_expression(exprs["D"], grid, "D")
     _require_positive("D", d_arr, grid)
     phi_arr = _sample_expression(exprs["phi"], grid, "phi")
-    pi0 = _sample_expression(exprs["pi"], grid, "pi", 0.0)
+    pi_bound = exprs["pi"].bind(_grid_coords(exprs["pi"], grid, "pi"))
+    pi0 = _finite_samples(pi_bound(0.0), exprs["pi"], grid, "pi")
     _require_positive("pi", pi0, grid)
     f0_arr = _sample_expression(exprs["f0"], grid, "f0")
     _require_positive("f0", f0_arr, grid)
@@ -188,10 +187,18 @@ def sample_coefficients(
         grad_phi=centered_gradient(phi_field),
         pi_expr=exprs["pi"],
         pi0=ScalarField(grid, pi0),
+        pi_bound=pi_bound,
     )
-    f0_field = ScalarField(grid, f0_arr)
-    f0_normalized = ScalarField(grid, f0_arr / integrate(f0_field))
-    return coeffs, f0_normalized
+    with np.errstate(all="ignore"):
+        mass = integrate(ScalarField(grid, f0_arr))
+        f0_normalized = f0_arr / mass
+    if not (f0_normalized.min() > 0.0 and f0_normalized.max() < math.inf):  # false on NaN
+        raise ExpressionError(
+            f"coefficient 'f0' rescaled to unit mass is not finite and positive (its integral is {mass!r})",
+            exprs["f0"].source,
+            0,
+        )
+    return coeffs, ScalarField(grid, f0_normalized)
 
 
 def _equilibrium_field(coeffs: CoefficientSet, shift: float) -> np.ndarray:

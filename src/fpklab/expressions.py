@@ -14,11 +14,18 @@ cos, exp, log, abs (one argument) and min, max (two or more).  Unary minus
 binds looser than '^', so -x1^2 is -(x1^2).  Evaluation broadcasts over
 numpy arrays; non-finite results are the caller's concern (the samplers
 reject them with a named cell).
+
+The tree has two leaves, numbers and variables, and one operator node,
+which applies a numpy function to its arguments' values: once to a single
+argument (the one-argument functions, and unary minus as the product
+-1.0 * x), otherwise folded left to right (the binary operators, min and
+max).  ``CoefficientExpr.bind`` evaluates every t-free subtree once; the
+coefficient sampler binds the mobility to the cell centers that way.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -46,6 +53,14 @@ _VARIADIC_FUNCS: dict[str, Callable] = {
     "min": np.minimum,
     "max": np.maximum,
 }
+_BINARY_OPS: dict[str, Callable] = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+}
+#: unary minus is the product -1.0 * x, which keeps a NaN's sign bit (np.negative flips it)
+_NEGATE = functools.partial(np.multiply, -1.0)
 
 _TOKEN_RE = re.compile(
     r"(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -87,13 +102,6 @@ def _tokenize(source: str) -> list[_Token]:
 # is the height of the node's tree, a leaf's being 0.
 
 
-def _folded(node, children, env):
-    """node, or its value as a _Num when every bound child is a constant."""
-    if all(isinstance(child, _Num) for child in children):
-        return _Num(node.evaluate(env))
-    return node
-
-
 class _Num:
     __slots__ = ("value",)
     depth = 0
@@ -122,49 +130,10 @@ class _Var:
         return self if self.name == "t" else _Num(env[self.name])
 
 
-class _Unary:
-    __slots__ = ("sign", "operand", "depth")
+class _Apply:
+    """func of its arguments' values: applied once to a single argument,
+    otherwise folded over them left to right, func(func(a, b), c)."""
 
-    def __init__(self, sign: float, operand):
-        self.sign = sign
-        self.operand = operand
-        self.depth = operand.depth + 1
-
-    def evaluate(self, env):
-        return self.sign * self.operand.evaluate(env)
-
-    def bind(self, env):
-        operand = self.operand.bind(env)
-        return _folded(_Unary(self.sign, operand), [operand], env)
-
-
-class _BinOp:
-    __slots__ = ("op", "left", "right", "depth")
-
-    _OPS = {
-        "+": np.add,
-        "-": np.subtract,
-        "*": np.multiply,
-        "/": np.divide,
-        "^": np.power,
-    }
-
-    def __init__(self, op: str, left, right):
-        self.op = self._OPS[op]
-        self.left = left
-        self.right = right
-        self.depth = max(left.depth, right.depth) + 1
-
-    def evaluate(self, env):
-        return self.op(self.left.evaluate(env), self.right.evaluate(env))
-
-    def bind(self, env):
-        bound = copy.copy(self)
-        bound.left, bound.right = self.left.bind(env), self.right.bind(env)
-        return _folded(bound, [bound.left, bound.right], env)
-
-
-class _Call:
     __slots__ = ("func", "args", "depth")
 
     def __init__(self, func: Callable, args: list):
@@ -173,17 +142,20 @@ class _Call:
         self.depth = max(a.depth for a in args) + 1
 
     def evaluate(self, env):
-        vals = [a.evaluate(env) for a in self.args]
-        if len(vals) == 1:
-            return self.func(vals[0])
-        out = vals[0]
-        for v in vals[1:]:
-            out = self.func(out, v)
+        # each argument is folded in as it is evaluated; collecting the values first costs more per call
+        args = self.args
+        out = args[0].evaluate(env)
+        if len(args) == 1:
+            return self.func(out)
+        for arg in args[1:]:
+            out = self.func(out, arg.evaluate(env))
         return out
 
     def bind(self, env):
-        args = [a.bind(env) for a in self.args]
-        return _folded(_Call(self.func, args), args, env)
+        node = _Apply(self.func, [a.bind(env) for a in self.args])
+        if all(isinstance(a, _Num) for a in node.args):
+            return _Num(node.evaluate(env))
+        return node
 
 
 class _Parser:
@@ -225,7 +197,7 @@ class _Parser:
         node = self.parse_term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
-            node = _BinOp(op, node, self.parse_term())
+            node = _Apply(_BINARY_OPS[op], [node, self.parse_term()])
         self.check_depth(node.depth, start)
         return node
 
@@ -233,7 +205,7 @@ class _Parser:
         node = self.parse_unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
-            node = _BinOp(op, node, self.parse_unary())
+            node = _Apply(_BINARY_OPS[op], [node, self.parse_unary()])
         return node
 
     def parse_unary(self):
@@ -244,7 +216,7 @@ class _Parser:
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             operand = self.parse_unary()
-            node = operand if tok.text == "+" else _Unary(-1.0, operand)
+            node = operand if tok.text == "+" else _Apply(_NEGATE, [operand])
         else:
             node = self.parse_power()
         self.nesting -= 1
@@ -255,7 +227,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            return _BinOp("^", base, self.parse_unary())
+            return _Apply(np.power, [base, self.parse_unary()])
         return base
 
     def parse_atom(self):
@@ -289,10 +261,10 @@ class _Parser:
             if name in _UNARY_FUNCS:
                 if len(args) != 1:
                     raise ExpressionError(f"{name} takes exactly one argument", self.source, tok.pos)
-                return _Call(_UNARY_FUNCS[name], args)
+                return _Apply(_UNARY_FUNCS[name], args)
             if len(args) < 2:
                 raise ExpressionError(f"{name} takes at least two arguments", self.source, tok.pos)
-            return _Call(_VARIADIC_FUNCS[name], args)
+            return _Apply(_VARIADIC_FUNCS[name], args)
         raise UnknownIdentifierError(f"unknown identifier {quote_source(name)}", self.source, tok.pos)
 
     def _at_call(self) -> bool:

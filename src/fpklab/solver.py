@@ -151,13 +151,20 @@ def rhs(f: ScalarField, coeffs: CoefficientSet, t: float) -> ScalarField:
     return ScalarField(f.grid, _rhs_values(f.values, coeffs, coeffs.pi_values(t)))
 
 
-def stable_dt(f: ScalarField, coeffs: CoefficientSet, t: float, cfl_safety: float) -> float:
-    """Parabolic step heuristic cfl_safety * h^2 / (2 n max(D/pi))."""
+def stable_dt(coeffs: CoefficientSet, t: float, cfl_safety: float) -> float:
+    """Parabolic step heuristic cfl_safety * h^2 / (2 n max(D/pi)); FpkError
+    when max(D/pi) overflows, or underflows to 0, on the way."""
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError("cfl_safety must be in (0, 1]")
     grid = coeffs.grid
-    diffusivity = float((coeffs.D.values / coeffs.pi_values(t)).max())
-    return cfl_safety * grid.spacing**2 / (2.0 * grid.dim * diffusivity)
+    with np.errstate(over="ignore"):
+        diffusivity = float((coeffs.D.values / coeffs.pi_values(t)).max())
+    scale = 2.0 * grid.dim * diffusivity
+    if not 0.0 < scale < math.inf:
+        raise FpkError(
+            f"max D/pi is {diffusivity!r} at t = {t!r}; no positive finite stable time step follows"
+        )
+    return cfl_safety * grid.spacing**2 / scale
 
 
 def _stage(f_values: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
@@ -248,9 +255,9 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
     state = SolverState(f=f0, t=0.0, step_index=0)
     records = [recorder(state)]
     last_recorded = 0
-    fixed_dt = None if coeffs.pi_expr.uses_t else stable_dt(f0, coeffs, 0.0, config.cfl_safety)
+    fixed_dt = None if coeffs.pi_expr.uses_t else stable_dt(coeffs, 0.0, config.cfl_safety)
     while state.t < config.t_end and state.step_index < config.max_steps:
-        dt = stable_dt(state.f, coeffs, state.t, config.cfl_safety) if fixed_dt is None else fixed_dt
+        dt = stable_dt(coeffs, state.t, config.cfl_safety) if fixed_dt is None else fixed_dt
         dt = min(dt, config.t_end - state.t)
         state = step(state, coeffs, dt, config)
         if state.step_index % config.record_every == 0:

@@ -357,9 +357,9 @@ def check_condition_T4(
         12.0 * lf * gd * ledger.grad_phi_sup,
         16.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
     )
-    # grad_d = 0 makes the second entry infinitely permissive
+    # grad_d = 0, and K^{3/2} underflowing to 0, make an entry infinitely permissive
     grad_pi_cap = min(
-        1.0 / (6.0 * k32),
+        1.0 / (6.0 * k32) if k32 > 0.0 else math.inf,
         ledger.pi_min / (24.0 * (lf + 1.0) * gd) if gd > 0.0 else math.inf,
         ledger.pi_min / (4.0 * math.sqrt(2.0 * (math.sqrt(n) * gd + 1.0) * ledger.d_min)),
         ledger.pi_min,

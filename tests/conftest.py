@@ -7,7 +7,7 @@ import pytest
 
 import fpklab as F
 from fpklab import cli, diagnostics as dg
-from fpklab.coefficients import _require_positive, _sample_expression
+from fpklab.coefficients import _finite_samples, _grid_coords, _require_positive
 from fpklab.grid import shift
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -60,8 +60,9 @@ def plain_pi_values(coeffs, t):
     """Reference mobility sample: the whole expression evaluated at t, uncached."""
     if not coeffs.pi_expr.uses_t:
         return coeffs.pi0.values
-    arr = _sample_expression(coeffs.pi_expr, coeffs.grid, "pi", t)
-    _require_positive("pi", arr, coeffs.grid)
+    expr, grid = coeffs.pi_expr, coeffs.grid
+    arr = _finite_samples(expr.evaluate(_grid_coords(expr, grid, "pi"), t), expr, grid, "pi")
+    _require_positive("pi", arr, grid)
     return arr
 
 

@@ -428,6 +428,12 @@ _TRUNCATED = '{"axis": "d_scale", "values": [1, 2'
 _SWEEP = {"axis": "d_scale", "values": [1, 2], "base": MINIMAL}
 
 
+def _with_coefficients(**sources):
+    """MINIMAL on 16 cells, with the given coefficient sources."""
+    grid = {"dim": 1, "cells_per_axis": 16}
+    return json.dumps({**MINIMAL, "grid": grid, "coefficients": {**MINIMAL["coefficients"], **sources}})
+
+
 def _with_phi(source):
     return json.dumps({**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "phi": source}})
 
@@ -449,11 +455,16 @@ EXTREME_THEORY = [
         {},
         {"T4": ["mobility_gradient", "poincare_gate", "gronwall_threshold"]},
     ),
+    (
+        {"pi": "1.2 + 0.2*cos(2*pi*x1)"},
+        {"certified_sobolev": 1e-300},  # K^{3/2} underflows to 0
+        {"T4": ["mobility_gradient"]},
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "coefficients, theory_block, failing", EXTREME_THEORY, ids=["sobolev_t3", "sobolev_t4", "tiny_pi"]
+    "coefficients, theory_block, failing", EXTREME_THEORY, ids=["sobolev_t3", "sobolev_t4", "tiny_pi", "tiny_sobolev_t4"]
 )
 def test_extreme_theory_inputs_give_a_verdict(tmp_path, capsys, coefficients, theory_block, failing):
     import jsonschema
@@ -542,6 +553,9 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "x/../../../../escaped"}})),
         ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "a\0b"}})),
         ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": "n" * 300}})),
+        ("run", _with_coefficients(D="1e300", pi="1e-10", f0="1")),
+        ("run", _with_coefficients(f0="1e308")),
+        ("check", _with_coefficients(f0="exp(700*sin(2*pi*x1))")),
     ],
     ids=[
         "truncated_json",
@@ -573,6 +587,9 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "sweep_name_climbs_out",
         "sweep_name_with_nul",
         "sweep_name_300_characters",
+        "d_over_pi_overflows",
+        "f0_mass_overflows",
+        "f0_rescaled_underflows",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):

@@ -27,7 +27,7 @@ class TestSampling:
         assert np.all(coeffs.D.values == 1.0)
         assert np.all(coeffs.phi.values == 0.0)
         assert np.all(f0.values == 1.0)
-        assert np.all(coeffs.pi_at(0.0).values == 1.0)
+        assert np.all(coeffs.pi_values(0.0) == 1.0)
 
     def test_cosine_diffusion_minimum(self):
         # minimum of 2 + cos at x = 0.5 is 1; cell centers straddle it, so
@@ -72,8 +72,8 @@ class TestSampling:
 
     def test_time_dependent_pi(self):
         _, coeffs, _ = sample({**UNIT, "pi": "2 + sin(t)"})
-        assert coeffs.pi_at(0.0).values[0] == pytest.approx(2.0)
-        assert coeffs.pi_at(math.pi / 2).values[0] == pytest.approx(3.0)
+        assert coeffs.pi_values(0.0)[0] == pytest.approx(2.0)
+        assert coeffs.pi_values(math.pi / 2)[0] == pytest.approx(3.0)
         assert coeffs.pi_t_values(0.0)[0] == pytest.approx(1.0, abs=1e-8)
         assert coeffs.regime == "full"
 

@@ -52,9 +52,9 @@ def count_stable_dt(monkeypatch):
     calls = []
     original = solver.stable_dt
 
-    def counted(f, coeffs, t, cfl_safety):
+    def counted(coeffs, t, cfl_safety):
         calls.append(t)
-        return original(f, coeffs, t, cfl_safety)
+        return original(coeffs, t, cfl_safety)
 
     monkeypatch.setattr(solver, "stable_dt", counted)
     return calls
@@ -159,19 +159,19 @@ class TestRhs:
 class TestStableDt:
     def test_formula_value(self):
         grid, coeffs, f0 = sample(UNIT)
-        assert F.stable_dt(f0, coeffs, 0.0, 0.5) == pytest.approx(6.103515625e-05, rel=1e-12)
+        assert F.stable_dt(coeffs, 0.0, 0.5) == pytest.approx(6.103515625e-05, rel=1e-12)
 
     def test_doubling_diffusion_halves_dt(self):
         grid, coeffs, f0 = sample(UNIT)
         _, coeffs2, _ = sample({**UNIT, "D": "2"})
-        assert F.stable_dt(f0, coeffs2, 0.0, 0.5) == F.stable_dt(f0, coeffs, 0.0, 0.5) / 2.0
+        assert F.stable_dt(coeffs2, 0.0, 0.5) == F.stable_dt(coeffs, 0.0, 0.5) / 2.0
 
     def test_safety_range_enforced(self):
         grid, coeffs, f0 = sample(UNIT)
         with pytest.raises(ValueError):
-            F.stable_dt(f0, coeffs, 0.0, 0.0)
+            F.stable_dt(coeffs, 0.0, 0.0)
         with pytest.raises(ValueError):
-            F.stable_dt(f0, coeffs, 0.0, 1.5)
+            F.stable_dt(coeffs, 0.0, 1.5)
 
 
 class TestStep:
@@ -188,7 +188,7 @@ class TestStep:
         grid, coeffs, f0 = sample({**HEAT, "D": "1.5+0.5*cos(2*pi*x1)", "phi": "0.5*sin(2*pi*x1)"})
         config = SolverConfig(t_end=1.0)
         state = SolverState(f=f0, t=0.0, step_index=0)
-        dt = F.stable_dt(f0, coeffs, 0.0, 0.4)
+        dt = F.stable_dt(coeffs, 0.0, 0.4)
         for _ in range(50):
             state = F.step(state, coeffs, dt, config)
             assert abs(integrate(state.f) - 1.0) <= 1e-12
@@ -224,7 +224,7 @@ class TestStep:
     )
     def test_nonpositive_stages_rejected_by_the_floor_test(self, integrator, multiple, halvings, digest):
         grid, coeffs, f0 = sample({**HEAT, "f0": "1 + 0.9*sin(2*pi*x1)"})
-        dt = multiple * F.stable_dt(f0, coeffs, 0.0, 0.4)
+        dt = multiple * F.stable_dt(coeffs, 0.0, 0.4)
         config = SolverConfig(t_end=1.0, integrator=integrator)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -325,7 +325,7 @@ class TestInPlaceKernel:
     def test_steps_bitwise_equal_to_plain_expressions(self, monkeypatch, dim, n, uses_t, integrator):
         grid, coeffs, f0 = sample(kernel_spec(dim, uses_t), dim=dim, n=n)
         config = SolverConfig(t_end=1.0, integrator=integrator)
-        dt = F.stable_dt(f0, coeffs, 0.0, 0.4)
+        dt = F.stable_dt(coeffs, 0.0, 0.4)
 
         def march():
             state, states = SolverState(f0, 0.0, 0), []
@@ -342,7 +342,7 @@ class TestInPlaceKernel:
     def test_nonpositive_stage_bitwise_equal_to_plain_expressions(self, dim, n):
         grid, coeffs, f0 = sample(kernel_spec(dim, False, f0_amplitude=0.9), dim=dim, n=n)
         pi = coeffs.pi_values(0.0)
-        dt = 400 * F.stable_dt(f0, coeffs, 0.0, 0.4)
+        dt = 400 * F.stable_dt(coeffs, 0.0, 0.4)
         with np.errstate(divide="ignore", invalid="ignore"):
             kernel = solver._advance(f0.values, coeffs, pi, dt, "rk4")
             plain = plain_advance(f0.values, coeffs, pi, dt, "rk4")
@@ -356,7 +356,7 @@ class TestInPlaceKernel:
         f_values, pi = f0.values.copy(), coeffs.pi_values(0.0).copy()  # writable
         inputs = (f_values, pi, coeffs.D.values, coeffs.phi.values)
         before = [a.tobytes() for a in inputs]
-        out = solver._advance(f_values, coeffs, pi, F.stable_dt(f0, coeffs, 0.0, 0.4), integrator)
+        out = solver._advance(f_values, coeffs, pi, F.stable_dt(coeffs, 0.0, 0.4), integrator)
         assert [a.tobytes() for a in inputs] == before
         assert not any(np.shares_memory(out, a) for a in inputs)
 
@@ -470,22 +470,32 @@ class TestMobilitySampling:
         scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
         grid, coeffs, f0, _, _ = cli._setup(scenario)
         evaluated = []
-        bind = CoefficientExpr.bind
+        at = coeffs.pi_bound  # the binding made at sampling
 
-        def counting_bind(self, coords):
-            at = bind(self, coords)
+        def counted(t):
+            evaluated.append(t)
+            return at(t)
 
-            def counted(t):
-                evaluated.append(t)
-                return at(t)
-
-            return counted
-
-        monkeypatch.setattr(CoefficientExpr, "bind", counting_bind)
+        coeffs = dataclasses.replace(coeffs, pi_bound=counted)
         calls = count_pi_values(monkeypatch)
         F.run(f0, coeffs, scenario.solver, dg.make_recorder(coeffs))
         assert evaluated == sorted(set(calls))
         assert len(calls) > 2 * len(evaluated)
+
+    def test_pi_evaluated_only_through_its_binding(self, monkeypatch):
+        scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
+        sources = []
+        evaluate = CoefficientExpr.evaluate
+
+        def spied(self, coords, t=None):
+            sources.append(self.source)
+            return evaluate(self, coords, t)
+
+        monkeypatch.setattr(CoefficientExpr, "evaluate", spied)
+        grid, coeffs, f0, _, shift = cli._setup(scenario)
+        cli.build_constants_ledger(coeffs, f0, grid, t_probe_count=cli.T_PROBE_COUNT, feq_shift=shift)
+        F.run(f0, coeffs, scenario.solver, dg.make_recorder(coeffs, config=scenario.solver))
+        assert sources == [scenario.coefficients[name] for name in ("D", "phi", "f0")]
 
     def test_run_bitwise_equal_to_uncached_sampling(self, monkeypatch):
         scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
