@@ -301,7 +301,7 @@ def _trajectory(scenario: Scenario, steps: bool = True):
     fields["constants_ledger"] = ledger.as_dict()
     if not steps:
         initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
-        return diagnostics.TimeSeries([initial]), ledger, fields
+        return solver.TimeSeries([initial]), ledger, fields
 
     envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
     recorder = diagnostics.make_recorder(coeffs, envelope=envelope, config=scenario.solver)
@@ -315,7 +315,7 @@ def _trajectory(scenario: Scenario, steps: bool = True):
     except TooShortSeriesError as exc:
         fields["decay_fit"] = {"error": str(exc)}
     fields["series_rows"] = len(series)
-    fields["accepted_steps"] = series.metadata.get("accepted_steps")
+    fields["accepted_steps"] = series.accepted_steps
     return series, ledger, fields
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import EquilibriumBracketError, ExpressionError, PositivityError
+from .errors import EquilibriumBracketError, ExpressionError, FpkError, PositivityError
 from .expressions import CoefficientExpr, parse_expression
 from .grid import (
     Grid,
@@ -145,10 +145,8 @@ class CoefficientSet:
         return "homogeneous" if float(np.ptp(self.D.values)) == 0.0 else "inhomogeneous-D"
 
 
-def sample_coefficients(
-    specs: Mapping[str, str | CoefficientExpr], grid: Grid
-) -> tuple[CoefficientSet, ScalarField]:
-    """Sample D, phi, pi, f0 at cell centers; f0 is rescaled to unit mass.
+def sample_coefficients(specs: Mapping[str, str], grid: Grid) -> tuple[CoefficientSet, ScalarField]:
+    """Sample the sources of D, phi, pi, f0 at cell centers; f0 is rescaled to unit mass.
 
     D, phi and f0 are spatial-only; an expression using t in those slots is
     rejected.  D, pi and f0 must be strictly positive at every sample point,
@@ -158,8 +156,7 @@ def sample_coefficients(
     for name in ("D", "phi", "pi", "f0"):
         if name not in specs:
             raise ExpressionError(f"missing coefficient {name!r}", "", 0)
-        spec = specs[name]
-        exprs[name] = spec if isinstance(spec, CoefficientExpr) else parse_expression(spec)
+        exprs[name] = parse_expression(specs[name])
     for name in ("D", "phi", "f0"):
         if exprs[name].uses_t:
             raise ExpressionError(
@@ -210,7 +207,9 @@ def compute_equilibrium(coeffs: CoefficientSet, tol: float = 1e-12) -> tuple[Sca
 
     The map shift -> mass is strictly increasing and the bracket
     [-sup|phi|, +sup|phi|] always contains the root, so plain bisection on
-    the mass residual converges; 200 iterations cap the loop.
+    the mass residual converges; 200 iterations cap the loop.  A mass that
+    overflows is a +inf residual.  An equilibrium with a cell that is not
+    finite and positive (phi/D spanning more than the float range) is an FpkError.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -218,7 +217,8 @@ def compute_equilibrium(coeffs: CoefficientSet, tol: float = 1e-12) -> tuple[Sca
     phi_sup = float(np.abs(coeffs.phi.values).max())
 
     def mass_residual(shift: float) -> float:
-        return grid.cell_volume * float(_equilibrium_field(coeffs, shift).sum()) - 1.0
+        with np.errstate(over="ignore"):
+            return grid.cell_volume * float(_equilibrium_field(coeffs, shift).sum()) - 1.0
 
     lo, hi = -phi_sup, phi_sup
     res_lo = mass_residual(lo)
@@ -243,7 +243,14 @@ def compute_equilibrium(coeffs: CoefficientSet, tol: float = 1e-12) -> tuple[Sca
             f"mass residual {mass_residual(shift):.3e} still above tol={tol:g} "
             f"after {SHIFT_MAX_ITERATIONS} bisection steps"
         )
-    return ScalarField(grid, _equilibrium_field(coeffs, shift)), float(shift)
+    feq = _equilibrium_field(coeffs, shift)
+    low, high = float(feq.min()), float(feq.max())
+    if not (low > 0.0 and high < math.inf):  # false on NaN
+        raise FpkError(
+            f"the equilibrium exp(-(phi - shift)/D) spans [{low!r}, {high!r}], not finite"
+            " and positive: phi/D varies by more than the float range"
+        )
+    return ScalarField(grid, feq), float(shift)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .grid import (
     gradient_arrays,
     integrate,
 )
-from .solver import SolverState, _velocity_arrays, compute_velocity, require_positive_density
+from .solver import SolverState, TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
 
 #: a run's records carry at most this many term breakdowns, picked by target time
 TERM_SAMPLES = 5
@@ -75,25 +75,6 @@ class DiagnosticsRecord:
     sobolev_weighted: float = math.nan
     # the d^2F/dt^2 breakdown, on the records make_recorder samples by target time
     terms: TermBreakdown | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Ordered diagnostics records with strictly increasing times."""
-
-    records: list[DiagnosticsRecord]
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        times = [r.t for r in self.records]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("record times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
 
 
 @dataclass(frozen=True)
@@ -198,11 +179,6 @@ def envelope_margin(f: ScalarField, envelope: tuple[ScalarField, ScalarField]) -
     """Worst signed containment margin min(f - lower, upper - f) over cells."""
     lower, upper = envelope
     return float(np.minimum(f.values - lower.values, upper.values - f.values).min())
-
-
-def check_envelope(states, envelope: tuple[ScalarField, ScalarField]) -> float:
-    """Worst margin over a collection of ScalarFields (pass iff >= -1e-8)."""
-    return min(envelope_margin(f, envelope) for f in states)
 
 
 def _jensen_margin(dim: int, grad_sq: np.ndarray, div: np.ndarray) -> float:

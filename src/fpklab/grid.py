@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    FpkError,
     GridTooCoarseError,
     NonFiniteFieldError,
     ShapeError,
@@ -72,6 +73,8 @@ def build_grid(dim: int, cells_per_axis: int) -> Grid:
         raise UnsupportedDimensionError(f"dim must be 1, 2, or 3; got {dim}")
     if cells_per_axis < 4:
         raise GridTooCoarseError(f"cells_per_axis must be >= 4; got {cells_per_axis}")
+    if int(cells_per_axis) ** int(dim) > np.iinfo(np.intp).max // 8:  # the float64 cells numpy can index
+        raise FpkError(f"a {dim}-D grid of {cells_per_axis} cells per axis has more cells than numpy can index")
     return Grid(dim=int(dim), cells_per_axis=int(cells_per_axis))
 
 

@@ -27,7 +27,8 @@ step restriction dt ~ h^2.  The coefficient set caches its latest mobility
 sample, so ``stable_dt``, ``step`` and the recorder at one time share one
 evaluation of the mobility.  When the mobility does not use t, ``stable_dt``
 depends only on D and pi at t = 0, so ``run`` computes it once per run;
-otherwise once per step.
+otherwise once per step.  ``run`` returns its records in a TimeSeries, the
+step count in ``TimeSeries.accepted_steps``; diagnostics builds on this module.
 
 Evaluations are vectorized whole-grid numpy operations.  The potential,
 each face flux, each Runge-Kutta stage and the stage sum are built in place,
@@ -69,6 +70,25 @@ class SolverState:
     f: ScalarField
     t: float
     step_index: int
+
+
+@dataclass(frozen=True)
+class TimeSeries:
+    """Records with strictly increasing times; the run's step count, None if unstepped."""
+
+    records: list
+    accepted_steps: int | None = None
+
+    def __post_init__(self):
+        times = [r.t for r in self.records]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("record times must be strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def column(self, name: str) -> np.ndarray:
+        return np.array([getattr(r, name) for r in self.records])
 
 
 @dataclass(frozen=True)
@@ -152,19 +172,21 @@ def rhs(f: ScalarField, coeffs: CoefficientSet, t: float) -> ScalarField:
 
 
 def stable_dt(coeffs: CoefficientSet, t: float, cfl_safety: float) -> float:
-    """Parabolic step heuristic cfl_safety * h^2 / (2 n max(D/pi)); FpkError
-    when max(D/pi) overflows, or underflows to 0, on the way."""
+    """Parabolic step heuristic cfl_safety * h^2 / (2 n max(D/pi)); FpkError unless
+    it is positive and finite (max(D/pi), or the step, over- or underflowing)."""
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError("cfl_safety must be in (0, 1]")
     grid = coeffs.grid
     with np.errstate(over="ignore"):
         diffusivity = float((coeffs.D.values / coeffs.pi_values(t)).max())
     scale = 2.0 * grid.dim * diffusivity
-    if not 0.0 < scale < math.inf:
+    dt = cfl_safety * grid.spacing**2 / scale if scale > 0.0 else math.inf
+    if not 0.0 < dt < math.inf:  # false on NaN
         raise FpkError(
-            f"max D/pi is {diffusivity!r} at t = {t!r}; no positive finite stable time step follows"
+            f"max D/pi is {diffusivity!r} at t = {t!r}; with cfl_safety {cfl_safety!r} "
+            f"the stable time step is {dt!r}, not positive and finite"
         )
-    return cfl_safety * grid.spacing**2 / scale
+    return dt
 
 
 def _stage(f_values: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
@@ -241,11 +263,8 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
     ``recorder`` maps a SolverState to a DiagnosticsRecord (see
     ``diagnostics.make_recorder``); records are taken at the initial state,
     every ``record_every`` accepted steps, and the final state.  Returns the
-    assembled TimeSeries.
+    TimeSeries of those records, its ``accepted_steps`` the run's step count.
     """
-    # local import: diagnostics builds on this module for velocities
-    from .diagnostics import TimeSeries
-
     if f0.min() <= 0.0:
         raise NonPositiveDensityError("initial density must be strictly positive")
     mass = integrate(f0)
@@ -265,12 +284,13 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
             last_recorded = state.step_index
     if state.step_index != last_recorded:
         records.append(recorder(state))
-    return TimeSeries(records=records, metadata={"accepted_steps": state.step_index})
+    return TimeSeries(records=records, accepted_steps=state.step_index)
 
 
 __all__ = [
     "SolverState",
     "SolverConfig",
+    "TimeSeries",
     "compute_velocity",
     "rhs",
     "stable_dt",

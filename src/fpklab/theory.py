@@ -30,8 +30,9 @@ a zero factor keeps its entry at 0 beside it, so no clause sees a NaN.
 Each theorem closes with the comparison inequality dg/dt <= -c g + d g^p,
 c = gamma, p = 3, d = 0 (T2), 1/6 (T3) or 1/(12 pi_min^3) (T4).  Below the
 threshold (c/d)^{1/(p-1)} the closed form g(t) <= (g(0)^{-p+1} -
-d/c)^{-1/(p-1)} e^{-ct} holds; the threshold clauses and the run's envelope,
-from its own regime's theorem, evaluate this one closed form, and a
+d/c)^{-1/(p-1)} e^{-ct} holds; the threshold clauses evaluate this one
+closed form, the run's envelope is gronwall_bound of its own regime's
+theorem's GronwallSpec (``predicted_envelope`` returns that spec), and a
 fixed-step RK4 solution of the saturating ODE cross-checks it numerically.
 Where g(0)^{-p+1} overflows, the same bound is formed as g(0) (1 - (g(0) /
 threshold)^{p-1})^{-1/(p-1)} e^{-ct}, whose factor is 1 to the last bit
@@ -379,17 +380,6 @@ def check_condition_T4(
     )
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """One-sided decay envelope t -> coefficient * exp(-rate * t)."""
-
-    coefficient: float
-    rate: float
-
-    def __call__(self, t):
-        return self.coefficient * np.exp(-self.rate * np.asarray(t, dtype=float))
-
-
 def _comparison_spec(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> GronwallSpec:
     """The theorem's comparison ODE dg/dt = -gamma g + d g^3 started at g0."""
     if theorem == "T2":
@@ -406,17 +396,19 @@ def _comparison_spec(theorem: str, gamma: float, g0: float, pi_min: float | None
     return GronwallSpec(c=gamma, d=d, p=3.0, g0=g0)
 
 
-def predicted_envelope(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> Envelope:
-    """Envelope gronwall_bound(spec, 0) e^{-gamma t} of the theorem's comparison ODE.
+def predicted_envelope(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> GronwallSpec:
+    """The theorem's comparison ODE, whose envelope is t -> gronwall_bound(spec, t).
 
-    T2's coefficient is g0; T3 and T4 inflate it and need g0 below their threshold.
+    T2's envelope starts at g0; T3 and T4 inflate it and need g0 below their
+    threshold (ThresholdError otherwise).
     """
     spec = _comparison_spec(theorem, gamma, g0, pi_min)
-    return Envelope(coefficient=gronwall_bound(spec, 0.0), rate=gamma)
+    gronwall_bound(spec, 0.0)  # raises ThresholdError at or above the threshold
+    return spec
 
 
-def compare_to_envelope(series, envelope: Envelope) -> float:
-    """Worst ratio dissipation(t) / envelope(t); domination iff <= 1 + 1e-6.
+def compare_to_envelope(series, spec: GronwallSpec) -> float:
+    """Worst ratio dissipation(t) / gronwall_bound(spec, t); domination iff <= 1 + 1e-6.
 
     Records with zero dissipation contribute ratio 0 even when the envelope
     is identically zero (the stationary start).  A NaN ratio makes the
@@ -424,7 +416,7 @@ def compare_to_envelope(series, envelope: Envelope) -> float:
     """
     ratios = [0.0]
     for record in series.records:
-        bound = float(envelope(record.t))
+        bound = gronwall_bound(spec, record.t)
         if record.dissipation == 0.0:
             continue
         ratios.append(record.dissipation / bound if bound > 0.0 else math.inf)
@@ -479,15 +471,15 @@ def envelope_report(regime, ledger, gamma, series) -> dict:
     g0 = series.records[0].dissipation
     block = {"theorem": theorem, "gamma": gamma, "g0": g0}
     try:
-        envelope = predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)
+        spec = predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)
     except ThresholdError as exc:
         return {**block, "threshold_violated": True, "error": str(exc)}
-    worst = compare_to_envelope(series, envelope)
+    worst = compare_to_envelope(series, spec)
     return {
         **block,
         "threshold_violated": False,
-        "coefficient": envelope.coefficient,
-        "rate": envelope.rate,
+        "coefficient": gronwall_bound(spec, 0.0),
+        "rate": spec.c,
         "worst_ratio": worst,
         "dominates": worst <= 1.0 + 1e-6,
     }

@@ -556,6 +556,15 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("run", _with_coefficients(D="1e300", pi="1e-10", f0="1")),
         ("run", _with_coefficients(f0="1e308")),
         ("check", _with_coefficients(f0="exp(700*sin(2*pi*x1))")),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "cfl_safety": 5e-324}})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": 3, "cells_per_axis": 10000000}})),
+        ("check", json.dumps({**MINIMAL, "grid": {"dim": 3, "cells_per_axis": 10000000}})),
+        ("equilibrium", json.dumps({**MINIMAL, "grid": {"dim": 3, "cells_per_axis": 10000000}})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": 1e30}})),
+        ("check", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": 1e30}})),
+        ("run", _with_coefficients(phi="800*cos(2*pi*x1)")),
+        ("check", _with_coefficients(phi="800*cos(2*pi*x1)")),
+        ("equilibrium", _with_coefficients(phi="800*cos(2*pi*x1)")),
     ],
     ids=[
         "truncated_json",
@@ -590,13 +599,24 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "d_over_pi_overflows",
         "f0_mass_overflows",
         "f0_rescaled_underflows",
+        "stable_step_underflows",
+        "cells_3d_beyond_numpy_index",
+        "check_cells_3d_beyond_numpy_index",
+        "equilibrium_cells_3d_beyond_numpy_index",
+        "cells_1d_beyond_numpy_index",
+        "check_cells_1d_beyond_numpy_index",
+        "equilibrium_overflows",
+        "check_equilibrium_overflows",
+        "equilibrium_command_equilibrium_overflows",
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)
     out = tmp_path / "a" / "b" / "out"  # deep enough that a path climbing out stays in tmp_path
-    assert cli.main([command, str(path), "--out", str(out)]) == 2
+    out_args = [] if command == "equilibrium" else ["--out", str(out)]  # equilibrium writes no files
+    assert cli.main([command, str(path), *out_args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     inside_out = {out, *out.parents, *out.rglob("*")}

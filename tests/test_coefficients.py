@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 import fpklab as F
 from conftest import plain_pi_values
 from fpklab.coefficients import log_density_bound
-from fpklab.errors import ExpressionError, PositivityError
+from fpklab.errors import ExpressionError, FpkError, PositivityError
 from fpklab.grid import integrate
 
 
@@ -191,6 +191,13 @@ class TestEquilibrium:
         _, coeffs, _ = sample(UNIT)
         with pytest.raises(ValueError):
             F.compute_equilibrium(coeffs, tol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_equilibrium_beyond_float_range_is_an_error(self):
+        # exp(1600) overflows inside the bisection; the unit-mass equilibrium has cells at 0
+        _, coeffs, _ = sample({**UNIT, "phi": "800*cos(2*pi*x1)"}, n=16)
+        with pytest.raises(FpkError, match=r"spans \[0.0, .*phi/D varies by more than the float range"):
+            F.compute_equilibrium(coeffs)
 
 
 class TestConstantsLedger:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import fpklab
 from fpklab.errors import (
+    FpkError,
     GridTooCoarseError,
     NonFiniteFieldError,
     ShapeError,
@@ -47,6 +48,14 @@ class TestBuildGrid:
     def test_too_coarse(self):
         with pytest.raises(GridTooCoarseError):
             build_grid(1, 3)
+
+    def test_more_cells_than_numpy_can_index(self):
+        limit = np.iinfo(np.intp).max // 8  # float64 cells
+        assert build_grid(1, limit).cell_count == limit  # a Grid holds no array
+        with pytest.raises(FpkError, match="more cells than numpy can index"):
+            build_grid(1, limit + 1)
+        with pytest.raises(FpkError, match="a 3-D grid of 10000000 cells per axis"):
+            build_grid(3, 10**7)
 
     def test_cell_centers(self):
         g = build_grid(1, 4)

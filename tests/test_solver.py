@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,9 @@ from fpklab.coefficients import CoefficientSet
 from fpklab.expressions import CoefficientExpr
 from fpklab.grid import ScalarField, face_divergence, integrate
 from fpklab.solver import SolverConfig, SolverState
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def record_rows(series) -> np.ndarray:
@@ -172,6 +179,20 @@ class TestStableDt:
             F.stable_dt(coeffs, 0.0, 0.0)
         with pytest.raises(ValueError):
             F.stable_dt(coeffs, 0.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "spec, safety, ratio, dt",
+        [({**UNIT, "D": "1e-200", "pi": "1e200"}, 0.4, "0.0", "inf"), (UNIT, 5e-324, "1.0", "0.0")],
+        ids=["d_over_pi_underflows", "step_underflows"],
+    )
+    def test_step_not_positive_and_finite_is_an_error(self, spec, safety, ratio, dt):
+        grid, coeffs, f0 = sample(spec)
+        with pytest.raises(FpkError) as err:
+            F.stable_dt(coeffs, 0.0, safety)
+        assert str(err.value) == (
+            f"max D/pi is {ratio} at t = 0.0; with cfl_safety {safety!r} the stable time step"
+            f" is {dt}, not positive and finite"
+        )
 
 
 class TestStep:
@@ -361,6 +382,23 @@ class TestInPlaceKernel:
         assert not any(np.shares_memory(out, a) for a in inputs)
 
 
+def test_run_does_not_import_diagnostics():
+    # solver.run assembles its TimeSeries without the diagnostics module
+    code = (
+        "import sys, types\n"
+        "import fpklab as F\n"
+        "grid = F.build_grid(1, 16)\n"
+        "coeffs, f0 = F.sample_coefficients({'D': '1', 'phi': '0', 'pi': '1', 'f0': '1'}, grid)\n"
+        "recorder = lambda state: types.SimpleNamespace(t=state.t)\n"
+        "series = F.run(f0, coeffs, F.SolverConfig(t_end=1e-3, record_every=2), recorder)\n"
+        "assert series.accepted_steps > 0 and len(series) > 1\n"
+        "assert 'fpklab.diagnostics' not in sys.modules, 'solver imported diagnostics'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 class TestRun:
     def test_zero_horizon_yields_initial_record_only(self):
         grid, coeffs, f0 = sample(HEAT)
@@ -384,14 +422,14 @@ class TestRun:
         grid, coeffs, f0 = sample(HEAT, n=32)
         config = SolverConfig(t_end=0.002, cfl_safety=0.4, record_every=7)
         series = F.run(f0, coeffs, config, dg.make_recorder(coeffs))
-        accepted = series.metadata["accepted_steps"]
+        accepted = series.accepted_steps
         expected = 1 + accepted // 7 + (1 if accepted % 7 else 0)
         assert len(series) == expected
 
     def test_max_steps_caps_run(self):
         grid, coeffs, f0 = sample(HEAT, n=32)
         series = F.run(f0, coeffs, SolverConfig(t_end=10.0, max_steps=5), dg.make_recorder(coeffs))
-        assert series.metadata["accepted_steps"] == 5
+        assert series.accepted_steps == 5
 
     def test_requires_normalized_positive_start(self):
         grid, coeffs, f0 = sample(HEAT)
@@ -441,7 +479,7 @@ class TestStepSize:
         grid, coeffs, f0 = sample(VARPI if uses_t else self.STATIC_PI, n=32)
         calls = count_stable_dt(monkeypatch)
         series = F.run(f0, coeffs, SolverConfig(t_end=0.002), dg.make_recorder(coeffs))
-        steps = series.metadata["accepted_steps"]
+        steps = series.accepted_steps
         assert steps > 1
         assert len(calls) == (steps if uses_t else 1)
 
@@ -452,14 +490,14 @@ class TestStepSize:
         def run():
             snaps = []
             series = F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs), snaps))
-            return record_rows(series).tobytes(), [s.f.values.tobytes() for s in snaps], series.metadata
+            return record_rows(series).tobytes(), [s.f.values.tobytes() for s in snaps], series.accepted_steps
 
         hoisted = run()
         calls = count_stable_dt(monkeypatch)
         # a mobility claiming to use t makes run size dt at every step
         monkeypatch.setattr(CoefficientExpr, "uses_t", property(lambda self: True))
         per_step = run()
-        assert len(calls) == per_step[2]["accepted_steps"] > 1
+        assert len(calls) == per_step[2] > 1
         assert hoisted == per_step
 
 
@@ -504,7 +542,7 @@ class TestMobilitySampling:
         monkeypatch.setattr(CoefficientSet, "pi_values", plain_pi_values)
         plain_series, plain_report = cli.run_scenario_data(scenario)
         assert record_rows(series).tobytes() == record_rows(plain_series).tobytes()
-        assert series.metadata == plain_series.metadata
+        assert series.accepted_steps == plain_series.accepted_steps
         assert repr(report) == repr(plain_report)
 
 

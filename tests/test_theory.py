@@ -57,8 +57,8 @@ class TestGronwallClosedForm:
         spec = th.GronwallSpec(c=1.0, d=1 / 6, p=3.0, g0=g0)
         assert th.gronwall_bound(spec, 0.0) == g0
         assert th.gronwall_bound(spec, 2.0) == pytest.approx(g0 * math.exp(-2.0), rel=1e-15)
-        assert th.predicted_envelope("T3", 1.0, g0).coefficient == g0
-        assert th.predicted_envelope("T4", 1.0, g0, pi_min=1.0).coefficient == g0
+        assert th.gronwall_bound(th.predicted_envelope("T3", 1.0, g0), 0.0) == g0
+        assert th.gronwall_bound(th.predicted_envelope("T4", 1.0, g0, pi_min=1.0), 0.0) == g0
 
     def test_overflowing_power_near_a_tiny_threshold(self):
         # threshold sqrt(1e-307): g0 = 5e-155 has (d/c) g0^2 = 0.025, a factor far from 1
@@ -268,7 +268,7 @@ class TestExtremeConstants:
         led = make_ledger(pi_min=1e200, pi_max=1e200)
         report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
         assert report.clause("gronwall_threshold").rhs == math.inf
-        assert th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e200).coefficient == 0.5
+        assert th.gronwall_bound(th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e200), 0.0) == 0.5
 
 
 def _series(*dissipations):
@@ -326,11 +326,11 @@ class TestEnvelopeReport:
     def test_own_theorem_envelope_with_pi_min(self):
         series = _series(1.0, 0.9, 0.85)
         block = th.envelope_report("full", make_ledger(pi_min=0.5), 2.0, series)
-        envelope = th.predicted_envelope("T4", 2.0, 1.0, pi_min=0.5)
-        worst = th.compare_to_envelope(series, envelope)
+        spec = th.predicted_envelope("T4", 2.0, 1.0, pi_min=0.5)
+        worst = th.compare_to_envelope(series, spec)
         assert block == {
             "theorem": "T4", "gamma": 2.0, "g0": 1.0, "threshold_violated": False,
-            "coefficient": envelope.coefficient, "rate": 2.0, "worst_ratio": worst, "dominates": False,
+            "coefficient": th.gronwall_bound(spec, 0.0), "rate": 2.0, "worst_ratio": worst, "dominates": False,
         }
         assert worst > 1.0  # 0.85 at t = 0.2 is above (3/2)^(1/2) e^{-0.4} = 0.82
 
@@ -342,16 +342,16 @@ class TestEnvelopeReport:
 
 class TestPredictedEnvelope:
     def test_homogeneous_coefficient_is_initial_value(self):
-        env = th.predicted_envelope("T2", gamma=2.0, g0=0.5)
-        assert env.coefficient == 0.5
-        assert env.rate == 2.0
-        assert env(0.0) == pytest.approx(0.5)
+        spec = th.predicted_envelope("T2", gamma=2.0, g0=0.5)
+        assert th.gronwall_bound(spec, 0.0) == 0.5
+        assert spec.c == 2.0
+        assert th.gronwall_bound(spec, 1.0) == pytest.approx(0.5 * math.exp(-2.0))
 
     def test_saturating_coefficients(self):
-        assert th.predicted_envelope("T3", 1.0, 1.0).coefficient == pytest.approx(
+        assert th.gronwall_bound(th.predicted_envelope("T3", 1.0, 1.0), 0.0) == pytest.approx(
             (1 - 1 / 6) ** -0.5
         )
-        assert th.predicted_envelope("T4", 1.0, 1.0, pi_min=1.0).coefficient == pytest.approx(
+        assert th.gronwall_bound(th.predicted_envelope("T4", 1.0, 1.0, pi_min=1.0), 0.0) == pytest.approx(
             (1 - 1 / 12) ** -0.5
         )
 
@@ -361,8 +361,8 @@ class TestPredictedEnvelope:
             gamma = float(rng.uniform(0.1, 5.0))
             threshold = math.sqrt(6.0 * gamma)
             g0 = float(rng.uniform(0.0, 0.99) * threshold)
-            env = th.predicted_envelope("T3", gamma, g0)
-            assert env.coefficient >= g0
+            spec = th.predicted_envelope("T3", gamma, g0)
+            assert th.gronwall_bound(spec, 0.0) >= g0
 
     def test_threshold_violations(self):
         with pytest.raises(ThresholdError):
@@ -388,9 +388,7 @@ def test_envelopes_and_thresholds_are_the_closed_form_bound():
                 for frac in np.linspace(0.0, 0.99, 12).tolist():
                     g0 = frac * (math.sqrt(gamma / d) if d > 0.0 else 10.0)
                     spec = th.GronwallSpec(c=gamma, d=d, p=3.0, g0=g0)
-                    env = th.predicted_envelope(theorem, gamma, g0, pi_min=pi_min)
-                    assert env.coefficient == th.gronwall_bound(spec, 0.0)
-                    assert env.rate == gamma
+                    assert th.predicted_envelope(theorem, gamma, g0, pi_min=pi_min) == spec
                     if theorem == "T2":
                         continue
                     check = th.check_condition_T3 if theorem == "T3" else th.check_condition_T4
