@@ -41,7 +41,7 @@ from .grid import (
     ScalarField,
     VectorField,
     centered_gradient,
-    centered_hessian,
+    hessian_entry,
     integrate,
 )
 
@@ -298,13 +298,18 @@ def log_density_bound(dim: int, grad_d: float, log_f0_sup: float, phi_sup: float
 
 
 def _min_hessian_eigenvalue(phi: ScalarField) -> float:
-    hess = centered_hessian(phi)
-    n = phi.grid.dim
-    if n == 1:
-        return float(hess[0, 0].min())
-    stacked = np.moveaxis(hess.reshape(n, n, -1), -1, 0)  # (cells, n, n)
-    eigs = np.linalg.eigvalsh(stacked)
-    return float(eigs[:, 0].min())
+    """Least eigenvalue of the discrete Hessian over cells, eigvalsh taking 1024
+    (n, n) matrices at a time; LAPACK solves each matrix alone, so the result
+    is the bits one call on every cell gives."""
+    v, h, n, block = phi.values, phi.grid.spacing, phi.grid.dim, 1024
+    entries = {(k, l): hessian_entry(v, h, k, l).reshape(-1) for k in range(n) for l in range(k, n)}
+    lowest = []
+    for start in range(0, v.size, block):
+        matrices = np.empty((min(block, v.size - start), n, n))
+        for (k, l), entry in entries.items():
+            matrices[:, k, l] = matrices[:, l, k] = entry[start : start + block]
+        lowest.append(np.linalg.eigvalsh(matrices)[:, 0].min())
+    return float(np.min(lowest))  # NaN if any cell's is
 
 
 def build_constants_ledger(

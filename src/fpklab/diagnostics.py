@@ -43,8 +43,8 @@ from .grid import (
     Grid,
     ScalarField,
     VectorField,
-    centered_hessian,
     gradient_arrays,
+    hessian_entry,
     integrate,
 )
 from .solver import SolverState, TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
@@ -105,23 +105,33 @@ def _cell_integral(grid: Grid, integrand: np.ndarray) -> float:
 # the velocity's derivatives, so each quantity has one definition and one bit pattern.
 
 
-def _velocity_sums(components, spacing: float, jacobian=None):
+def _velocity_sums(components, spacing: float, jac_u=None):
     """|u|^2, |grad u|^2 and div u, one component u_k at a time: each centered d_l u_k
-    is squared in its own array after d_k u_k joins div u.  The sums start at 0 in the
-    order of np.sum(u**2, axis=0), np.sum(J**2, axis=(0, 1)) and np.trace(J), so each is
-    bitwise theirs.  No Jacobian is built; given an (n, n, ...) array ``jacobian``,
-    each d_l u_k is copied into jacobian[k, l] before it is squared."""
+    is squared in its own array after d_k u_k joins div u and, given zero arrays
+    ``jac_u``, d_l u_k u_l joins jac_u[k], so they end as J u (J_kl = d_l u_k).  The sums
+    start at 0 and add in ascending index, the order of np.sum(u**2, axis=0),
+    np.sum(J**2, axis=(0, 1)), np.trace(J) and np.einsum("kl...,l...->k...", J, u), so
+    each is bitwise theirs.  No Jacobian is built."""
     speed_sq, grad_sq, div = (np.zeros(components[0].shape) for _ in range(3))
     for k, uk in enumerate(components):
         speed_sq += uk * uk
         for l, grad in enumerate(gradient_arrays(uk, spacing)):
-            if jacobian is not None:
-                jacobian[k, l] = grad
+            if jac_u is not None:
+                jac_u[k] += grad * components[l]
             if l == k:
                 div += grad
             grad *= grad
             grad_sq += grad
     return speed_sq, grad_sq, div
+
+
+def _dot(a, b) -> np.ndarray:
+    """sum_k a_k b_k from 0, one product at a time, bitwise np.sum(a * b, axis=0);
+    ``a`` may be an iterator, so its components need not all exist at once."""
+    acc = np.zeros(b[0].shape)
+    for ak, bk in zip(a, b):
+        acc += ak * bk
+    return acc
 
 
 def _free_energy(grid: Grid, fv: np.ndarray, log_f: np.ndarray, coeffs: CoefficientSet) -> float:
@@ -191,22 +201,23 @@ def jensen_check(u: VectorField) -> float:
     return _jensen_margin(u.grid.dim, grad_sq, div)
 
 
-def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jacobian: bool = False):
-    """(log f, pi, u, J, |u|^2, |grad u|^2, div u) of one state, log f taken once; the
-    u_k are compute_velocity's, in a list, and J, the (n, n, ...) Jacobian, is None
-    unless asked for.  A nonpositive cell raises NonPositiveDensityError, a NaN or
-    infinite |u| (|u|^2 overflowing too) NonFiniteFieldError."""
+def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jac_u: bool = False):
+    """(log f, pi, u, J u, |u|^2, |grad u|^2, div u) of one state, log f taken once;
+    the u_k are compute_velocity's and the (J u)_k _velocity_sums', each in a list, J u
+    None unless asked for.  A nonpositive cell raises NonPositiveDensityError, a NaN
+    or infinite |u| (|u|^2 overflowing too) NonFiniteFieldError."""
     require_positive_density(f.values)
     grid, log_f = f.grid, np.log(f.values)
     psi = log_f * coeffs.D.values  # solver._potential, from the one log f
     psi += coeffs.phi.values
     pi = coeffs.pi_values(t)
     u = _velocity_arrays(psi, pi, grid.spacing)
-    jac = np.empty((grid.dim, grid.dim) + grid.shape) if jacobian else None
-    sums = _velocity_sums(u, grid.spacing, jac)
+    del psi  # freed before the sums' arrays are built
+    ju = [np.zeros(grid.shape) for _ in u] if jac_u else None
+    sums = _velocity_sums(u, grid.spacing, ju)
     if not math.isfinite(float(sums[0].max())):  # NaN if any component is NaN
         raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 overflows")
-    return (log_f, pi, u, jac, *sums)
+    return (log_f, pi, u, ju, *sums)
 
 
 def second_derivative_terms(
@@ -218,59 +229,60 @@ def second_derivative_terms(
     (constant pi) 7, ``full`` 13.  The mode must be ``coeffs.regime`` or a
     later regime of REGIMES.  All derivatives are centered differences;
     grad|u|^2 is the centered gradient of the sampled speed-squared field.
+    The terms contract the velocity's Jacobian and phi's Hessian as they are
+    formed: neither is held as an (n, n, ...) array.
     """
     if mode not in REGIMES:
         raise ValueError(f"mode must be one of {REGIMES}")
     if REGIMES.index(mode) < REGIMES.index(coeffs.regime):
         raise WrongRegimeError(f"{mode} mode does not cover the {coeffs.regime} regime")
-    velocity = _velocity_pass(f, coeffs, t, jacobian=mode == "full")
-    return _term_breakdown(f, coeffs, t, mode, centered_hessian(coeffs.phi), velocity)
+    return _term_breakdown(f, coeffs, t, mode, _velocity_pass(f, coeffs, t, jac_u=mode == "full"))
 
 
-def _term_breakdown(f, coeffs, t, mode, hess_phi, velocity) -> TermBreakdown:
-    """second_derivative_terms from a _velocity_pass (with J in full mode)."""
-    log_f, pi, uc, jac, speed_sq, grad_u_sq, div_u = velocity
+def _term_breakdown(f, coeffs, t, mode, velocity) -> TermBreakdown:
+    """second_derivative_terms from a _velocity_pass (with J u in full mode).  Each
+    integrand is formed in one array, in place, with the operations in the order
+    its formula is written; H u takes phi's Hessian one entry at a time."""
+    log_f, pi, uc, ju, speed_sq, grad_u_sq, div_u = velocity
     grid, fv, d = f.grid, f.values, coeffs.D.values
 
-    def quad(x: np.ndarray) -> float:
-        return _cell_integral(grid, x * fv)
+    def quad(x: np.ndarray, *factors: np.ndarray, over: np.ndarray | None = None) -> float:
+        """int x * factors... / over * f, left to right, in x: the integrand's own array."""
+        for factor in factors:
+            x *= factor
+        if over is not None:
+            x /= over
+        x *= fv
+        return _cell_integral(grid, x)
 
-    hess_u = np.einsum("kl...,l...->k...", hess_phi, uc)
+    axes = range(grid.dim)
+    hess_u = (_dot((hessian_entry(coeffs.phi.values, grid.spacing, k, l) for l in axes), uc) for k in axes)
     terms: dict[str, float] = {}
-    terms["hessian_phi"] = 2.0 * quad(np.sum(hess_u * uc, axis=0))
+    terms["hessian_phi"] = 2.0 * quad(_dot(hess_u, uc))
     terms["d_grad_u_sq"] = 2.0 * quad(d * grad_u_sq)
 
     if mode != "homogeneous":
-        grad_d = coeffs.grad_D.components
-        grad_phi = coeffs.grad_phi.components
-        u_dot_grad_d = np.sum(uc * grad_d, axis=0)
-        u_dot_grad_phi = np.sum(uc * grad_phi, axis=0)
-        grad_speed_sq = np.stack(gradient_arrays(speed_sq, grid.spacing))
+        grad_d, grad_phi = coeffs.grad_D.components, coeffs.grad_phi.components
+        u_dot_grad_d = _dot(uc, grad_d)
+        grad_speed_sq = gradient_arrays(speed_sq, grid.spacing)
 
-        terms["logf_gradDu_sq_cross"] = -quad(
-            (log_f - 1.0) * np.sum(grad_speed_sq * grad_d, axis=0)
-        )
-        terms["divu_cross"] = -2.0 * quad((1.0 + log_f) * u_dot_grad_d * div_u)
+        terms["logf_gradDu_sq_cross"] = -quad(log_f - 1.0, _dot(grad_speed_sq, grad_d))
+        terms["divu_cross"] = -2.0 * quad(1.0 + log_f, u_dot_grad_d, div_u)
         # with constant pi the pi/D weight reduces to the constant over D
-        terms["cubic_logf"] = 2.0 * quad((pi / d) * speed_sq * log_f * u_dot_grad_d)
-        terms["gradD_sq_logf_sq"] = 2.0 * quad((log_f**2) * (u_dot_grad_d**2) / d)
-        terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d * u_dot_grad_phi / d)
+        terms["cubic_logf"] = 2.0 * quad(pi / d, speed_sq, log_f, u_dot_grad_d)
+        terms["gradD_sq_logf_sq"] = 2.0 * quad(log_f**2, u_dot_grad_d**2, over=d)
+        terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d, _dot(uc, grad_phi), over=d)
 
     if mode == "full":
-        grad_pi = coeffs.grad_pi_at(t).components
-        pi_t = coeffs.pi_t_values(t)
-        u_dot_grad_pi = np.sum(uc * grad_pi, axis=0)
-        grad_pi_dot_grad_d = np.sum(grad_pi * grad_d, axis=0)
-        jac_u = np.einsum("kl...,l...->k...", jac, uc)
+        grad_pi = gradient_arrays(pi, grid.spacing)
+        u_dot_grad_pi = _dot(uc, grad_pi)
 
-        terms["pi_t"] = quad(pi_t * speed_sq)
+        terms["pi_t"] = quad(coeffs.pi_t_values(t), speed_sq)  # a fresh array
         terms["cubic_gradPi"] = quad(speed_sq * u_dot_grad_pi)
-        terms["gradPi_gradD"] = -2.0 * quad((log_f - 1.0) * speed_sq * grad_pi_dot_grad_d / pi)
-        terms["gradPi_gradD_directional"] = 2.0 * quad(
-            (log_f - 1.0) * u_dot_grad_pi * u_dot_grad_d / pi
-        )
-        terms["grad_usq_gradPi"] = quad((d / pi) * np.sum(grad_speed_sq * grad_pi, axis=0))
-        terms["jacobian_u_gradPi"] = -2.0 * quad((d / pi) * np.sum(jac_u * grad_pi, axis=0))
+        terms["gradPi_gradD"] = -2.0 * quad(log_f - 1.0, speed_sq, _dot(grad_pi, grad_d), over=pi)
+        terms["gradPi_gradD_directional"] = 2.0 * quad(log_f - 1.0, u_dot_grad_pi, u_dot_grad_d, over=pi)
+        terms["grad_usq_gradPi"] = quad(d / pi, _dot(grad_speed_sq, grad_pi))
+        terms["jacobian_u_gradPi"] = -2.0 * quad(d / pi, _dot(ju, grad_pi))
 
     return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
 
@@ -377,22 +389,22 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
     SolverConfig, the first record at or after each target time j t_end /
     (TERM_SAMPLES - 1), and the final record of a run max_steps stops early,
     carry in ``terms`` their pass's bitwise second_derivative_terms in the
-    coefficients' regime.  A recorder serves one run.
+    coefficients' regime.  A recorder serves one run and holds no array: a
+    sampled record takes phi's Hessian one entry at a time.
     """
-    mode, targets, hess_phi = coeffs.regime, [], None
+    mode, targets = coeffs.regime, []
     if config is not None:
         targets = [j * config.t_end / (TERM_SAMPLES - 1) for j in range(TERM_SAMPLES)]
-        hess_phi = centered_hessian(coeffs.phi)  # phi does not depend on t
 
     def recorder(state: SolverState) -> DiagnosticsRecord:
         f, t, grid, fv = state.f, state.t, state.f.grid, state.f.values
         final = config is not None and state.step_index >= config.max_steps
         sampled = bool(targets) and (final or t >= targets[0])
         targets[:] = [target for target in targets if target > t and not final]
-        velocity = _velocity_pass(f, coeffs, t, jacobian=sampled and mode == "full")
-        terms = _term_breakdown(f, coeffs, t, mode, hess_phi, velocity) if sampled else None
-        log_f, pi, u, jac, speed_sq, grad_sq, div = velocity
-        del velocity, u, jac  # freed before the ratios' arrays are built
+        velocity = _velocity_pass(f, coeffs, t, jac_u=sampled and mode == "full")
+        terms = _term_breakdown(f, coeffs, t, mode, velocity) if sampled else None
+        log_f, pi, u, ju, speed_sq, grad_sq, div = velocity
+        del velocity, u, ju  # freed before the ratios' arrays are built
         speed = np.sqrt(speed_sq)  # u.magnitude()
         ratios = _ratios(grid, fv, speed_sq, speed, grad_sq)
         if any(map(math.isnan, ratios.values())):

@@ -157,25 +157,24 @@ def centered_gradient(field: ScalarField) -> VectorField:
     return VectorField(field.grid, np.stack(comps))
 
 
-def centered_hessian(field: ScalarField) -> np.ndarray:
-    """Discrete Hessian, shape (dim, dim, N, ..., N).
+def hessian_entry(values: np.ndarray, spacing: float, k: int, l: int) -> np.ndarray:
+    """Entry (k, l) of the discrete Hessian: the compact 3-point second difference
+    on the diagonal, else the centered first difference along min(k, l), then
+    along max(k, l), so entries (k, l) and (l, k) are the same bits."""
+    if k == l:
+        return (shift(values, 1, k) - 2.0 * values + shift(values, -1, k)) / spacing**2
+    for axis in sorted((k, l)):
+        values = (shift(values, 1, axis) - shift(values, -1, axis)) / (2.0 * spacing)
+    return values
 
-    Diagonal entries use the compact 3-point second difference; off-diagonal
-    entries apply the centered first difference twice (exactly symmetric
-    because the shifts commute).
-    """
-    grid = field.grid
-    v = field.values
-    h = grid.spacing
-    n = grid.dim
-    out = np.empty((n, n) + grid.shape)
-    firsts = gradient_arrays(v, h)
+
+def centered_hessian(field: ScalarField) -> np.ndarray:
+    """Discrete Hessian of hessian_entry's entries, shape (dim, dim, N, ..., N)."""
+    n = field.grid.dim
+    out = np.empty((n, n) + field.grid.shape)
     for k in range(n):
-        out[k, k] = (shift(v, 1, k) - 2.0 * v + shift(v, -1, k)) / h**2
-        for l in range(k + 1, n):
-            cross = (shift(firsts[k], 1, l) - shift(firsts[k], -1, l)) / (2.0 * h)
-            out[k, l] = cross
-            out[l, k] = cross
+        for l in range(k, n):
+            out[k, l] = out[l, k] = hessian_entry(field.values, field.grid.spacing, k, l)
     return out
 
 

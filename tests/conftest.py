@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import fpklab as F
 from fpklab import cli, diagnostics as dg
 from fpklab.coefficients import _finite_samples, _grid_coords, _require_positive
-from fpklab.grid import shift
+from fpklab.grid import gradient_arrays, shift
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -92,6 +93,71 @@ def plain_advance(f_values, coeffs, pi, dt, integrator):
     k3 = plain_rhs_values(f_values + 0.5 * dt * k2, coeffs, pi)
     k4 = plain_rhs_values(f_values + dt * k3, coeffs, pi)
     return f_values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def plain_hessian(values, spacing):
+    """Reference discrete Hessian, shape (n, n, N, ..., N): 3-point second differences on
+    the diagonal, the centered first difference taken twice off it."""
+    n, h = values.ndim, spacing
+    out = np.empty((n, n) + values.shape)
+    firsts = gradient_arrays(values, h)
+    for k in range(n):
+        out[k, k] = (shift(values, 1, k) - 2.0 * values + shift(values, -1, k)) / h**2
+        for l in range(k + 1, n):
+            out[k, l] = out[l, k] = (shift(firsts[k], 1, l) - shift(firsts[k], -1, l)) / (2.0 * h)
+    return out
+
+
+def plain_term_breakdown(f, coeffs, t, mode):
+    """Reference d^2F/dt^2 terms: the full Jacobian and Hessian contracted by einsum,
+    the dot products by np.sum(a * b, axis=0), every integrand a plain expression."""
+    grid, fv, d = f.grid, f.values, coeffs.D.values
+    h, log_f, pi = grid.spacing, np.log(f.values), coeffs.pi_values(t)
+    uc = F.compute_velocity(f, coeffs, t).components
+    jac = np.stack([np.stack(gradient_arrays(uk, h)) for uk in uc])
+    speed_sq, grad_u_sq, div_u = np.sum(uc**2, axis=0), np.sum(jac**2, axis=(0, 1)), np.trace(jac)
+
+    def quad(x):
+        return grid.cell_volume * float((x * fv).sum())
+
+    hess_u = np.einsum("kl...,l...->k...", plain_hessian(coeffs.phi.values, h), uc)
+    terms = {}
+    terms["hessian_phi"] = 2.0 * quad(np.sum(hess_u * uc, axis=0))
+    terms["d_grad_u_sq"] = 2.0 * quad(d * grad_u_sq)
+    if mode != "homogeneous":
+        grad_d = coeffs.grad_D.components
+        u_dot_grad_d = np.sum(uc * grad_d, axis=0)
+        u_dot_grad_phi = np.sum(uc * coeffs.grad_phi.components, axis=0)
+        grad_speed_sq = np.stack(gradient_arrays(speed_sq, h))
+        terms["logf_gradDu_sq_cross"] = -quad((log_f - 1.0) * np.sum(grad_speed_sq * grad_d, axis=0))
+        terms["divu_cross"] = -2.0 * quad((1.0 + log_f) * u_dot_grad_d * div_u)
+        terms["cubic_logf"] = 2.0 * quad((pi / d) * speed_sq * log_f * u_dot_grad_d)
+        terms["gradD_sq_logf_sq"] = 2.0 * quad((log_f**2) * (u_dot_grad_d**2) / d)
+        terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d * u_dot_grad_phi / d)
+    if mode == "full":
+        grad_pi = coeffs.grad_pi_at(t).components
+        u_dot_grad_pi = np.sum(uc * grad_pi, axis=0)
+        grad_pi_dot_grad_d = np.sum(grad_pi * grad_d, axis=0)
+        jac_u = np.einsum("kl...,l...->k...", jac, uc)
+        terms["pi_t"] = quad(coeffs.pi_t_values(t) * speed_sq)
+        terms["cubic_gradPi"] = quad(speed_sq * u_dot_grad_pi)
+        terms["gradPi_gradD"] = -2.0 * quad((log_f - 1.0) * speed_sq * grad_pi_dot_grad_d / pi)
+        terms["gradPi_gradD_directional"] = 2.0 * quad((log_f - 1.0) * u_dot_grad_pi * u_dot_grad_d / pi)
+        terms["grad_usq_gradPi"] = quad((d / pi) * np.sum(grad_speed_sq * grad_pi, axis=0))
+        terms["jacobian_u_gradPi"] = -2.0 * quad((d / pi) * np.sum(jac_u * grad_pi, axis=0))
+    return terms
+
+
+def traced_peak_arrays(call, grid):
+    """(call(), the peak of memory traced during it above its start, in arrays of ``grid``'s shape)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - start) / (8 * grid.cell_count)
 
 
 @pytest.fixture(scope="session")

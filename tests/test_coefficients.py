@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import fpklab as F
-from conftest import plain_pi_values
-from fpklab.coefficients import log_density_bound
+from conftest import plain_hessian, plain_pi_values, traced_peak_arrays
+from fpklab.coefficients import _min_hessian_eigenvalue, log_density_bound
 from fpklab.errors import ExpressionError, FpkError, PositivityError
 from fpklab.grid import integrate
 
@@ -216,6 +216,21 @@ class TestConstantsLedger:
         grid, coeffs, f0 = sample({**UNIT, "phi": "cos(2*pi*x1)"}, n=128)
         led = F.build_constants_ledger(coeffs, f0, grid)
         assert led.hess_phi_lower == pytest.approx(4 * np.pi**2, rel=0.02)
+
+    @pytest.mark.parametrize("dim, n", [(2, 48), (3, 16)])
+    def test_hessian_floor_bitwise_equal_to_one_eigvalsh_call(self, dim, n):
+        # 2304 cells make 3 blocks, the last one partial; 4096 cells make 4
+        phi = "0.3*cos(2*pi*x1)*sin(2*pi*x2) + 0.2*sin(2*pi*x{d})^3 + 0.1*cos(4*pi*(x1 + x{d}))"
+        grid, coeffs, _ = sample({**UNIT, "phi": phi.format(d=dim)}, dim=dim, n=n)
+        hess = plain_hessian(coeffs.phi.values, grid.spacing)
+        one_call = np.linalg.eigvalsh(np.moveaxis(hess.reshape(dim, dim, -1), -1, 0))[:, 0].min()
+        assert _min_hessian_eigenvalue(coeffs.phi).hex() == float(one_call).hex()
+
+    def test_hessian_floor_holds_no_whole_hessian(self):
+        # 9 Hessian arrays and eigvalsh's copy of them made 15 arrays at 32^3
+        grid, coeffs, _ = sample({**UNIT, "phi": "0.2*cos(2*pi*x3)*sin(2*pi*x1)"}, dim=3, n=32)
+        _, peak = traced_peak_arrays(lambda: _min_hessian_eigenvalue(coeffs.phi), grid)
+        assert peak <= 11
 
     def test_convex_potential_clamps_to_zero(self):
         # strictly positive curvature everywhere: 2 + cos has Hessian >= ... not convex;

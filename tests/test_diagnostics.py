@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import capturing
-from fpklab import diagnostics as dg
+from conftest import capturing, load_scenario_dict, plain_term_breakdown, traced_peak_arrays
+from fpklab import cli, diagnostics as dg, grid as grid_module
+from fpklab.coefficients import REGIMES
 from fpklab.errors import (
     NonFiniteFieldError,
     NonPositiveDensityError,
@@ -23,6 +24,27 @@ def sample(spec, dim=1, n=64):
 
 
 UNIT = {"D": "1", "phi": "0", "pi": "1", "f0": "1"}
+
+
+class NumpyShapeSpy:
+    """numpy, keeping in ``shapes`` the shape of each array its creation functions return."""
+
+    CREATORS = ("empty", "zeros", "stack", "einsum", "concatenate")
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.CREATORS:
+            return attr
+
+        def creating(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            self.shapes.append(out.shape)
+            return out
+
+        return creating
 
 
 def synthetic_series(ts, dissipations, free_energies=None):
@@ -265,16 +287,55 @@ class TestSecondDerivativeTerms:
         plain = F.run(f0, coeffs, config, dg.make_recorder(coeffs))
         assert all(r.terms is None for r in plain.records)
 
-        hessian, hessians = dg.centered_hessian, []
-        monkeypatch.setattr(dg, "centered_hessian", lambda phi: hessians.append(phi) or hessian(phi))
+        spy = NumpyShapeSpy()
+        monkeypatch.setattr(dg, "np", spy)
+        monkeypatch.setattr(grid_module, "np", spy)
         snaps = []
         series = F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs, config=config), snaps))
-        assert len(hessians) == 1  # once per recorder, not per sampled record
+        # neither the recorder nor its calls build, so none holds, an (n, n, ...) array
+        assert spy.shapes and max(map(len, spy.shapes)) <= dim + 1
         assert series.records == plain.records  # terms do not take part in ==
         carrying = [(s, r) for s, r in zip(snaps, series.records) if r.terms is not None]
         assert len(carrying) == dg.TERM_SAMPLES
         for state, record in carrying:
             assert record.terms == dg.second_derivative_terms(state.f, coeffs, state.t, "full")
+
+    SPECS = {  # one per regime; pi_t is nonzero in the full one
+        "homogeneous": {"D": "1.5", "pi": "1.2"},
+        "inhomogeneous-D": {"D": "2+0.5*cos(2*pi*x1)*cos(2*pi*({s}))", "pi": "1.2"},
+        "full": {"D": "2+0.5*cos(2*pi*x1)*cos(2*pi*({s}))", "pi": "1.2+0.2*(1.5+sin(2*pi*({s})))*(1+t)"},
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_terms_bitwise_equal_to_plain_formulas(self, dim, regime):
+        # every axis weighs differently in s, so no component vanishes or equals another
+        # and a sum over three of them depends on its order
+        s = "+".join(f"{k}*x{k}" for k in range(1, dim + 1))
+        spec = {
+            **self.SPECS[regime],
+            "phi": "0.3*cos(2*pi*x1)+0.2*sin(2*pi*({s}))*cos(2*pi*x1)",
+            "f0": "1+0.1*sin(2*pi*x1)+0.1*cos(2*pi*({s}))",
+        }
+        grid, coeffs, f0 = sample({k: v.format(s=s) for k, v in spec.items()}, dim=dim, n=12)
+        assert coeffs.regime == regime
+        assert regime != "full" or np.abs(coeffs.pi_t_values(0.3)).min() > 0.0
+        for mode in REGIMES[REGIMES.index(regime):]:
+            breakdown = dg.second_derivative_terms(f0, coeffs, 0.3, mode)
+            plain = plain_term_breakdown(f0, coeffs, 0.3, mode)
+            assert {k: v.hex() for k, v in breakdown.terms.items()} == {k: v.hex() for k, v in plain.items()}
+            assert breakdown.sum == math.fsum(plain.values())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_uniform_state_terms_bitwise_equal_to_plain_formulas(self, dim):
+        # u is exactly -0.0: a sum started from its first product keeps that sign, one from 0 does not
+        grid, coeffs, f0 = sample({"D": "1.5", "phi": "0.7", "pi": "2", "f0": "1"}, dim=dim, n=8)
+        u = F.compute_velocity(f0, coeffs, 0.0).components
+        assert np.all(u == 0.0) and np.all(np.signbit(u))
+        for mode in REGIMES:
+            breakdown = dg.second_derivative_terms(f0, coeffs, 0.0, mode)
+            plain = plain_term_breakdown(f0, coeffs, 0.0, mode)
+            assert {k: v.hex() for k, v in breakdown.terms.items()} == {k: v.hex() for k, v in plain.items()}
 
     def test_convex_case_certifies_nonnegative_sum(self, heat_run_64):
         # flat potential: the two-term sum is a weighted square, so >= -1e-10
@@ -467,3 +528,28 @@ class TestTimeSeries:
         series = heat_run_64["series"]
         assert series.column("dissipation").min() >= -1e-12
         assert np.abs(series.column("mass") - 1.0).max() <= 1e-12
+
+
+class TestMemory:
+    """Traced peaks of a 3-D run at 32^3 cells, in arrays of the grid's shape (256 KB).
+    A term-sampled record took 38 and the run 61 while the breakdown held the full
+    Jacobian and phi's Hessian."""
+
+    TORUS_32 = {"grid.cells_per_axis": 32, "solver.t_end": 0.002}
+
+    def test_recorder_call_peaks(self):
+        scenario = load_scenario_dict("torus_3d", **self.TORUS_32)
+        grid, coeffs, f0 = sample(scenario["coefficients"], dim=3, n=32)
+        recorder = dg.make_recorder(coeffs, config=F.SolverConfig(t_end=0.01))
+        record, peak = traced_peak_arrays(lambda: recorder(F.SolverState(f=f0, t=0.0, step_index=0)), grid)
+        assert record.terms is not None and record.terms.mode == "full"
+        assert peak <= 24
+        record, peak = traced_peak_arrays(lambda: recorder(F.SolverState(f=f0, t=1e-4, step_index=1)), grid)
+        assert record.terms is None
+        assert peak <= 13
+
+    def test_run_peak(self):
+        scenario = cli.build_scenario(load_scenario_dict("torus_3d", **self.TORUS_32), fallback_name="torus_3d")
+        (series, report), peak = traced_peak_arrays(lambda: cli.run_scenario_data(scenario), F.build_grid(3, 32))
+        assert len(report["term_breakdown_samples"]) == dg.TERM_SAMPLES
+        assert peak <= 38

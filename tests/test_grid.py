@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fpklab
+from conftest import plain_hessian
 from fpklab.errors import (
     FpkError,
     GridTooCoarseError,
@@ -162,6 +163,12 @@ class TestCenteredHessian:
         x, y = g.coordinates()
         target = -4 * np.pi**2 * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y)
         assert np.abs(hess[0, 1] - target).max() <= 0.05 * 4 * np.pi**2
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bitwise_equal_to_plain_stencil(self, dim):
+        g = build_grid(dim, 12)
+        f = field_from(g, lambda *xs: np.exp(np.sin(2 * np.pi * sum((k + 1) * x for k, x in enumerate(xs)))))
+        assert centered_hessian(f).tobytes() == plain_hessian(f.values, g.spacing).tobytes()
 
 
 class TestFaceDivergence:
