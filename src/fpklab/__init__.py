@@ -16,15 +16,7 @@ from .coefficients import (
     sample_coefficients,
 )
 from .expressions import CoefficientExpr, parse_expression
-from .grid import (
-    Grid,
-    ScalarField,
-    VectorField,
-    build_grid,
-    centered_gradient,
-    face_divergence,
-    integrate,
-)
+from .grid import Grid, ScalarField, build_grid, face_divergence, integrate
 from .solver import SolverConfig, SolverState, compute_velocity, rhs, run, stable_dt, step
 
 __all__ = [
@@ -35,10 +27,8 @@ __all__ = [
     "ScalarField",
     "SolverConfig",
     "SolverState",
-    "VectorField",
     "build_constants_ledger",
     "build_grid",
-    "centered_gradient",
     "compute_equilibrium",
     "compute_velocity",
     "face_divergence",

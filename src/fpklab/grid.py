@@ -7,6 +7,11 @@ wrap: every stencil here and in the solver reads its neighbors through it.
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 integrands), gradients are centered second-order differences, and the face
 divergence telescopes to zero total mass on every periodic flux array.
+
+A scalar field is a ScalarField; a vector field is any sequence of per-axis
+arrays of the grid's shape (a list, or an (n, N, ..., N) array, whose rows
+are its axes), and every pointwise dot product of two of them, |v|^2 too, is
+``dot``.
 """
 
 from __future__ import annotations
@@ -78,16 +83,6 @@ def build_grid(dim: int, cells_per_axis: int) -> Grid:
     return Grid(dim=int(dim), cells_per_axis=int(cells_per_axis))
 
 
-def _as_field_array(grid: Grid, values, expected_shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.shape != expected_shape:
-        raise ShapeError(f"expected array of shape {expected_shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteFieldError("field contains NaN or infinite entries")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ScalarField:
     """One real value per cell.  Immutable once constructed."""
@@ -96,7 +91,13 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_field_array(self.grid, self.values, self.grid.shape))
+        arr = np.ascontiguousarray(self.values, dtype=np.float64)
+        if arr.shape != self.grid.shape:
+            raise ShapeError(f"expected array of shape {self.grid.shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteFieldError("field contains NaN or infinite entries")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @classmethod
     def _trusted(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
@@ -114,22 +115,6 @@ class ScalarField:
 
     def max(self) -> float:
         return float(self.values.max())
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """dim real components per cell, stored as (dim, N, ..., N)."""
-
-    grid: Grid
-    components: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.grid.dim,) + self.grid.shape
-        object.__setattr__(self, "components", _as_field_array(self.grid, self.components, expected))
-
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean norm."""
-        return np.sqrt(np.sum(self.components**2, axis=0))
 
 
 def integrate(field: ScalarField) -> float:
@@ -151,10 +136,13 @@ def gradient_arrays(values: np.ndarray, spacing: float) -> list[np.ndarray]:
     return [(shift(values, 1, k) - shift(values, -1, k)) / two_h for k in range(values.ndim)]
 
 
-def centered_gradient(field: ScalarField) -> VectorField:
-    """Second-order centered gradient with periodic wrap."""
-    comps = gradient_arrays(field.values, field.grid.spacing)
-    return VectorField(field.grid, np.stack(comps))
+def dot(a, b) -> np.ndarray:
+    """sum_k a_k b_k from 0, one product at a time, bitwise np.sum(a * b, axis=0);
+    ``a`` may be an iterator, so its components need not all exist at once."""
+    acc = np.zeros(b[0].shape)
+    for ak, bk in zip(a, b):
+        acc += ak * bk
+    return acc
 
 
 def hessian_entry(values: np.ndarray, spacing: float, k: int, l: int) -> np.ndarray:
@@ -169,7 +157,10 @@ def hessian_entry(values: np.ndarray, spacing: float, k: int, l: int) -> np.ndar
 
 
 def centered_hessian(field: ScalarField) -> np.ndarray:
-    """Discrete Hessian of hessian_entry's entries, shape (dim, dim, N, ..., N)."""
+    """Discrete Hessian of hessian_entry's entries, shape (dim, dim, N, ..., N).
+
+    No run calls it: the ledger and the term breakdown take hessian_entry one
+    entry at a time.  Tests and perfbench/micro.py use it."""
     n = field.grid.dim
     out = np.empty((n, n) + field.grid.shape)
     for k in range(n):

@@ -49,10 +49,11 @@ from .coefficients import CoefficientSet
 from .errors import (
     FpkError,
     MassConservationError,
+    NonFiniteFieldError,
     NonPositiveDensityError,
     StiffnessError,
 )
-from .grid import ScalarField, VectorField, face_divergence_arrays, gradient_arrays, integrate, shift
+from .grid import ScalarField, face_divergence_arrays, gradient_arrays, integrate, shift
 
 INTEGRATORS = ("explicit-euler", "rk4")
 
@@ -138,11 +139,14 @@ def _velocity_arrays(psi: np.ndarray, pi: np.ndarray, spacing: float) -> list[np
     return comps
 
 
-def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> VectorField:
-    """u = -(1/pi) grad(D log f + phi), centered differences."""
+def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> list[np.ndarray]:
+    """u = -(1/pi) grad(D log f + phi), centered differences, one array per axis;
+    NonFiniteFieldError if an entry is NaN or infinite."""
     require_positive_density(f.values)
-    comps = _velocity_arrays(_potential(f.values, coeffs), coeffs.pi_values(t), f.grid.spacing)
-    return VectorField(f.grid, np.stack(comps))
+    u = _velocity_arrays(_potential(f.values, coeffs), coeffs.pi_values(t), f.grid.spacing)
+    if not all(np.isfinite(uk).all() for uk in u):
+        raise NonFiniteFieldError("velocity has a NaN or infinite entry")
+    return u
 
 
 def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ def plain_term_breakdown(f, coeffs, t, mode):
     the dot products by np.sum(a * b, axis=0), every integrand a plain expression."""
     grid, fv, d = f.grid, f.values, coeffs.D.values
     h, log_f, pi = grid.spacing, np.log(f.values), coeffs.pi_values(t)
-    uc = F.compute_velocity(f, coeffs, t).components
+    uc = np.stack(F.compute_velocity(f, coeffs, t))
     jac = np.stack([np.stack(gradient_arrays(uk, h)) for uk in uc])
     speed_sq, grad_u_sq, div_u = np.sum(uc**2, axis=0), np.sum(jac**2, axis=(0, 1)), np.trace(jac)
 
@@ -125,9 +125,9 @@ def plain_term_breakdown(f, coeffs, t, mode):
     terms["hessian_phi"] = 2.0 * quad(np.sum(hess_u * uc, axis=0))
     terms["d_grad_u_sq"] = 2.0 * quad(d * grad_u_sq)
     if mode != "homogeneous":
-        grad_d = coeffs.grad_D.components
+        grad_d = coeffs.grad_D
         u_dot_grad_d = np.sum(uc * grad_d, axis=0)
-        u_dot_grad_phi = np.sum(uc * coeffs.grad_phi.components, axis=0)
+        u_dot_grad_phi = np.sum(uc * coeffs.grad_phi, axis=0)
         grad_speed_sq = np.stack(gradient_arrays(speed_sq, h))
         terms["logf_gradDu_sq_cross"] = -quad((log_f - 1.0) * np.sum(grad_speed_sq * grad_d, axis=0))
         terms["divu_cross"] = -2.0 * quad((1.0 + log_f) * u_dot_grad_d * div_u)
@@ -135,7 +135,7 @@ def plain_term_breakdown(f, coeffs, t, mode):
         terms["gradD_sq_logf_sq"] = 2.0 * quad((log_f**2) * (u_dot_grad_d**2) / d)
         terms["gradD_gradPhi_cross"] = 2.0 * quad(log_f * u_dot_grad_d * u_dot_grad_phi / d)
     if mode == "full":
-        grad_pi = coeffs.grad_pi_at(t).components
+        grad_pi = np.stack(gradient_arrays(pi, h))
         u_dot_grad_pi = np.sum(uc * grad_pi, axis=0)
         grad_pi_dot_grad_d = np.sum(grad_pi * grad_d, axis=0)
         jac_u = np.einsum("kl...,l...->k...", jac, uc)

@@ -12,6 +12,7 @@ import pytest
 import fpklab as F
 from conftest import SCENARIO_DIR, load_scenario_dict, run_with_snapshots
 from fpklab import cli, diagnostics as dg, theory as th
+from fpklab.grid import dot
 
 SCENARIO_NAMES = (
     "heat_1d",
@@ -377,9 +378,9 @@ def test_suite_single_pass_diagnostics(suite_runs):
                 f_min=f.min(),
                 f_max=f.max(),
                 log_f_sup=float(np.abs(np.log(f.values)).max()),
-                u_sup=float(u.magnitude().max()),
+                u_sup=float(np.sqrt(dot(u, u)).max()),
                 envelope_margin=dg.envelope_margin(f, envelope),
-                jensen_margin=dg.jensen_check(u),
+                jensen_margin=dg.jensen_check(f.grid, u),
                 **ratios,
             )
             assert record == public, (name, state.t)

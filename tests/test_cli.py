@@ -9,6 +9,7 @@ from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict, run_with_snap
 from fpklab import cli, diagnostics
 from fpklab.coefficients import REGIMES
 from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
+from fpklab.grid import gradient_arrays
 
 MINIMAL = {
     "grid": {"dim": 1, "cells_per_axis": 32},
@@ -394,8 +395,8 @@ class TestSweep:
         grid_mod = cli.build_grid(1, 32)
         coeffs, _ = cli.sample_coefficients(row.coefficients, grid_mod)
         base_coeffs, _ = cli.sample_coefficients(base.coefficients, grid_mod)
-        scaled = coeffs.grad_pi_at(0.0).components
-        original = base_coeffs.grad_pi_at(0.0).components
+        scaled = np.stack(gradient_arrays(coeffs.pi_values(0.0), grid_mod.spacing))
+        original = np.stack(gradient_arrays(base_coeffs.pi_values(0.0), grid_mod.spacing))
         assert np.allclose(scaled, 0.5 * original, rtol=1e-12)
 
 
@@ -460,12 +461,20 @@ EXTREME_THEORY = [
         {"certified_sobolev": 1e-300},  # K^{3/2} underflows to 0
         {"T4": ["mobility_gradient"]},
     ),
+    (
+        {"pi": "1e160*(1.5 + sin(2*pi*x1))"},  # |grad pi| about 6e161: finite, its square is not
+        {"certified_sobolev": 1, "certified_poincare": 1},
+        {"T4": ["mobility_gradient", "poincare_gate", "rate"]},
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "coefficients, theory_block, failing", EXTREME_THEORY, ids=["sobolev_t3", "sobolev_t4", "tiny_pi", "tiny_sobolev_t4"]
+    "coefficients, theory_block, failing",
+    EXTREME_THEORY,
+    ids=["sobolev_t3", "sobolev_t4", "tiny_pi", "tiny_sobolev_t4", "grad_pi_square_overflows"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_theory_inputs_give_a_verdict(tmp_path, capsys, coefficients, theory_block, failing):
     import jsonschema
 
@@ -565,6 +574,14 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("run", _with_coefficients(phi="800*cos(2*pi*x1)")),
         ("check", _with_coefficients(phi="800*cos(2*pi*x1)")),
         ("equilibrium", _with_coefficients(phi="800*cos(2*pi*x1)")),
+        ("run", _with_coefficients(D="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("check", _with_coefficients(D="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("equilibrium", _with_coefficients(D="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("run", _with_coefficients(phi="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("check", _with_coefficients(phi="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("equilibrium", _with_coefficients(phi="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("run", _with_coefficients(pi="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("check", _with_coefficients(pi="0.8e308*(1.0001+sin(2*pi*x1))")),
     ],
     ids=[
         "truncated_json",
@@ -608,6 +625,14 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "equilibrium_overflows",
         "check_equilibrium_overflows",
         "equilibrium_command_equilibrium_overflows",
+        "grad_d_overflows",
+        "check_grad_d_overflows",
+        "equilibrium_grad_d_overflows",
+        "grad_phi_overflows",
+        "check_grad_phi_overflows",
+        "equilibrium_grad_phi_overflows",
+        "grad_pi_overflows",
+        "check_grad_pi_overflows",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

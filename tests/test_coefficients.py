@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 import fpklab as F
 from conftest import plain_hessian, plain_pi_values, traced_peak_arrays
 from fpklab.coefficients import _min_hessian_eigenvalue, log_density_bound
-from fpklab.errors import ExpressionError, FpkError, PositivityError
-from fpklab.grid import integrate
+from fpklab.errors import ExpressionError, FpkError, NonFiniteFieldError, PositivityError
+from fpklab.grid import gradient_arrays, integrate
 
 
 def sample(spec, dim=1, n=64):
@@ -68,7 +68,27 @@ class TestSampling:
         grid, coeffs, _ = sample({**UNIT, "D": "2+cos(2*pi*x1)"}, n=128)
         x = grid.axis_centers()
         target = -2 * np.pi * np.sin(2 * np.pi * x)
-        assert np.abs(coeffs.grad_D.components[0] - target).max() <= 0.02
+        assert np.abs(coeffs.grad_D[0] - target).max() <= 0.02
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_gradients_held_as_one_read_only_array_each(self, dim):
+        # one stacked (n, N, ...) array each, not n separate arrays: how setup allocates
+        # sets the heap the RK4 steps reuse, and 2n separate gradient arrays took a warm
+        # 32^3 torus_3d run from about 7.4k minor page faults to about 59k
+        grid, coeffs, _ = sample({**UNIT, "D": "2 + cos(2*pi*x1)", "phi": f"sin(2*pi*x{dim})"}, dim=dim, n=8)
+        for grad, values in ((coeffs.grad_D, coeffs.D.values), (coeffs.grad_phi, coeffs.phi.values)):
+            assert type(grad) is np.ndarray and grad.dtype == np.float64 and grad.shape == (dim, *grid.shape)
+            assert grad.flags.c_contiguous and grad.flags.owndata and not grad.flags.writeable
+            assert np.array_equal(grad, np.stack(gradient_arrays(values, grid.spacing)))
+
+    @pytest.mark.parametrize("name", ["D", "phi", "pi"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradient_names_coefficient_and_cell(self, name):
+        # finite samples whose centered differences over 2h overflow; pi's is taken by the ledger
+        grid = F.build_grid(1, 16)
+        with pytest.raises(NonFiniteFieldError, match=rf"gradient of coefficient '{name}' overflows at cell \(\d+,\)"):
+            coeffs, f0 = F.sample_coefficients({**UNIT, name: "0.8e308*(1.0001+sin(2*pi*x1))"}, grid)
+            F.build_constants_ledger(coeffs, f0, grid)
 
     def test_time_dependent_pi(self):
         _, coeffs, _ = sample({**UNIT, "pi": "2 + sin(t)"})
