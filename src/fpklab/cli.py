@@ -126,6 +126,13 @@ def _number(kind, value, where: str):
     return number
 
 
+def _string(value, where: str) -> str:
+    """value, which must be a JSON string; anything else is a ScenarioError."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be a JSON string; got {value!r}")
+    return value
+
+
 def _positive(value, where: str) -> float:
     number = _number(float, value, where)
     if not 0.0 < number < math.inf:
@@ -136,7 +143,7 @@ def _positive(value, where: str) -> float:
 def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
     """Validate a scenario dict, applying defaults."""
     keys = ("name", "grid", "coefficients", "solver", "diagnostics", "theory")
-    name = str(_object(data, "scenario", keys).get("name", fallback_name))
+    name = _string(_object(data, "scenario", keys).get("name", fallback_name), "scenario name")
     if any(c in name for c in "/\\\0"):  # a sweep row's directory is named after it
         raise ScenarioError(
             f"scenario name must not contain '/', '\\' or NUL; got {quote_source(name)}"
@@ -153,7 +160,7 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
     coeff_block = _object(_require(data, "coefficients", "scenario"), "coefficients", names)
     coefficients = {}
     for key in names:
-        source = str(_require(coeff_block, key, "coefficients"))
+        source = _string(_require(coeff_block, key, "coefficients"), f"coefficient {key!r}")
         try:
             expr = parse_expression(source)
         except FpkError as exc:
@@ -482,7 +489,7 @@ def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> dic
             row["error"] = cond["error"]
             break
         for c in cond["clauses"]:
-            margins[c["name"]] = theory.Clause(c["name"], c["lhs"], c["rhs"], c["op"]).margin
+            margins[c["name"]] = theory.clause_margin(c)
         row["overall_pass"] = cond["overall"]
     return row
 

@@ -39,7 +39,7 @@ from .errors import (
     UndefinedRatioError,
     WrongRegimeError,
 )
-from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, integrate
+from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, integrate, per_axis
 from .solver import SolverState, TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
 
 #: a run's records carry at most this many term breakdowns, picked by target time
@@ -182,7 +182,7 @@ def _jensen_margin(dim: int, grad_sq: np.ndarray, div: np.ndarray) -> float:
 def jensen_check(grid: Grid, u) -> float:
     """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off), u
     one array per axis."""
-    _, grad_sq, div = _velocity_sums(u, grid.spacing)
+    _, grad_sq, div = _velocity_sums(per_axis(grid, u, "velocity"), grid.spacing)
     return _jensen_margin(grid.dim, grad_sq, div)
 
 
@@ -190,7 +190,7 @@ def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jac_u: bool
     """(log f, pi, u, J u, |u|^2, |grad u|^2, div u) of one state, log f taken once;
     the u_k are compute_velocity's and the (J u)_k _velocity_sums', each in a list, J u
     None unless asked for.  A nonpositive cell raises NonPositiveDensityError, a NaN
-    or infinite |u| (|u|^2 overflowing too) NonFiniteFieldError."""
+    or infinite |u| (|u|^2 or |grad u|^2 overflowing too) NonFiniteFieldError."""
     require_positive_density(f.values)
     grid, log_f = f.grid, np.log(f.values)
     psi = log_f * coeffs.D.values  # solver._potential, from the one log f
@@ -199,9 +199,10 @@ def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jac_u: bool
     u = _velocity_arrays(psi, pi, grid.spacing)
     del psi  # freed before the sums' arrays are built
     ju = [np.zeros(grid.shape) for _ in u] if jac_u else None
-    sums = _velocity_sums(u, grid.spacing, ju)
-    if not math.isfinite(float(sums[0].max())):  # NaN if any component is NaN
-        raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 overflows")
+    with np.errstate(over="ignore"):  # an overflowing square is +inf, raised on below
+        sums = _velocity_sums(u, grid.spacing, ju)
+    if not all(math.isfinite(float(sq.max())) for sq in sums[:2]):  # NaN if any entry is NaN
+        raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 or |grad u|^2 overflows")
     return (log_f, pi, u, ju, *sums)
 
 
@@ -288,7 +289,7 @@ def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, float]:
 
 
 def _sample_ratio(f: ScalarField, u, name: str) -> float:
-    speed_sq, grad_sq, _ = _velocity_sums(u, f.grid.spacing)
+    speed_sq, grad_sq, _ = _velocity_sums(per_axis(f.grid, u, "velocity"), f.grid.spacing)
     ratio = _ratios(f.grid, f.values, speed_sq, np.sqrt(speed_sq), grad_sq)[name]
     if math.isnan(ratio):
         raise UndefinedRatioError(f"{name} ratio undefined: its denominator vanishes (u constant)")
@@ -327,7 +328,7 @@ def interpolation_check(
     if mode not in ("pi-constant", "pi-variable"):
         raise ValueError("mode must be 'pi-constant' or 'pi-variable'")
     grid = f.grid
-    speed_sq, grad_sq, _ = _velocity_sums(u, grid.spacing)
+    speed_sq, grad_sq, _ = _velocity_sums(per_axis(grid, u, "velocity"), grid.spacing)
     speed = np.sqrt(speed_sq)
     lhs = _cell_integral(grid, speed**3 * f.values)
     grad_term = _cell_integral(grid, grad_sq * f.values)

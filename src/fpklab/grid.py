@@ -11,7 +11,8 @@ divergence telescopes to zero total mass on every periodic flux array.
 A scalar field is a ScalarField; a vector field is any sequence of per-axis
 arrays of the grid's shape (a list, or an (n, N, ..., N) array, whose rows
 are its axes), and every pointwise dot product of two of them, |v|^2 too, is
-``dot``.
+``dot``.  ``per_axis`` is the one check that a public function's vector
+argument has that form.
 """
 
 from __future__ import annotations
@@ -177,13 +178,19 @@ def face_divergence(grid: Grid, face_flux) -> ScalarField:
     i+1 (wrapping).  The cell value is sum_k (flux_k[i] - flux_k[i-1]) / h,
     so the total over all cells telescopes to zero.
     """
-    fluxes = [np.asarray(flux, dtype=np.float64) for flux in face_flux]
-    if len(fluxes) != grid.dim:
-        raise ShapeError(f"expected {grid.dim} face-flux arrays, got {len(fluxes)}")
-    for k, arr in enumerate(fluxes):
+    return ScalarField(grid, face_divergence_arrays(per_axis(grid, face_flux, "face flux"), grid.spacing))
+
+
+def per_axis(grid: Grid, arrays, what: str) -> list[np.ndarray]:
+    """``arrays`` as one float array of the grid's shape per axis, the form of every
+    vector field; another count or shape is a ShapeError naming ``what``."""
+    out = [np.asarray(arr, dtype=np.float64) for arr in arrays]
+    if len(out) != grid.dim:
+        raise ShapeError(f"expected {grid.dim} {what} arrays, got {len(out)}")
+    for k, arr in enumerate(out):
         if arr.shape != grid.shape:
-            raise ShapeError(f"face flux on axis {k} has shape {arr.shape}, expected {grid.shape}")
-    return ScalarField(grid, face_divergence_arrays(fluxes, grid.spacing))
+            raise ShapeError(f"{what} on axis {k} has shape {arr.shape}, expected {grid.shape}")
+    return out
 
 
 def face_divergence_arrays(fluxes: list[np.ndarray], spacing: float) -> np.ndarray:

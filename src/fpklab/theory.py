@@ -6,7 +6,11 @@ regime's theorem and every later one (``regime_theorems``).  This module is
 the one place that knows the theorems: ``condition_reports`` gives each of a
 regime's theorems its constants and returns their reports, and
 ``envelope_report`` compares a series with the envelope of the regime's own
-theorem.  The clauses, named once in CLAUSES, are:
+theorem.  A verdict has one form: each checker returns its theorem's
+``condition_reports`` entry of report.json as a plain dict, whose clauses
+are the report schema's ``clause`` definition (name, lhs, rhs, op, pass), and
+``clause_margin`` reads a clause's distance to its boundary.  The clauses,
+named once in CLAUSES, are:
 
 * T2, homogeneous (constant D and pi): a single rate clause
   -2 lambda + 2 d_min / C_poincare >= gamma, plus initial-energy finiteness;
@@ -42,7 +46,8 @@ unless the threshold is as small as g(0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,71 +189,16 @@ def gronwall_comparison_ode(spec: GronwallSpec, t_end: float, dt: float) -> Gron
     return GronwallComparison(times_arr, values_arr, None, math.inf, grew=grew)
 
 
-@dataclass(frozen=True)
-class Clause:
-    """One recorded comparison; pass is re-derivable from lhs, rhs, op."""
-
-    name: str
-    lhs: float
-    rhs: float
-    op: str  # "<=", ">=", or "<"
-
-    @property
-    def passed(self) -> bool:
-        if self.op == "<=":
-            return self.lhs <= self.rhs
-        if self.op == ">=":
-            return self.lhs >= self.rhs
-        if self.op == "<":
-            return self.lhs < self.rhs
-        raise ValueError(f"unknown op {self.op!r}")
-
-    @property
-    def margin(self) -> float:
-        """Positive iff the clause passes (distance to the boundary)."""
-        if self.op == ">=":
-            return self.lhs - self.rhs
-        return self.rhs - self.lhs
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "op": self.op,
-            "pass": self.passed,
-        }
+#: how each clause's recorded op decides its pass flag
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt}
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    theorem: str  # "T2" | "T3" | "T4"
-    gamma: float
-    g0: float
-    ledger: dict
-    constants: dict
-    clauses: list[Clause] = field(default_factory=list)
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.clauses)
-
-    def clause(self, name: str) -> Clause:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "gamma": self.gamma,
-            "g0": self.g0,
-            "ledger": self.ledger,
-            "constants": self.constants,
-            "clauses": [c.as_dict() for c in self.clauses],
-            "overall": self.overall,
-        }
+def clause_margin(clause: dict) -> float:
+    """A report clause's distance to its boundary: positive where it passes, negative
+    where it fails, 0 on the boundary (where ``<=`` and ``>=`` pass and ``<`` fails)."""
+    if clause["op"] == ">=":
+        return clause["lhs"] - clause["rhs"]
+    return clause["rhs"] - clause["lhs"]
 
 
 def _power(base: float, exponent: float) -> float:
@@ -274,12 +224,18 @@ def _validate_common(ledger: ConstantsLedger, gamma: float) -> None:
         raise WrongRegimeError("decay conditions cover dimensions 1, 2, 3 only")
 
 
-def _report(theorem: str, ledger: ConstantsLedger, gamma, g0, sides, **constants) -> ConditionReport:
-    """The theorem's report: ``sides`` holds each clause's (lhs, rhs, op) in CLAUSES
-    order, and each constant it used is a (value, provenance) pair."""
-    clauses = [Clause(name, *side) for name, side in zip(CLAUSES[theorem], sides, strict=True)]
+def _report(theorem: str, ledger: ConstantsLedger, gamma, g0, sides, **constants) -> dict:
+    """The theorem's report.json entry: ``sides`` holds each clause's (lhs, rhs, op)
+    in CLAUSES order, and each constant it used is a (value, provenance) pair."""
+    clauses = [
+        {"name": name, "lhs": lhs, "rhs": rhs, "op": op, "pass": _OPS[op](lhs, rhs)}
+        for name, (lhs, rhs, op) in zip(CLAUSES[theorem], sides, strict=True)
+    ]
     used = {name: {"value": value, "provenance": prov} for name, (value, prov) in constants.items()}
-    return ConditionReport(theorem, gamma, g0, ledger.as_dict(), used, clauses)
+    return {
+        "theorem": theorem, "gamma": gamma, "g0": g0, "ledger": ledger.as_dict(), "constants": used,
+        "clauses": clauses, "overall": all(c["pass"] for c in clauses),
+    }
 
 
 def check_condition_T2(
@@ -288,7 +244,7 @@ def check_condition_T2(
     gamma: float,
     g0: float,
     poincare_provenance: str = "empirical",
-) -> ConditionReport:
+) -> dict:
     """Homogeneous regime: rate clause plus initial-energy finiteness."""
     _validate_common(ledger, gamma)
     if poincare_const <= 0.0:
@@ -310,7 +266,7 @@ def check_condition_T3(
     g0: float,
     sobolev_provenance: str = "empirical",
     poincare_provenance: str = "empirical",
-) -> ConditionReport:
+) -> dict:
     """Spatial-D regime: diffusion floor, rate clause, saturation threshold."""
     _validate_common(ledger, gamma)
     if sobolev3 <= 0.0 or poincare3 <= 0.0:
@@ -344,7 +300,7 @@ def check_condition_T4(
     g0: float,
     sobolev_provenance: str = "empirical",
     poincare_provenance: str = "empirical",
-) -> ConditionReport:
+) -> dict:
     """Variable-mobility regime: the full six-clause report."""
     _validate_common(ledger, gamma)
     if sobolev4 <= 0.0 or poincare4 <= 0.0:
@@ -435,7 +391,7 @@ def _usable(name: str, constant) -> float:
 
 
 def condition_reports(regime, ledger, gamma, g0, poincare, sobolev, sobolev_weighted) -> list[dict]:
-    """The report of each theorem that covers ``regime``, as a dict.
+    """The report.json entry of each theorem that covers ``regime``.
 
     Each constant is a (value, provenance) pair.  Every theorem takes the
     Poincare constant; T3 also the plain Sobolev ratio, T4 the weighted one.
@@ -458,7 +414,7 @@ def condition_reports(regime, ledger, gamma, g0, poincare, sobolev, sobolev_weig
                     ledger, _usable(name, sob), poin, gamma, g0,
                     sobolev_provenance=sob[1], poincare_provenance=poincare[1],
                 )
-            reports.append(report.as_dict())
+            reports.append(report)
         except FpkError as exc:
             reports.append({"theorem": theorem, "error": str(exc)})
     return reports

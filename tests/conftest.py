@@ -29,6 +29,11 @@ def load_scenario_dict(name: str, **overrides) -> dict:
     return data
 
 
+def clauses_by_name(report: dict) -> dict:
+    """A condition report's clauses, keyed by clause name."""
+    return {c["name"]: c for c in report["clauses"]}
+
+
 def capturing(recorder, states: list):
     """``recorder``, also appending each state it records to ``states``."""
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict, run_with_snapshots
-from fpklab import cli, diagnostics
+from fpklab import cli, diagnostics, theory
 from fpklab.coefficients import REGIMES
 from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
 from fpklab.grid import gradient_arrays
@@ -330,6 +330,39 @@ class TestSweep:
         assert flips <= 1
         assert flags[0] and not flags[-1]
 
+    @pytest.mark.parametrize(
+        "axis, values, coefficients, theorem",
+        [
+            ("d_scale", [1, 2], {}, "T2"),
+            ("grad_pi_scale", [0, 0.5, 1], {"D": "1.5 + 0.25*cos(2*pi*x1)", "pi": "1.2 + 0.2*cos(2*pi*x1)"}, "T4"),
+        ],
+    )
+    def test_margin_columns_are_the_clause_margins(self, tmp_path, axis, values, coefficients, theorem):
+        # grad_pi_scale 0 makes pi constant; the row still reports T4, the sweep's theorem
+        coefficients = {**MINIMAL["coefficients"], **coefficients}
+        base = {**MINIMAL, "coefficients": coefficients, "theory": {"gamma": 5.0}}
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis=axis, values=values)
+        path = cli.run_sweep(spec, tmp_path / "msweep", force=True, jobs=1)
+        with path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        row_dirs = sorted((path.parent / "rows").iterdir())
+        assert len(rows) == len(row_dirs) == len(values)
+        seen = set()
+        for row, row_dir in zip(rows, row_dirs):
+            reports = json.loads((row_dir / "report.json").read_text())["condition_reports"]
+            (report,) = [r for r in reports if r["theorem"] == theorem]
+            assert row["overall_pass"] == str(report["overall"])
+            for clause in report["clauses"]:
+                margin = float(row[f"margin_{clause['name']}"])
+                assert margin == theory.clause_margin(clause), clause
+                assert (margin > 0.0) == clause["pass"], clause
+                seen.add((clause["op"], clause["pass"], margin == math.inf))
+        if theorem == "T2":
+            assert ("<", True, True) in seen  # initial_energy_finite: g0 < inf
+        else:
+            assert {op for op, _, _ in seen} == {"<", "<=", ">="}
+            assert {passed for _, passed, _ in seen} == {True, False}
+
     def test_resolution_sweep_rows_in_order(self, tmp_path):
         base = {
             **MINIMAL,
@@ -582,6 +615,14 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("equilibrium", _with_coefficients(phi="0.8e308*(1.0001+sin(2*pi*x1))")),
         ("run", _with_coefficients(pi="0.8e308*(1.0001+sin(2*pi*x1))")),
         ("check", _with_coefficients(pi="0.8e308*(1.0001+sin(2*pi*x1))")),
+        ("check", _with_coefficients(D="1e160*(1.5+sin(2*pi*x1))")),
+        ("run", _with_coefficients(D="1e160*(1.5+sin(2*pi*x1))")),
+        ("check", _with_coefficients(pi="1e-300")),
+        ("run", _with_coefficients(pi="1e-300")),
+        ("run", json.dumps({**MINIMAL, "name": ["a"]})),
+        ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": ["a"]}})),
+        ("run", _with_coefficients(D=None)),
+        ("check", _with_coefficients(f0=2)),
     ],
     ids=[
         "truncated_json",
@@ -633,6 +674,14 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "equilibrium_grad_phi_overflows",
         "grad_pi_overflows",
         "check_grad_pi_overflows",
+        "check_velocity_squares_overflow",
+        "velocity_squares_overflow",
+        "check_tiny_pi_velocity_overflows",
+        "tiny_pi_velocity_overflows",
+        "name_a_list",
+        "sweep_name_a_list",
+        "coefficient_null",
+        "check_coefficient_a_number",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")

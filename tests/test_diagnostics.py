@@ -10,6 +10,7 @@ from fpklab.coefficients import REGIMES
 from fpklab.errors import (
     NonFiniteFieldError,
     NonPositiveDensityError,
+    ShapeError,
     TooShortSeriesError,
     UndefinedRatioError,
     WrongRegimeError,
@@ -132,6 +133,12 @@ class TestRecorderFailsClosed:
         # every u_k is finite (about 1e200) but |u|^2 overflows to inf
         with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
             self._record(np.ones(8), spec={**UNIT, "phi": "1e200*sin(2*pi*x1)"})
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradient_squared_raises_without_a_warning(self):
+        # |u|^2 is finite (about 7e306) but |grad u|^2 overflows to inf
+        with pytest.raises(NonFiniteFieldError, match=r"\|grad u\|\^2"):
+            self._record(np.ones(8), spec={**UNIT, "phi": "5e152*sin(2*pi*x1)"})
 
 
 class TestEnergyLawResidual:
@@ -380,6 +387,26 @@ class TestSecondDerivativeTerms:
         }
         worst = self._identity_worst_error(spec, 3, 24, 0.004, "full", 2)
         assert worst <= 0.05
+
+
+_VELOCITY_CHECKS = {
+    "jensen_check": lambda f, u: dg.jensen_check(f.grid, u),
+    "empirical_poincare": dg.empirical_poincare,
+    "empirical_sobolev": dg.empirical_sobolev,
+    "interpolation_check": lambda f, u: dg.interpolation_check(f, u, 1.0, "pi-constant"),
+}
+
+
+@pytest.mark.parametrize("check", _VELOCITY_CHECKS.values(), ids=_VELOCITY_CHECKS.keys())
+@pytest.mark.parametrize(
+    "shapes", [[(8, 8)], [(8, 8)] * 3, [(8, 8), (8, 7)]], ids=["one_component", "three_components", "wrong_shape"]
+)
+def test_velocity_must_have_one_grid_array_per_axis(check, shapes):
+    grid = F.build_grid(2, 8)
+    f = ScalarField(grid, np.ones(grid.shape))
+    u = [np.sin(np.arange(np.prod(shape))).reshape(shape) for shape in shapes]
+    with pytest.raises(ShapeError):
+        check(f, u)
 
 
 class TestEmpiricalRatios:

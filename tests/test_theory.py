@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
+from conftest import clauses_by_name
 from fpklab import diagnostics as dg, theory as th
 from fpklab.errors import ThresholdError, WrongRegimeError
 
@@ -110,17 +111,17 @@ class TestConditionT2:
     def test_passes_with_empirical_first_mode_constant(self):
         led = make_ledger()
         report = th.check_condition_T2(led, poincare_const=0.0254, gamma=1.0, g0=0.5)
-        rate = report.clause("rate")
-        assert rate.lhs == pytest.approx(2.0 / 0.0254, rel=1e-12)
-        assert rate.passed
-        assert report.clause("initial_energy_finite").passed
-        assert report.overall
+        clauses = clauses_by_name(report)
+        assert clauses["rate"]["lhs"] == pytest.approx(2.0 / 0.0254, rel=1e-12)
+        assert clauses["rate"]["pass"]
+        assert clauses["initial_energy_finite"]["pass"]
+        assert report["overall"]
 
     def test_fails_with_strong_nonconvexity(self):
         led = make_ledger(hess_phi_lower=10.0)
         report = th.check_condition_T2(led, poincare_const=1.0, gamma=1.0, g0=0.5)
-        assert report.clause("rate").lhs == pytest.approx(-18.0)
-        assert not report.overall
+        assert clauses_by_name(report)["rate"]["lhs"] == pytest.approx(-18.0)
+        assert not report["overall"]
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -141,27 +142,29 @@ class TestConditionT3:
     def test_constant_diffusion_floor_clause_degenerates(self):
         led = make_ledger()
         report = th.check_condition_T3(led, sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5)
-        assert report.clause("diffusion_floor").lhs == 0.0
-        assert report.clause("diffusion_floor").passed
+        floor = clauses_by_name(report)["diffusion_floor"]
+        assert floor["lhs"] == 0.0
+        assert floor["pass"]
 
     def test_floor_entries_maximum(self):
         led = make_ledger(log_f_bound=2.0, grad_d=1.0, grad_phi_sup=0.1)
         report = th.check_condition_T3(led, sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5)
         # entries: 3*2*1*1 = 6, 2*2*1*0.1 = 0.4, 4*(1+1)*(3)^2*1 = 72
-        assert report.clause("diffusion_floor").lhs == pytest.approx(72.0)
-        assert not report.clause("diffusion_floor").passed
+        floor = clauses_by_name(report)["diffusion_floor"]
+        assert floor["lhs"] == pytest.approx(72.0)
+        assert not floor["pass"]
 
     def test_gronwall_threshold_clause(self):
         led = make_ledger()
         report = th.check_condition_T3(led, 1.0, 0.01, gamma=1.0, g0=3.0)
-        clause = report.clause("gronwall_threshold")
-        assert clause.rhs == pytest.approx(math.sqrt(6.0))
-        assert not clause.passed
+        clause = clauses_by_name(report)["gronwall_threshold"]
+        assert clause["rhs"] == pytest.approx(math.sqrt(6.0))
+        assert not clause["pass"]
 
     def test_rate_clause_value(self):
         led = make_ledger(hess_phi_lower=1.0, d_min=2.0)
         report = th.check_condition_T3(led, 1.0, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("rate").lhs == pytest.approx(-4.0 + 40.0)
+        assert clauses_by_name(report)["rate"]["lhs"] == pytest.approx(-4.0 + 40.0)
 
     def test_wrong_regime_variable_pi(self):
         with pytest.raises(WrongRegimeError):
@@ -172,36 +175,37 @@ class TestConditionT4:
     def test_constant_coefficients_auto_pass_gradient_clauses(self):
         led = make_ledger()
         report = th.check_condition_T4(led, sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5)
-        assert report.clause("diffusion_floor").lhs == 0.0
-        assert report.clause("mobility_time").passed
-        assert report.clause("mobility_gradient").passed
-        assert report.clause("poincare_gate").passed
+        clauses = clauses_by_name(report)
+        assert clauses["diffusion_floor"]["lhs"] == 0.0
+        assert clauses["mobility_time"]["pass"]
+        assert clauses["mobility_gradient"]["pass"]
+        assert clauses["poincare_gate"]["pass"]
 
     def test_mobility_time_clause_fails_above_sixth(self):
         led = make_ledger(pi_time=0.2)
         report = th.check_condition_T4(led, 1.0, 0.01, gamma=1.0, g0=0.5)
-        clause = report.clause("mobility_time")
-        assert clause.rhs == pytest.approx(1 / 6)
-        assert not clause.passed
+        clause = clauses_by_name(report)["mobility_time"]
+        assert clause["rhs"] == pytest.approx(1 / 6)
+        assert not clause["pass"]
 
     def test_gronwall_threshold_value(self):
         led = make_ledger()
         report = th.check_condition_T4(led, 1.0, 0.01, gamma=1.0, g0=0.5)
-        assert report.clause("gronwall_threshold").rhs == pytest.approx(math.sqrt(12.0))
+        assert clauses_by_name(report)["gronwall_threshold"]["rhs"] == pytest.approx(math.sqrt(12.0))
 
     def test_grad_d_zero_makes_second_cap_entry_infinite(self):
         led = make_ledger(grad_pi=0.05, pi_min=0.5, pi_max=2.0)
         report = th.check_condition_T4(led, 1.0, 0.01, gamma=1.0, g0=0.5)
-        cap = report.clause("mobility_gradient").rhs
+        cap = clauses_by_name(report)["mobility_gradient"]["rhs"]
         # min over {1/6, inf, 0.5/(4 sqrt(2)), 0.5}
         assert cap == pytest.approx(min(1 / 6, 0.5 / (4 * math.sqrt(2.0)), 0.5))
 
     def test_rate_clause_scaled_by_pi_max(self):
         led = make_ledger(pi_max=3.0, d_min=2.0)
         report = th.check_condition_T4(led, 1.0, 0.05, gamma=1.0, g0=0.5)
-        clause = report.clause("rate")
-        assert clause.rhs == pytest.approx(3.0)
-        assert clause.lhs == pytest.approx(-2.0 + 40.0)
+        clause = clauses_by_name(report)["rate"]
+        assert clause["rhs"] == pytest.approx(3.0)
+        assert clause["lhs"] == pytest.approx(-2.0 + 40.0)
 
     def test_monotone_in_d_min_except_gradient_cap(self):
         rng = np.random.default_rng(5)
@@ -220,9 +224,9 @@ class TestConditionT4:
             led_big = F.ConstantsLedger(**{**led_small.as_dict(), "d_min": led_small.d_min * 4.0})
             small = th.check_condition_T4(led_small, 0.8, 0.05, gamma=1.0, g0=0.5)
             big = th.check_condition_T4(led_big, 0.8, 0.05, gamma=1.0, g0=0.5)
-            for c_small, c_big in zip(small.clauses, big.clauses):
-                if c_small.passed and not c_big.passed:
-                    assert c_small.name in flippable
+            for c_small, c_big in zip(small["clauses"], big["clauses"]):
+                if c_small["pass"] and not c_big["pass"]:
+                    assert c_small["name"] in flippable
 
 
 class TestExtremeConstants:
@@ -231,35 +235,39 @@ class TestExtremeConstants:
 
     @staticmethod
     def _no_nan(report):
-        for c in report.clauses:
-            assert not (math.isnan(c.lhs) or math.isnan(c.rhs)), c
+        for c in report["clauses"]:
+            assert not (math.isnan(c["lhs"]) or math.isnan(c["rhs"])), c
 
     def test_overflowing_sobolev_power_fails_t3_floor(self):
         report = th.check_condition_T3(make_ledger(grad_d=0.5), 1e300, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("diffusion_floor").lhs == math.inf
-        assert not report.clause("diffusion_floor").passed
+        floor = clauses_by_name(report)["diffusion_floor"]
+        assert floor["lhs"] == math.inf
+        assert not floor["pass"]
         self._no_nan(report)
 
     def test_overflowing_sobolev_power_with_constant_d(self):
         report = th.check_condition_T3(make_ledger(), 1e300, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("diffusion_floor").lhs == 0.0  # 3 lf 0 inf stays 0
+        assert clauses_by_name(report)["diffusion_floor"]["lhs"] == 0.0  # 3 lf 0 inf stays 0
         report = th.check_condition_T4(make_ledger(grad_pi=0.05), 1e300, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("diffusion_floor").lhs == 0.0
-        assert report.clause("mobility_gradient").rhs == 0.0  # 1 / (6 inf)
-        assert not report.clause("mobility_gradient").passed
+        clauses = clauses_by_name(report)
+        assert clauses["diffusion_floor"]["lhs"] == 0.0
+        assert clauses["mobility_gradient"]["rhs"] == 0.0  # 1 / (6 inf)
+        assert not clauses["mobility_gradient"]["pass"]
         self._no_nan(report)
 
     def test_overflowing_sobolev_power_fails_t4_floor(self):
         report = th.check_condition_T4(make_ledger(grad_d=0.5), 1e300, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("diffusion_floor").lhs == math.inf
-        assert not report.clause("diffusion_floor").passed
+        floor = clauses_by_name(report)["diffusion_floor"]
+        assert floor["lhs"] == math.inf
+        assert not floor["pass"]
         self._no_nan(report)
 
     def test_underflowing_pi_min_cubed_leaves_no_threshold(self):
         led = make_ledger(pi_min=1e-150, pi_max=3e-150, grad_pi=6e-150)
         report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("gronwall_threshold").rhs == 0.0
-        assert not report.clause("gronwall_threshold").passed
+        threshold = clauses_by_name(report)["gronwall_threshold"]
+        assert threshold["rhs"] == 0.0
+        assert not threshold["pass"]
         self._no_nan(report)
         with pytest.raises(ThresholdError):
             th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e-150)
@@ -267,7 +275,7 @@ class TestExtremeConstants:
     def test_overflowing_pi_min_cubed_leaves_no_saturation(self):
         led = make_ledger(pi_min=1e200, pi_max=1e200)
         report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
-        assert report.clause("gronwall_threshold").rhs == math.inf
+        assert clauses_by_name(report)["gronwall_threshold"]["rhs"] == math.inf
         assert th.gronwall_bound(th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e200), 0.0) == 0.5
 
 
@@ -291,7 +299,7 @@ class TestConditionReports:
         ledger = make_ledger()
         sobolev = (value, "empirical")
         reports = th.condition_reports("homogeneous", ledger, 1.0, 0.5, self.POINCARE, sobolev, sobolev)
-        assert reports[0] == th.check_condition_T2(ledger, 0.0254, 1.0, 0.5).as_dict()
+        assert reports[0] == th.check_condition_T2(ledger, 0.0254, 1.0, 0.5)
         assert reports[0]["overall"] is True
         assert [set(r) for r in reports[1:]] == [{"theorem", "error"}] * 2
         assert [r["theorem"] for r in reports[1:]] == ["T3", "T4"]
@@ -311,8 +319,8 @@ class TestConditionReports:
         poincare, sobolev, weighted = (0.02, "certified"), (0.3, "empirical"), (0.2, "empirical")
         reports = th.condition_reports("inhomogeneous-D", ledger, 1.0, 0.5, poincare, sobolev, weighted)
         assert reports == [
-            th.check_condition_T3(ledger, 0.3, 0.02, 1.0, 0.5, poincare_provenance="certified").as_dict(),
-            th.check_condition_T4(ledger, 0.2, 0.02, 1.0, 0.5, poincare_provenance="certified").as_dict(),
+            th.check_condition_T3(ledger, 0.3, 0.02, 1.0, 0.5, poincare_provenance="certified"),
+            th.check_condition_T4(ledger, 0.2, 0.02, 1.0, 0.5, poincare_provenance="certified"),
         ]
 
     def test_checker_error_becomes_an_error_entry(self):
@@ -393,7 +401,7 @@ def test_envelopes_and_thresholds_are_the_closed_form_bound():
                         continue
                     check = th.check_condition_T3 if theorem == "T3" else th.check_condition_T4
                     report = check(ledger, 1.0, 0.01, gamma, g0)
-                    assert report.clause("gronwall_threshold").rhs == th.gronwall_threshold(spec)
+                    assert clauses_by_name(report)["gronwall_threshold"]["rhs"] == th.gronwall_threshold(spec)
                     checked += 1
     assert checked == 15 * 8 * 2 * 12
 
@@ -431,14 +439,14 @@ class TestClauseBookkeeping:
     def test_pass_reproducible_from_stored_sides(self):
         led = make_ledger(pi_time=0.1, grad_pi=0.05, grad_d=0.2, pi_min=0.8, pi_max=1.4)
         report = th.check_condition_T4(led, 0.9, 0.02, gamma=1.0, g0=0.5)
-        for clause in report.clauses:
-            if clause.op == "<=":
-                assert clause.passed == (clause.lhs <= clause.rhs)
-            elif clause.op == ">=":
-                assert clause.passed == (clause.lhs >= clause.rhs)
+        for clause in report["clauses"]:
+            if clause["op"] == "<=":
+                assert clause["pass"] == (clause["lhs"] <= clause["rhs"])
+            elif clause["op"] == ">=":
+                assert clause["pass"] == (clause["lhs"] >= clause["rhs"])
             else:
-                assert clause.passed == (clause.lhs < clause.rhs)
-        assert report.overall == all(c.passed for c in report.clauses)
+                assert clause["pass"] == (clause["lhs"] < clause["rhs"])
+        assert report["overall"] == all(c["pass"] for c in report["clauses"])
 
     def test_clause_names_match_checkers(self):
         led = make_ledger()
@@ -447,13 +455,6 @@ class TestClauseBookkeeping:
             th.check_condition_T3(led, 1.0, 1.0, 1.0, 0.5),
             th.check_condition_T4(led, 1.0, 1.0, 1.0, 0.5),
         ]
-        names = {r.theorem: tuple(c.name for c in r.clauses) for r in reports}
+        names = {r["theorem"]: tuple(c["name"] for c in r["clauses"]) for r in reports}
         assert names == th.CLAUSES
         assert th.THEOREMS == tuple(th.CLAUSES)
-
-    def test_as_dict_round_trips_pass_flags(self):
-        led = make_ledger()
-        report = th.check_condition_T3(led, 1.0, 0.01, gamma=1.0, g0=0.5)
-        data = report.as_dict()
-        assert data["overall"] == report.overall
-        assert [c["pass"] for c in data["clauses"]] == [c.passed for c in report.clauses]
