@@ -56,8 +56,6 @@ T_PROBE_COUNT = 9
 
 def _fmt(value) -> str:
     """17-significant-digit formatting; stable across reruns."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
@@ -113,13 +111,14 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(kind, value, where: str):
-    """int(value) or float(value); a boolean, a value that converts to
-    neither, or a non-integral number for an int, is a ScenarioError."""
-    if isinstance(value, bool):  # JSON true would otherwise read as 1
+    """int(value) or float(value) of a JSON number; anything else (a string or a
+    boolean too), a number that converts to neither, or a non-integral number
+    for an int, is a ScenarioError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):  # JSON true would read as 1
         raise ScenarioError(f"{where} must be a number; got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise ScenarioError(f"{where} must be a number; got {value!r}") from None
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{where} must be an integer; got {value!r}")
@@ -305,7 +304,7 @@ def _trajectory(scenario: Scenario, steps: bool = True):
         coeffs, f0, grid, t_probe_count=T_PROBE_COUNT, t_horizon=max(t_end, 1e-6), feq_shift=shift
     )
     fields = {"regime": coeffs.regime, "equilibrium": _equilibrium_block(feq, shift)}
-    fields["constants_ledger"] = ledger.as_dict()
+    fields["constants_ledger"] = asdict(ledger)
     if not steps:
         initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
         return solver.TimeSeries([initial]), ledger, fields
@@ -313,12 +312,9 @@ def _trajectory(scenario: Scenario, steps: bool = True):
     envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
     recorder = diagnostics.make_recorder(coeffs, envelope=envelope, config=scenario.solver)
     series = solver.run(f0, coeffs, scenario.solver, recorder)
-    fields["term_breakdown_samples"] = [
-        {"t": r.t, **asdict(r.terms)} for r in series.records if r.terms is not None
-    ]
+    fields["term_breakdown_samples"] = [{"t": r.t, **r.terms} for r in series.records if r.terms is not None]
     try:
-        fit = diagnostics.decay_fit(series, scenario.fit_window or (t_end / 4.0, t_end))
-        fields["decay_fit"] = {**asdict(fit), "window": list(fit.window)}
+        fields["decay_fit"] = diagnostics.decay_fit(series, scenario.fit_window or (t_end / 4.0, t_end))
     except TooShortSeriesError as exc:
         fields["decay_fit"] = {"error": str(exc)}
     fields["series_rows"] = len(series)
@@ -443,6 +439,11 @@ def parse_sweep(path) -> SweepSpec:
     # type(), not isinstance: JSON true would otherwise pass as the int 1
     if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
         raise ScenarioError(f"sweep values must be a list of numbers; got {values!r}")
+    for index, value in enumerate(values):
+        try:
+            float(value)  # as a gamma row does; a NaN or infinite value is left to its row
+        except OverflowError:
+            raise ScenarioError(f"sweep value {index} is an integer too large for a float") from None
     return SweepSpec(base=base, axis=str(_require(data, "axis", "sweep")), values=values)
 
 
@@ -474,24 +475,24 @@ def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
     raise ScenarioError(f"unknown sweep axis {axis!r}")
 
 
-def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> dict:
-    """A row's sweep.csv entry, from its report or the error that ended it."""
-    margins = {name: math.nan for name in theory.CLAUSES[theorem]}
-    row = dict(measured_rate=math.nan, margins=margins, overall_pass="", fit_error="", error=error)
-    if report is None:
-        return row
-    row["measured_rate"] = report["decay_fit"].get("rate", math.nan)
-    row["fit_error"] = report["decay_fit"].get("error", "")
-    for cond in report["condition_reports"]:
-        if cond["theorem"] != theorem:
-            continue
-        if "error" in cond:
-            row["error"] = cond["error"]
-            break
-        for c in cond["clauses"]:
-            margins[c["name"]] = theory.clause_margin(c)
-        row["overall_pass"] = cond["overall"]
-    return row
+def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> list[str]:
+    """A row's sweep.csv cells after its value (measured_rate, the theorem's
+    margins, overall_pass, fit_error, error), from its report or the error that ended it."""
+    margins = dict.fromkeys(theory.CLAUSES[theorem], math.nan)
+    fit, overall = {}, ""
+    if report is not None:
+        fit = report["decay_fit"]
+        for cond in report["condition_reports"]:
+            if cond["theorem"] != theorem:
+                continue
+            if "error" in cond:
+                error = cond["error"]
+                break
+            for c in cond["clauses"]:
+                margins[c["name"]] = theory.clause_margin(c)
+            overall = cond["overall"]
+    cells = [_fmt(fit.get("rate", math.nan)), *map(_fmt, margins.values())]
+    return [*cells, str(overall), fit.get("error", ""), error]
 
 
 def _sweep_task(task) -> dict:
@@ -563,24 +564,13 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
     else:
         results = map(_sweep_task, tasks)
     for task_rows in results:
-        for index, row in task_rows.items():
-            rows[index] = row
+        for index, cells in task_rows.items():
+            rows[index] = cells
 
     clause_cols = [f"margin_{name}" for name in theory.CLAUSES[theorem]]
     header = ["value", "measured_rate", *clause_cols, "overall_pass", "fit_error", "error"]
-    csv_rows = [
-        [
-            _fmt(value),
-            _fmt(row["measured_rate"]),
-            *[_fmt(row["margins"][name]) for name in theory.CLAUSES[theorem]],
-            str(row["overall_pass"]),
-            row["fit_error"],
-            row["error"],
-        ]
-        for value, row in zip(spec.values, rows)
-    ]
     path = out / "sweep.csv"
-    _write_csv(path, header, csv_rows)
+    _write_csv(path, header, [[_fmt(value), *cells] for value, cells in zip(spec.values, rows)])
     return path
 
 

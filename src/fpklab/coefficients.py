@@ -34,7 +34,7 @@ smooth coefficients the gap is O(h^2).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -307,9 +307,6 @@ class ConstantsLedger:
             raise ValueError("initial-density bounds must satisfy 0 < init_min <= init_max")
         if self.pi_min > self.pi_max:
             raise ValueError("pi_min must not exceed pi_max")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def log_density_bound(dim: int, grad_d: float, log_f0_sup: float, phi_sup: float) -> float:

@@ -14,6 +14,9 @@ On top of those this module evaluates:
 * empirical density-weighted Sobolev and Poincare ratios, interpolation
   margins for the cubic velocity moment, and exponential decay fits.
 
+A term breakdown and a decay fit are returned as the plain dicts report.json
+writes (see second_derivative_terms and decay_fit).
+
 All integrals use midpoint quadrature on cell centers, consistent with the
 grid module.  Every derivative here is a centered difference; the solver's
 face stencil is intentionally different.
@@ -67,27 +70,7 @@ class DiagnosticsRecord:
     sobolev: float = math.nan
     sobolev_weighted: float = math.nan
     # the d^2F/dt^2 breakdown, on the records make_recorder samples by target time
-    terms: TermBreakdown | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class TermBreakdown:
-    """Named integrals of the d^2F/dt^2 identity, in textual order."""
-
-    mode: str
-    terms: dict[str, float]
-    sum: float
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Least-squares line through (t, log dissipation)."""
-
-    rate: float
-    log_intercept: float
-    window: tuple[float, float]
-    residual_rms: float
-    n_points: int
+    terms: dict | None = field(default=None, compare=False)
 
 
 def _cell_integral(grid: Grid, integrand: np.ndarray) -> float:
@@ -206,10 +189,9 @@ def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jac_u: bool
     return (log_f, pi, u, ju, *sums)
 
 
-def second_derivative_terms(
-    f: ScalarField, coeffs: CoefficientSet, t: float, mode: str
-) -> TermBreakdown:
-    """Evaluate the named integrals of d^2F/dt^2 for the requested regime.
+def second_derivative_terms(f: ScalarField, coeffs: CoefficientSet, t: float, mode: str) -> dict:
+    """The named integrals of d^2F/dt^2 for the requested regime, as
+    {"mode", "terms" (name -> value, in textual order), "sum"}.
 
     ``homogeneous`` (constant D and pi) has 2 terms, ``inhomogeneous-D``
     (constant pi) 7, ``full`` 13.  The mode must be ``coeffs.regime`` or a
@@ -225,7 +207,7 @@ def second_derivative_terms(
     return _term_breakdown(f, coeffs, t, mode, _velocity_pass(f, coeffs, t, jac_u=mode == "full"))
 
 
-def _term_breakdown(f, coeffs, t, mode, velocity) -> TermBreakdown:
+def _term_breakdown(f, coeffs, t, mode, velocity) -> dict:
     """second_derivative_terms from a _velocity_pass (with J u in full mode).  Each
     integrand is formed in one array, in place, with the operations in the order
     its formula is written; H u takes phi's Hessian one entry at a time."""
@@ -270,7 +252,7 @@ def _term_breakdown(f, coeffs, t, mode, velocity) -> TermBreakdown:
         terms["grad_usq_gradPi"] = quad(d / pi, dot(grad_speed_sq, grad_pi))
         terms["jacobian_u_gradPi"] = -2.0 * quad(d / pi, dot(ju, grad_pi))
 
-    return TermBreakdown(mode=mode, terms=terms, sum=math.fsum(terms.values()))
+    return {"mode": mode, "terms": terms, "sum": math.fsum(terms.values())}
 
 
 def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, float]:
@@ -341,8 +323,9 @@ def interpolation_check(
     return rhs - lhs
 
 
-def decay_fit(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
-    """Fit log dissipation linearly in t over the window; rate = -slope."""
+def decay_fit(series: TimeSeries, window: tuple[float, float]) -> dict:
+    """Fit log dissipation linearly in t over the window, as report.json's
+    {"rate" (-slope), "log_intercept", "window", "residual_rms", "n_points"}."""
     t_lo, t_hi = window
     t = series.column("t")
     dis = series.column("dissipation")
@@ -355,13 +338,13 @@ def decay_fit(series: TimeSeries, window: tuple[float, float]) -> DecayFit:
     logs = np.log(dis[mask])
     slope, intercept = np.polyfit(ts, logs, 1)
     resid = logs - (slope * ts + intercept)
-    return DecayFit(
-        rate=float(-slope),
-        log_intercept=float(intercept),
-        window=(float(t_lo), float(t_hi)),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        n_points=int(mask.sum()),
-    )
+    return {
+        "rate": float(-slope),
+        "log_intercept": float(intercept),
+        "window": [float(t_lo), float(t_hi)],
+        "residual_rms": float(np.sqrt(np.mean(resid**2))),
+        "n_points": int(mask.sum()),
+    }
 
 
 def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):

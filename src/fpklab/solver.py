@@ -21,9 +21,11 @@ on a new state, so the array is wrapped with no copy or finiteness pass.
 
 Time stepping is explicit (forward Euler or the classical four-stage
 Runge-Kutta).  ``step`` samples the mobility once, at the step's start time,
-and every stage and every retry of that step shares the sample; the O(dt)
-error this makes for time-dependent mobility is dominated by the parabolic
-step restriction dt ~ h^2.  The coefficient set caches its latest mobility
+and every stage and every retry of that step shares the sample.  So RK4 is
+first order in dt when the mobility uses t: on 64 cells with pi = 1.2 +
+0.2 cos 2 pi x + 0.5 sin 40t, its error at t = 0.02 is 5.1e-5, 2.5e-5 and
+1.2e-5 at cfl_safety 0.4, 0.2 and 0.1, where a t-free mobility's is 7e-14
+at 0.4.  The coefficient set caches its latest mobility
 sample, so ``stable_dt``, ``step`` and the recorder at one time share one
 evaluation of the mobility.  When the mobility does not use t, ``stable_dt``
 depends only on D and pi at t = 0, so ``run`` computes it once per run;

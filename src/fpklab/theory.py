@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -233,7 +233,7 @@ def _report(theorem: str, ledger: ConstantsLedger, gamma, g0, sides, **constants
     ]
     used = {name: {"value": value, "provenance": prov} for name, (value, prov) in constants.items()}
     return {
-        "theorem": theorem, "gamma": gamma, "g0": g0, "ledger": ledger.as_dict(), "constants": used,
+        "theorem": theorem, "gamma": gamma, "g0": g0, "ledger": asdict(ledger), "constants": used,
         "clauses": clauses, "overall": all(c["pass"] for c in clauses),
     }
 

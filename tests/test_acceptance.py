@@ -136,8 +136,8 @@ def test_criterion_6_second_derivative_identities():
     # full mode with constant mobility: the six mobility terms must vanish
     mid = snapshots[len(snapshots) // 2]
     full = dg.second_derivative_terms(mid.f, coeffs, mid.t, "full")
-    names = list(full.terms)
-    tail_max = max(abs(full.terms[k]) for k in names[7:])
+    names = list(full["terms"])
+    tail_max = max(abs(full["terms"][k]) for k in names[7:])
 
     t = series.column("t")
     dis = series.column("dissipation")
@@ -147,7 +147,7 @@ def test_criterion_6_second_derivative_identities():
         breakdown = dg.second_derivative_terms(
             snapshots[i].f, coeffs, snapshots[i].t, "inhomogeneous-D"
         )
-        rel_errs.append(abs(breakdown.sum - fd) / abs(fd))
+        rel_errs.append(abs(breakdown["sum"] - fd) / abs(fd))
     worst_rel = max(rel_errs)
     emit(
         6,
@@ -399,4 +399,4 @@ def test_suite_single_pass_diagnostics(suite_runs):
         assert carrying == picked and picked[0] == 0 and picked[-1] == len(times) - 1, name
         samples = [tuple(sample.values()) for sample in run["report"]["term_breakdown_samples"]]
         records = [run["series"].records[i] for i in picked]
-        assert samples == [(r.t, r.terms.mode, r.terms.terms, r.terms.sum) for r in records], name
+        assert samples == [(r.t, r.terms["mode"], r.terms["terms"], r.terms["sum"]) for r in records], name

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict, run_with_snapshots
 from fpklab import cli, diagnostics, theory
-from fpklab.coefficients import REGIMES
+from fpklab.coefficients import REGIMES, ConstantsLedger
 from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
 from fpklab.grid import gradient_arrays
 
@@ -236,6 +237,17 @@ class TestRunScenario:
         assert report["empirical_constants"] == undefined
         assert "u = 0" in report["condition_reports"][0]["error"]
 
+    def test_output_blocks_keep_their_key_order(self):
+        # the report schema fixes no key order; these blocks are written as they are built
+        data = {**MINIMAL, "diagnostics": {"record_every": 1}, "theory": {"gamma": 1.0}}
+        _, report = cli.run_scenario_data(cli.build_scenario(data))
+        assert list(report["decay_fit"]) == ["rate", "log_intercept", "window", "residual_rms", "n_points"]
+        samples = report["term_breakdown_samples"]
+        assert len(samples) == 5 and all(list(s) == ["t", "mode", "terms", "sum"] for s in samples)
+        ledger_keys = [field.name for field in dataclasses.fields(ConstantsLedger)]
+        assert list(report["constants_ledger"]) == ledger_keys
+        assert [list(cond["ledger"]) for cond in report["condition_reports"]] == [ledger_keys] * 3
+
     def test_term_samples_when_run_stops_early(self):
         data = {
             **MINIMAL,
@@ -251,7 +263,7 @@ class TestRunScenario:
         coeffs, _ = cli.sample_coefficients(data["coefficients"], snapshots[-1].f.grid)
         terms = diagnostics.second_derivative_terms(snapshots[-1].f, coeffs, final, "homogeneous")
         assert series.records[-1].terms == terms
-        assert report["term_breakdown_samples"][-1]["terms"] == terms.terms
+        assert report["term_breakdown_samples"][-1]["terms"] == terms["terms"]
 
     def test_overclaimed_certified_constant_flagged(self, tmp_path):
         data = {**MINIMAL, "name": "overclaim", "theory": {"gamma": 1.0, "certified_poincare": 1e-4}}
@@ -623,6 +635,11 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": ["a"]}})),
         ("run", _with_coefficients(D=None)),
         ("check", _with_coefficients(f0=2)),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": "1", "cells_per_axis": 32}})),
+        ("run", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": "32"}})),
+        ("run", json.dumps({**MINIMAL, "solver": {"t_end": "0.001"}})),
+        ("check", json.dumps({**MINIMAL, "theory": {"gamma": "5"}})),
+        ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [0.0005, "0.002"]}})),
     ],
     ids=[
         "truncated_json",
@@ -682,6 +699,11 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "sweep_name_a_list",
         "coefficient_null",
         "check_coefficient_a_number",
+        "dim_a_string",
+        "cells_a_string",
+        "t_end_a_string",
+        "check_gamma_a_string",
+        "fit_window_end_a_string",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -719,6 +741,28 @@ def test_long_path_error_quotes_a_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: output directory ...") and err.count("\n") == 1
     assert len(err.rstrip("\n")) <= 200, err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_sweep_value_no_float_holds_exits_2(tmp_path, capsys, axis, jobs):
+    # a gamma row takes float(value); the other axes name a row directory after it
+    path = tmp_path / "input.json"
+    base = {**MINIMAL, "theory": {"gamma": 1.0}}
+    path.write_text(json.dumps({"axis": axis, "values": [1, 10**400], "base": base}))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep value 1 is an integer too large for a float\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_infinite_sweep_value_is_its_rows_error(tmp_path, jobs):
+    base = cli.build_scenario({**MINIMAL, "theory": {"gamma": 1.0}})
+    spec = cli.SweepSpec(base=base, axis="gamma", values=[math.inf, 1.0])
+    rows = list(csv.reader(cli.run_sweep(spec, tmp_path / "out", jobs=jobs).open()))
+    assert rows[1][0] == "inf" and rows[1][-1] == "theory.gamma must be positive and finite; got inf"
+    assert rows[2][-3] == "True" and rows[2][-1] == ""  # the sweep went on
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

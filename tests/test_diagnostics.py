@@ -243,7 +243,7 @@ class TestSecondDerivativeTerms:
         )
         feq, _ = F.compute_equilibrium(coeffs)
         breakdown = dg.second_derivative_terms(feq, coeffs, 0.0, "inhomogeneous-D")
-        for value in breakdown.terms.values():
+        for value in breakdown["terms"].values():
             assert abs(value) <= 1e-10
 
     def test_constant_pi_full_mode_matches_seven_term_mode(self):
@@ -252,18 +252,18 @@ class TestSecondDerivativeTerms:
         )
         seven = dg.second_derivative_terms(f0, coeffs, 0.0, "inhomogeneous-D")
         full = dg.second_derivative_terms(f0, coeffs, 0.0, "full")
-        names = list(full.terms)
-        assert names[:7] == list(seven.terms)
+        names = list(full["terms"])
+        assert names[:7] == list(seven["terms"])
         for name in names[:7]:
-            assert full.terms[name] == pytest.approx(seven.terms[name], abs=1e-10)
+            assert full["terms"][name] == pytest.approx(seven["terms"][name], abs=1e-10)
         for name in names[7:]:
-            assert abs(full.terms[name]) <= 1e-10
+            assert abs(full["terms"][name]) <= 1e-10
 
     def test_homogeneous_sum_structure(self):
         grid, coeffs, f0 = sample({**UNIT, "phi": "0.5*cos(2*pi*x1)", "f0": "1+0.1*sin(2*pi*x1)"})
         breakdown = dg.second_derivative_terms(f0, coeffs, 0.0, "homogeneous")
-        assert set(breakdown.terms) == {"hessian_phi", "d_grad_u_sq"}
-        assert breakdown.sum == pytest.approx(sum(breakdown.terms.values()), abs=1e-12)
+        assert set(breakdown["terms"]) == {"hessian_phi", "d_grad_u_sq"}
+        assert breakdown["sum"] == pytest.approx(sum(breakdown["terms"].values()), abs=1e-12)
 
     def test_mode_mismatch_rejected(self):
         grid, coeffs, f0 = sample({**UNIT, "D": "2+0.5*cos(2*pi*x1)"})
@@ -329,8 +329,8 @@ class TestSecondDerivativeTerms:
         for mode in REGIMES[REGIMES.index(regime):]:
             breakdown = dg.second_derivative_terms(f0, coeffs, 0.3, mode)
             plain = plain_term_breakdown(f0, coeffs, 0.3, mode)
-            assert {k: v.hex() for k, v in breakdown.terms.items()} == {k: v.hex() for k, v in plain.items()}
-            assert breakdown.sum == math.fsum(plain.values())
+            assert {k: v.hex() for k, v in breakdown["terms"].items()} == {k: v.hex() for k, v in plain.items()}
+            assert breakdown["sum"] == math.fsum(plain.values())
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_uniform_state_terms_bitwise_equal_to_plain_formulas(self, dim):
@@ -341,14 +341,14 @@ class TestSecondDerivativeTerms:
         for mode in REGIMES:
             breakdown = dg.second_derivative_terms(f0, coeffs, 0.0, mode)
             plain = plain_term_breakdown(f0, coeffs, 0.0, mode)
-            assert {k: v.hex() for k, v in breakdown.terms.items()} == {k: v.hex() for k, v in plain.items()}
+            assert {k: v.hex() for k, v in breakdown["terms"].items()} == {k: v.hex() for k, v in plain.items()}
 
     def test_convex_case_certifies_nonnegative_sum(self, heat_run_64):
         # flat potential: the two-term sum is a weighted square, so >= -1e-10
         coeffs = heat_run_64["coeffs"]
         for state in heat_run_64["snapshots"][::10]:
             breakdown = dg.second_derivative_terms(state.f, coeffs, state.t, "homogeneous")
-            assert breakdown.sum >= -1e-10
+            assert breakdown["sum"] >= -1e-10
 
     @staticmethod
     def _identity_worst_error(spec, dim, n, t_end, mode, record_every):
@@ -365,7 +365,7 @@ class TestSecondDerivativeTerms:
         for i in range(1, len(series) - 1):
             fd = -(dis[i + 1] - dis[i - 1]) / (t[i + 1] - t[i - 1])
             breakdown = dg.second_derivative_terms(snaps[i].f, coeffs, snaps[i].t, mode)
-            worst = max(worst, abs(breakdown.sum - fd) / abs(fd))
+            worst = max(worst, abs(breakdown["sum"] - fd) / abs(fd))
         return worst
 
     def test_identity_matches_dissipation_slope_2d(self):
@@ -505,10 +505,10 @@ class TestDecayFit:
         ts = np.linspace(0.0, 2.0, 21)
         series = synthetic_series(ts, 2.0 * np.exp(-3.0 * ts))
         fit = dg.decay_fit(series, (0.0, 2.0))
-        assert fit.rate == pytest.approx(3.0, abs=1e-10)
-        assert fit.log_intercept == pytest.approx(math.log(2.0), abs=1e-10)
-        assert fit.residual_rms <= 1e-10
-        assert fit.n_points == 21
+        assert fit["rate"] == pytest.approx(3.0, abs=1e-10)
+        assert fit["log_intercept"] == pytest.approx(math.log(2.0), abs=1e-10)
+        assert fit["residual_rms"] <= 1e-10
+        assert fit["n_points"] == 21
 
     def test_window_with_too_few_points(self):
         ts = np.linspace(0.0, 2.0, 21)
@@ -521,12 +521,12 @@ class TestDecayFit:
         dis = 2.0 * np.exp(-3.0 * ts)
         dis[3] = 0.0
         fit = dg.decay_fit(synthetic_series(ts, dis), (0.0, 1.0))
-        assert fit.n_points == 10
-        assert fit.rate == pytest.approx(3.0, abs=1e-9)
+        assert fit["n_points"] == 10
+        assert fit["rate"] == pytest.approx(3.0, abs=1e-9)
 
     def test_heat_rate(self, heat_run_64):
         fit = dg.decay_fit(heat_run_64["series"], (0.005, 0.025))
-        assert fit.rate == pytest.approx(8 * np.pi**2, rel=0.05)
+        assert fit["rate"] == pytest.approx(8 * np.pi**2, rel=0.05)
 
 
 class TestCheckEnvelope:
@@ -568,7 +568,7 @@ class TestMemory:
         grid, coeffs, f0 = sample(scenario["coefficients"], dim=3, n=32)
         recorder = dg.make_recorder(coeffs, config=F.SolverConfig(t_end=0.01))
         record, peak = traced_peak_arrays(lambda: recorder(F.SolverState(f=f0, t=0.0, step_index=0)), grid)
-        assert record.terms is not None and record.terms.mode == "full"
+        assert record.terms is not None and record.terms["mode"] == "full"
         assert peak <= 24
         record, peak = traced_peak_arrays(lambda: recorder(F.SolverState(f=f0, t=1e-4, step_index=1)), grid)
         assert record.terms is None

@@ -554,6 +554,37 @@ class TestMobilitySampling:
         assert repr(report) == repr(plain_report)
 
 
+class TestTemporalOrder:
+    """step freezes pi at the step's start, so RK4 is first order in dt when pi uses t
+    (the solver docstring's claim).  Errors are max-norm at t = 0.02 on 64 cells,
+    against the same scheme at a small cfl.  Sampling pi at the stage times (ROADMAP
+    item 4) makes RK4 fourth order for every pi and re-pins the t-dependent case."""
+
+    T_END = 0.02
+
+    def final_values(self, uses_t, cfl):
+        pi = "1.2 + 0.2*cos(2*pi*x1)" + (" + 0.5*sin(40*t)" if uses_t else "")
+        spec = {"D": "1.5+0.25*cos(2*pi*x1)", "phi": "0.3*sin(2*pi*x1)", "pi": pi, "f0": "1 + 0.3*sin(2*pi*x1)"}
+        grid, coeffs, f0 = sample(spec)
+        steps = math.ceil(self.T_END / F.stable_dt(coeffs, 0.0, cfl))  # equal steps ending at T_END
+        state, config = SolverState(f0, 0.0, 0), SolverConfig(t_end=self.T_END)
+        for _ in range(steps):
+            state = F.step(state, coeffs, self.T_END / steps, config)
+        return state.f.values
+
+    def errors(self, uses_t, cfls, reference_cfl):
+        reference = self.final_values(uses_t, reference_cfl)
+        return [float(np.abs(self.final_values(uses_t, cfl) - reference).max()) for cfl in cfls]
+
+    def test_time_free_mobility_error_is_round_off(self):
+        (error,) = self.errors(False, [0.4], reference_cfl=0.05)  # fourth order: 0.05 is plenty
+        assert error <= 1e-12
+
+    def test_time_dependent_mobility_is_first_order(self):
+        coarse, fine = self.errors(True, [0.2, 0.1], reference_cfl=0.4 / 64)
+        assert 1.8 <= coarse / fine <= 2.2, (coarse, fine)
+
+
 class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):

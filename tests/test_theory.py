@@ -221,7 +221,7 @@ class TestConditionT4:
                 hess_phi_lower=float(rng.uniform(0.0, 5.0)),
                 log_f_bound=float(rng.uniform(0.5, 3.0)),
             )
-            led_big = F.ConstantsLedger(**{**led_small.as_dict(), "d_min": led_small.d_min * 4.0})
+            led_big = F.ConstantsLedger(**{**dataclasses.asdict(led_small), "d_min": led_small.d_min * 4.0})
             small = th.check_condition_T4(led_small, 0.8, 0.05, gamma=1.0, g0=0.5)
             big = th.check_condition_T4(led_big, 0.8, 0.05, gamma=1.0, g0=0.5)
             for c_small, c_big in zip(small["clauses"], big["clauses"]):
@@ -425,13 +425,13 @@ class TestCompareToEnvelope:
     def test_heat_trajectory_dominated(self, heat_run_64):
         series = heat_run_64["series"]
         fit = dg.decay_fit(series, (0.005, 0.025))
-        env = th.predicted_envelope("T2", gamma=0.95 * fit.rate, g0=series.records[0].dissipation)
+        env = th.predicted_envelope("T2", gamma=0.95 * fit["rate"], g0=series.records[0].dissipation)
         assert th.compare_to_envelope(series, env) <= 1.0 + 1e-6
 
     def test_overclaimed_rate_fails(self, heat_run_64):
         series = heat_run_64["series"]
         fit = dg.decay_fit(series, (0.005, 0.025))
-        env = th.predicted_envelope("T2", gamma=1.5 * fit.rate, g0=series.records[0].dissipation)
+        env = th.predicted_envelope("T2", gamma=1.5 * fit["rate"], g0=series.records[0].dissipation)
         assert th.compare_to_envelope(series, env) > 1.0 + 1e-6
 
 
