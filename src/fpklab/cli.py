@@ -32,7 +32,7 @@ import numpy as np
 
 from . import diagnostics, solver, theory
 from .coefficients import build_constants_ledger, compute_equilibrium, sample_coefficients
-from .errors import FpkError, ScenarioError, TooShortSeriesError, quote_source
+from .errors import FpkError, ScenarioError, TooShortSeriesError, quote_source, quote_value
 from .expressions import parse_expression
 from .grid import Grid, build_grid, integrate
 from .solver import SolverConfig
@@ -100,7 +100,7 @@ def _object(value, context: str, keys=None) -> dict:
         raise ScenarioError(f"{context} must be a JSON object")
     unknown = [key for key in value if keys is not None and key not in keys]
     if unknown:
-        raise ScenarioError(f"{context} has unknown key {unknown[0]!r}; allowed: {', '.join(keys)}")
+        raise ScenarioError(f"{context} has unknown key {quote_value(unknown[0])}; allowed: {', '.join(keys)}")
     return value
 
 
@@ -115,27 +115,27 @@ def _number(kind, value, where: str):
     boolean too), a number that converts to neither, or a non-integral number
     for an int, is a ScenarioError."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):  # JSON true would read as 1
-        raise ScenarioError(f"{where} must be a number; got {value!r}")
+        raise ScenarioError(f"{where} must be a number; got {quote_value(value)}")
     try:
         number = kind(value)
     except (ValueError, OverflowError):
-        raise ScenarioError(f"{where} must be a number; got {value!r}") from None
+        raise ScenarioError(f"{where} must be a number; got {quote_value(value)}") from None
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ScenarioError(f"{where} must be an integer; got {value!r}")
+        raise ScenarioError(f"{where} must be an integer; got {quote_value(value)}")
     return number
 
 
 def _string(value, where: str) -> str:
     """value, which must be a JSON string; anything else is a ScenarioError."""
     if not isinstance(value, str):
-        raise ScenarioError(f"{where} must be a JSON string; got {value!r}")
+        raise ScenarioError(f"{where} must be a JSON string; got {quote_value(value)}")
     return value
 
 
 def _positive(value, where: str) -> float:
     number = _number(float, value, where)
     if not 0.0 < number < math.inf:
-        raise ScenarioError(f"{where} must be positive and finite; got {value!r}")
+        raise ScenarioError(f"{where} must be positive and finite; got {quote_value(value)}")
     return number
 
 
@@ -198,7 +198,7 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
             _number(float, w, f"diagnostics.fit_window[{i}]") for i, w in enumerate(window)
         )
         if not all(math.isfinite(w) for w in fit_window):
-            raise ScenarioError(f"diagnostics.fit_window must have finite ends; got {window!r}")
+            raise ScenarioError(f"diagnostics.fit_window must have finite ends; got {quote_value(window)}")
         if fit_window[1] <= fit_window[0]:
             raise ScenarioError("diagnostics.fit_window must have t_lo < t_hi")
 
@@ -422,7 +422,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}; got {self.axis!r}")
+            raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}; got {quote_value(self.axis)}")
         if not self.values:
             raise ScenarioError("sweep values list must be nonempty")
 
@@ -438,7 +438,7 @@ def parse_sweep(path) -> SweepSpec:
     values = _require(data, "values", "sweep")
     # type(), not isinstance: JSON true would otherwise pass as the int 1
     if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
-        raise ScenarioError(f"sweep values must be a list of numbers; got {values!r}")
+        raise ScenarioError(f"sweep values must be a list of numbers; got {quote_value(values)}")
     for index, value in enumerate(values):
         try:
             float(value)  # as a gamma row does; a NaN or infinite value is left to its row

@@ -133,7 +133,8 @@ class CoefficientSet:
         """Mobility samples at time t (finite and positive), read-only.
 
         The latest time's samples are cached, so every caller at one time
-        shares one evaluation of the binding.  A sample passing 0 < min and
+        shares one evaluation of the binding, whose full-grid float64 result
+        is kept as the sample, uncopied.  A sample passing 0 < min and
         max < inf is accepted as is; any other raises the error the full
         per-cell checks give.
         """
@@ -143,8 +144,10 @@ class CoefficientSet:
         last = cache.get("_pi_last")
         if last is not None and last[0] == t:
             return last[1]
-        arr = np.empty(self.grid.shape)
-        arr[...] = self.pi_bound(t)
+        arr = self.pi_bound(t)  # t-dependent, so a scalar or a ufunc's fresh result
+        if not (type(arr) is np.ndarray and arr.shape == self.grid.shape
+                and arr.dtype == np.float64 and arr.flags.c_contiguous):
+            arr = np.broadcast_to(np.asarray(arr, dtype=np.float64), self.grid.shape).copy()
         if not (arr.min() > 0.0 and arr.max() < math.inf):  # false on NaN
             # one of these raises, naming the same cell a full check names
             _require_positive("pi", _finite_samples(arr, self.pi_expr, self.grid, "pi"), self.grid)

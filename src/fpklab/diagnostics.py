@@ -11,8 +11,8 @@ On top of those this module evaluates:
   terms (2 terms when D and pi are constant, 7 with spatial D, 13 with a
   variable mobility), so the identity can be checked against a centered
   time difference of -D_dis;
-* empirical density-weighted Sobolev and Poincare ratios, interpolation
-  margins for the cubic velocity moment, and exponential decay fits.
+* empirical density-weighted Sobolev and Poincare ratios (the tests check
+  them against the cubic-moment interpolation inequality) and decay fits.
 
 A term breakdown and a decay fit are returned as the plain dicts report.json
 writes (see second_derivative_terms and decay_fit).
@@ -291,36 +291,6 @@ def empirical_sobolev(f: ScalarField, u, *, weighted: bool = False) -> float:
     instead, matching the form needed when the velocity is not a gradient.
     """
     return _sample_ratio(f, u, "sobolev_weighted" if weighted else "sobolev")
-
-
-def interpolation_check(
-    f: ScalarField, u, sobolev_const: float, mode: str
-) -> float:
-    """Signed margin RHS - LHS of the cubic-moment interpolation inequality.
-
-    LHS = int |u|^3 f.  With K = sobolev_const, mode ``pi-constant`` uses
-    RHS = (3/4) K^{3/2} int |grad u|^2 f + (1/4) K^{3/2} (int |u|^2 f)^3;
-    mode ``pi-variable`` uses the weighted variant
-    RHS = (3/2) K^{3/2} (int |grad u|^2 f + int |u|^2 f)
-          + (1/4) K^{3/2} (int |u|^2 f)^3.
-    A nonnegative margin certifies the inequality for this sample.
-    """
-    if sobolev_const <= 0.0:
-        raise ValueError("sobolev_const must be positive")
-    if mode not in ("pi-constant", "pi-variable"):
-        raise ValueError("mode must be 'pi-constant' or 'pi-variable'")
-    grid = f.grid
-    speed_sq, grad_sq, _ = _velocity_sums(per_axis(grid, u, "velocity"), grid.spacing)
-    speed = np.sqrt(speed_sq)
-    lhs = _cell_integral(grid, speed**3 * f.values)
-    grad_term = _cell_integral(grid, grad_sq * f.values)
-    speed_sq_term = _cell_integral(grid, speed**2 * f.values)
-    k32 = sobolev_const**1.5
-    if mode == "pi-constant":
-        rhs = 0.75 * k32 * grad_term + 0.25 * k32 * speed_sq_term**3
-    else:
-        rhs = 1.5 * k32 * (grad_term + speed_sq_term) + 0.25 * k32 * speed_sq_term**3
-    return rhs - lhs
 
 
 def decay_fit(series: TimeSeries, window: tuple[float, float]) -> dict:

@@ -25,17 +25,30 @@ class NonFiniteFieldError(FpkError):
 #: is quoted as a window this wide around the offset, with ellipses
 SOURCE_WINDOW = 60
 
+#: longest repr of a bad scenario value an error quotes whole; narrower than
+#: SOURCE_WINDOW, as the value follows the name of its key on the line
+VALUE_WINDOW = 30
 
-def quote_source(source: str, position: int = 0) -> str:
-    """repr(source), or for a source longer than SOURCE_WINDOW the repr of
-    a SOURCE_WINDOW-wide window around position, with ellipses and the length."""
-    if len(source) <= SOURCE_WINDOW:
+
+def quote_source(source: str, position: int = 0, width: int = SOURCE_WINDOW) -> str:
+    """repr(source), or for a source longer than ``width`` the repr of
+    a ``width``-wide window around position, with ellipses and the length."""
+    if len(source) <= width:
         return repr(source)
-    start = min(max(position - SOURCE_WINDOW // 2, 0), len(source) - SOURCE_WINDOW)
-    end = start + SOURCE_WINDOW
+    start = min(max(position - width // 2, 0), len(source) - width)
+    end = start + width
     head = "..." if start > 0 else ""
     tail = "..." if end < len(source) else ""
     return f"{head}{source[start:end]!r}{tail} ({len(source)} characters)"
+
+
+def quote_value(value) -> str:
+    """repr(value), or if that is longer than VALUE_WINDOW, quote_source's
+    window of the value (a string) or of its repr, so an error stays one short line."""
+    text = repr(value)
+    if len(text) <= VALUE_WINDOW:
+        return text
+    return quote_source(value if isinstance(value, str) else text, width=VALUE_WINDOW)
 
 
 class ExpressionError(FpkError):

@@ -9,7 +9,7 @@ import pytest
 import fpklab as F
 from fpklab import cli, diagnostics as dg
 from fpklab.coefficients import _finite_samples, _grid_coords, _require_positive
-from fpklab.grid import gradient_arrays, shift
+from fpklab.grid import gradient_arrays, per_axis
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -73,18 +73,19 @@ def plain_pi_values(coeffs, t):
 
 
 def plain_rhs_values(f_values, coeffs, pi):
-    """Reference RHS: the face fluxes and their divergence as plain, allocating expressions."""
+    """Reference RHS: the face fluxes and their divergence as plain, allocating
+    expressions; np.roll(v, -1, k) is the east neighbor, so no grid code is shared."""
     h = coeffs.grid.spacing
     psi = coeffs.D.values * np.log(f_values) + coeffs.phi.values
     m = f_values / pi
     fluxes = []
     for k in range(f_values.ndim):
-        m_east = shift(m, 1, k)
+        m_east = np.roll(m, -1, k)
         face = 2.0 * m * m_east / (m + m_east)
-        fluxes.append(face * (shift(psi, 1, k) - psi) / h)
-    acc = fluxes[0] - shift(fluxes[0], -1, 0)
+        fluxes.append(face * (np.roll(psi, -1, k) - psi) / h)
+    acc = fluxes[0] - np.roll(fluxes[0], 1, 0)
     for k in range(1, len(fluxes)):
-        acc += fluxes[k] - shift(fluxes[k], -1, k)
+        acc += fluxes[k] - np.roll(fluxes[k], 1, k)
     acc /= h
     return acc
 
@@ -102,15 +103,46 @@ def plain_advance(f_values, coeffs, pi, dt, integrator):
 
 def plain_hessian(values, spacing):
     """Reference discrete Hessian, shape (n, n, N, ..., N): 3-point second differences on
-    the diagonal, the centered first difference taken twice off it."""
+    the diagonal, the centered first difference taken twice off it, wrapped by np.roll."""
     n, h = values.ndim, spacing
     out = np.empty((n, n) + values.shape)
-    firsts = gradient_arrays(values, h)
     for k in range(n):
-        out[k, k] = (shift(values, 1, k) - 2.0 * values + shift(values, -1, k)) / h**2
+        east, west = np.roll(values, -1, k), np.roll(values, 1, k)
+        out[k, k] = (east - 2.0 * values + west) / h**2
+        first = (east - west) / (2.0 * h)
         for l in range(k + 1, n):
-            out[k, l] = out[l, k] = (shift(firsts[k], 1, l) - shift(firsts[k], -1, l)) / (2.0 * h)
+            out[k, l] = out[l, k] = (np.roll(first, -1, l) - np.roll(first, 1, l)) / (2.0 * h)
     return out
+
+
+def interpolation_check(f, u, sobolev_const: float, mode: str) -> float:
+    """Signed margin RHS - LHS of the cubic-moment interpolation inequality.
+
+    LHS = int |u|^3 f.  With K = sobolev_const, mode ``pi-constant`` uses
+    RHS = (3/4) K^{3/2} int |grad u|^2 f + (1/4) K^{3/2} (int |u|^2 f)^3;
+    mode ``pi-variable`` uses the weighted variant
+    RHS = (3/2) K^{3/2} (int |grad u|^2 f + int |u|^2 f)
+          + (1/4) K^{3/2} (int |u|^2 f)^3.
+    A nonnegative margin certifies the inequality for this sample.  No run
+    reads it: with K a state's own Sobolev ratio, Hoelder and Young bound the
+    LHS by the RHS, so it is a reference the tests hold the recorded ratios to.
+    """
+    if sobolev_const <= 0.0:
+        raise ValueError("sobolev_const must be positive")
+    if mode not in ("pi-constant", "pi-variable"):
+        raise ValueError("mode must be 'pi-constant' or 'pi-variable'")
+    grid = f.grid
+    speed_sq, grad_sq, _ = dg._velocity_sums(per_axis(grid, u, "velocity"), grid.spacing)
+    speed = np.sqrt(speed_sq)
+    lhs = dg._cell_integral(grid, speed**3 * f.values)
+    grad_term = dg._cell_integral(grid, grad_sq * f.values)
+    speed_sq_term = dg._cell_integral(grid, speed**2 * f.values)
+    k32 = sobolev_const**1.5
+    if mode == "pi-constant":
+        rhs = 0.75 * k32 * grad_term + 0.25 * k32 * speed_sq_term**3
+    else:
+        rhs = 1.5 * k32 * (grad_term + speed_sq_term) + 0.25 * k32 * speed_sq_term**3
+    return rhs - lhs
 
 
 def plain_term_breakdown(f, coeffs, t, mode):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import SCENARIO_DIR, clauses_by_name, load_scenario_dict, run_with_snapshots
+from conftest import SCENARIO_DIR, clauses_by_name, interpolation_check, load_scenario_dict, run_with_snapshots
 from fpklab import cli, diagnostics as dg, theory as th
 from fpklab.grid import dot
 
@@ -345,7 +345,7 @@ def test_suite_weighted_interpolation_margins(suite_runs):
     for state in suite_runs["variable_pi_1d"]["snapshots"][::10]:
         u = F.compute_velocity(state.f, coeffs, state.t)
         k = dg.empirical_sobolev(state.f, u, weighted=True)
-        assert dg.interpolation_check(state.f, u, k, "pi-variable") >= -1e-12
+        assert interpolation_check(state.f, u, k, "pi-variable") >= -1e-12
 
 
 def test_suite_single_pass_diagnostics(suite_runs):

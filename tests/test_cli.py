@@ -956,3 +956,26 @@ def test_long_expression_error_is_one_short_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200
     assert "at offset 0 in '1+1+" in err and "(10001 characters)" in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("check", json.dumps({**MINIMAL, "solver": {"t_end": 10**400}})),
+        ("check", json.dumps({**MINIMAL, "solver": {"t_end": "9" * 500}})),
+        ("check", json.dumps({**MINIMAL, "theory": {"gamma": -(10**300)}})),
+        ("check", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": -(10**400)}})),
+        ("check", json.dumps({**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "D": [1] * 300}})),
+        ("sweep", json.dumps({**_SWEEP, "values": ["9" * 500]})),
+    ],
+    ids=["t_end_401_digits", "t_end_long_string", "gamma_301_digits", "cells_401_digits", "coefficient_a_list",
+         "sweep_value_long_string"],
+)
+def test_long_bad_value_is_one_short_line(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert cli.main([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.rstrip("\n")) <= 120, err
+    assert "... (" in err and " characters)" in err  # the value is quoted as a window

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import capturing, load_scenario_dict, plain_term_breakdown, traced_peak_arrays
+from conftest import capturing, interpolation_check, load_scenario_dict, plain_term_breakdown, traced_peak_arrays
 from fpklab import cli, diagnostics as dg, grid as grid_module
 from fpklab.coefficients import REGIMES
 from fpklab.errors import (
@@ -393,7 +393,7 @@ _VELOCITY_CHECKS = {
     "jensen_check": lambda f, u: dg.jensen_check(f.grid, u),
     "empirical_poincare": dg.empirical_poincare,
     "empirical_sobolev": dg.empirical_sobolev,
-    "interpolation_check": lambda f, u: dg.interpolation_check(f, u, 1.0, "pi-constant"),
+    "interpolation_check": lambda f, u: interpolation_check(f, u, 1.0, "pi-constant"),
 }
 
 
@@ -468,8 +468,8 @@ class TestInterpolationCheck:
         grid = F.build_grid(1, 16)
         f = ScalarField(grid, np.ones(16))
         u = np.zeros((1, 16))
-        assert dg.interpolation_check(f, u, 1.0, "pi-constant") == 0.0
-        assert dg.interpolation_check(f, u, 1.0, "pi-variable") == 0.0
+        assert interpolation_check(f, u, 1.0, "pi-constant") == 0.0
+        assert interpolation_check(f, u, 1.0, "pi-variable") == 0.0
 
     def test_margin_nonnegative_with_empirical_constant(self, heat_run_64):
         coeffs = heat_run_64["coeffs"]
@@ -477,8 +477,8 @@ class TestInterpolationCheck:
             u = F.compute_velocity(state.f, coeffs, state.t)
             k_plain = dg.empirical_sobolev(state.f, u)
             k_weighted = dg.empirical_sobolev(state.f, u, weighted=True)
-            assert dg.interpolation_check(state.f, u, k_plain, "pi-constant") >= -1e-12
-            assert dg.interpolation_check(state.f, u, k_weighted, "pi-variable") >= -1e-12
+            assert interpolation_check(state.f, u, k_plain, "pi-constant") >= -1e-12
+            assert interpolation_check(state.f, u, k_weighted, "pi-variable") >= -1e-12
 
     def test_scaling_is_recomputed_not_scaled(self):
         grid = F.build_grid(1, 64)
@@ -486,8 +486,8 @@ class TestInterpolationCheck:
         f = ScalarField(grid, np.ones(64))
         u = 0.1 * np.sin(2 * np.pi * x)[None, :]
         u2 = 0.2 * np.sin(2 * np.pi * x)[None, :]
-        m1 = dg.interpolation_check(f, u, 1.0, "pi-constant")
-        m2 = dg.interpolation_check(f, u2, 1.0, "pi-constant")
+        m1 = interpolation_check(f, u, 1.0, "pi-constant")
+        m2 = interpolation_check(f, u2, 1.0, "pi-constant")
         assert m2 != pytest.approx(8.0 * m1, rel=1e-6)
 
     def test_invalid_inputs(self):
@@ -495,9 +495,9 @@ class TestInterpolationCheck:
         f = ScalarField(grid, np.ones(16))
         u = np.ones((1, 16))
         with pytest.raises(ValueError):
-            dg.interpolation_check(f, u, 0.0, "pi-constant")
+            interpolation_check(f, u, 0.0, "pi-constant")
         with pytest.raises(ValueError):
-            dg.interpolation_check(f, u, 1.0, "other")
+            interpolation_check(f, u, 1.0, "other")
 
 
 class TestDecayFit:

@@ -223,6 +223,17 @@ class TestFaceDivergence:
         assert abs(total) <= 1e-13 * max(1.0, scale)
 
 
+def _shift_inputs(dim, n):
+    """A plain array, a read-only one and a strided (non-contiguous) view, all dim-D with n per axis."""
+    rng = np.random.default_rng(dim * 100 + n)
+    plain = rng.standard_normal((n,) * dim)
+    read_only = plain.copy()
+    read_only.setflags(write=False)
+    strided = rng.standard_normal((2 * n,) * dim)[(slice(None, None, 2),) * dim]
+    assert not strided.flags.c_contiguous
+    return {"plain": plain, "read_only": read_only, "strided": strided}
+
+
 class TestShift:
     @pytest.mark.parametrize("shape", [(8,), (5, 7), (4, 5, 6)])
     def test_matches_roll_on_every_axis(self, shape):
@@ -230,6 +241,18 @@ class TestShift:
         for axis in range(len(shape)):
             for offset in (1, -1):
                 assert np.array_equal(shift(v, offset, axis), np.roll(v, -offset, axis=axis))
+
+    @pytest.mark.parametrize("n", [4, 5, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_fresh_writable_c_contiguous_roll(self, dim, n):
+        # the solver writes into its shifted copies, so each must be its own C array
+        for kind, v in _shift_inputs(dim, n).items():
+            for axis in range(dim):
+                for offset in (1, -1):
+                    out = shift(v, offset, axis)
+                    assert np.array_equal(out, np.roll(v, -offset, axis=axis)), (kind, axis, offset)
+                    assert out.flags.writeable and out.flags.c_contiguous, (kind, axis, offset)
+                    assert not np.shares_memory(out, v), (kind, axis, offset)
 
     def test_package_wraps_only_through_shift(self):
         src = Path(fpklab.__file__).parent
