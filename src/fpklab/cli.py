@@ -32,7 +32,7 @@ import numpy as np
 
 from . import diagnostics, solver, theory
 from .coefficients import build_constants_ledger, compute_equilibrium, sample_coefficients
-from .errors import FpkError, ScenarioError, TooShortSeriesError, quote_source, quote_value
+from .errors import MESSAGE_WIDTH, FpkError, ScenarioError, TooShortSeriesError, quote_source, quote_value
 from .expressions import parse_expression
 from .grid import Grid, build_grid, integrate
 from .solver import SolverConfig
@@ -100,7 +100,10 @@ def _object(value, context: str, keys=None) -> dict:
         raise ScenarioError(f"{context} must be a JSON object")
     unknown = [key for key in value if keys is not None and key not in keys]
     if unknown:
-        raise ScenarioError(f"{context} has unknown key {quote_value(unknown[0])}; allowed: {', '.join(keys)}")
+        head, allowed = f"{context} has unknown key {quote_value(unknown[0])}; allowed: ", ", ".join(keys)
+        if len(head + allowed) > MESSAGE_WIDTH:  # cut after the last whole key that fits
+            allowed = allowed[: allowed.rfind(", ", 0, MESSAGE_WIDTH - len(head) - 3)] + ", ..."
+        raise ScenarioError(head + allowed)
     return value
 
 
@@ -297,7 +300,7 @@ def _trajectory(scenario: Scenario, steps: bool = True):
     its report entries; it reads neither the scenario's name nor its theory.
     With ``steps=False`` the series is the initial record alone.  A stepped
     run's term breakdowns are those its recorder put on the records it
-    sampled (see diagnostics.make_recorder); no state outlives its record."""
+    sampled (see diagnostics.make_batch_recorder); a run holds at most one batch of recorded states."""
     grid, coeffs, f0, feq, shift = _setup(scenario)
     t_end = scenario.solver.t_end
     ledger = build_constants_ledger(
@@ -310,7 +313,7 @@ def _trajectory(scenario: Scenario, steps: bool = True):
         return solver.TimeSeries([initial]), ledger, fields
 
     envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
-    recorder = diagnostics.make_recorder(coeffs, envelope=envelope, config=scenario.solver)
+    recorder = diagnostics.make_batch_recorder(coeffs, envelope=envelope, config=scenario.solver)
     series = solver.run(f0, coeffs, scenario.solver, recorder)
     fields["term_breakdown_samples"] = [{"t": r.t, **r.terms} for r in series.records if r.terms is not None]
     try:
@@ -422,7 +425,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ScenarioError(f"sweep axis must be one of {SWEEP_AXES}; got {quote_value(self.axis)}")
+            raise ScenarioError(f"sweep axis must be one of {', '.join(SWEEP_AXES)}; got {quote_value(self.axis, 16)}")
         if not self.values:
             raise ScenarioError("sweep values list must be nonempty")
 
@@ -515,9 +518,9 @@ def _sweep_task(task) -> dict:
 def _predicted_work(scenario: Scenario) -> int:
     """A sweep run's predicted work: cell count x min(ceil(t_end / dt0), max_steps),
     dt0 being stable_dt at t = 0, the step the solver keeps throughout for a
-    t-free mobility.  A run that does not sample predicts 0 and runs last."""
+    t-free mobility, from D and pi alone.  A run whose D or pi fails to sample predicts 0 and runs last."""
     try:
-        coeffs, _ = sample_coefficients(scenario.coefficients, scenario.grid)
+        coeffs, _ = sample_coefficients(scenario.coefficients, scenario.grid, only=("D", "pi"))
         dt0 = solver.stable_dt(coeffs, 0.0, scenario.solver.cfl_safety)
         steps = min(math.ceil(scenario.solver.t_end / dt0), scenario.solver.max_steps)
         return scenario.grid.cell_count * steps
@@ -539,7 +542,7 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
     if jobs is not None and jobs < 1:
         raise ScenarioError(f"jobs must be at least 1; got {jobs}")
     out = _prepare_out_dir(Path(out_dir), force)
-    coeffs, _ = sample_coefficients(spec.base.coefficients, spec.base.grid)
+    coeffs, _ = sample_coefficients(spec.base.coefficients, spec.base.grid, only=("D", "pi"))
     theorem = theory.regime_theorems(coeffs.regime)[0]
     rows, groups = [None] * len(spec.values), {}
     for index, value in enumerate(spec.values):

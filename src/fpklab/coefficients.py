@@ -170,20 +170,21 @@ class CoefficientSet:
         return "homogeneous" if float(np.ptp(self.D.values)) == 0.0 else "inhomogeneous-D"
 
 
-def sample_coefficients(specs: Mapping[str, str], grid: Grid) -> tuple[CoefficientSet, ScalarField]:
+def sample_coefficients(specs: Mapping[str, str], grid: Grid, only=None) -> tuple[CoefficientSet, ScalarField]:
     """Sample the sources of D, phi, pi, f0 at cell centers; f0 is rescaled to unit mass.
 
     D, phi and f0 are spatial-only; an expression using t in those slots is
     rejected.  D, pi and f0 must be strictly positive at every sample point,
-    and so must the rescaled f0, which also must be finite.
+    and so must the rescaled f0, which also must be finite.  ``only=("D", "pi")``
+    samples those alone, all a regime and stable_dt read: the rest is None.
     """
     exprs = {}
-    for name in ("D", "phi", "pi", "f0"):
+    for name in only or ("D", "phi", "pi", "f0"):
         if name not in specs:
             raise ExpressionError(f"missing coefficient {name!r}", "", 0)
         exprs[name] = parse_expression(specs[name])
     for name in ("D", "phi", "f0"):
-        if exprs[name].uses_t:
+        if name in exprs and exprs[name].uses_t:
             raise ExpressionError(
                 f"coefficient {name!r} is spatial-only but uses t",
                 exprs[name].source,
@@ -192,10 +193,13 @@ def sample_coefficients(specs: Mapping[str, str], grid: Grid) -> tuple[Coefficie
 
     d_arr = _sample_expression(exprs["D"], grid, "D")
     _require_positive("D", d_arr, grid)
-    phi_arr = _sample_expression(exprs["phi"], grid, "phi")
+    phi_arr = _sample_expression(exprs["phi"], grid, "phi") if "phi" in exprs else None
     pi_bound = exprs["pi"].bind(_grid_coords(exprs["pi"], grid, "pi"))
     pi0 = _finite_samples(pi_bound(0.0), exprs["pi"], grid, "pi")
     _require_positive("pi", pi0, grid)
+    if "f0" not in exprs:
+        d_field, pi0_field = ScalarField(grid, d_arr), ScalarField(grid, pi0)
+        return CoefficientSet(grid, d_field, None, None, None, exprs["pi"], pi0_field, pi_bound), None
     f0_arr = _sample_expression(exprs["f0"], grid, "f0")
     _require_positive("f0", f0_arr, grid)
 

@@ -42,7 +42,7 @@ from .errors import (
     UndefinedRatioError,
     WrongRegimeError,
 )
-from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, integrate, per_axis
+from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, per_axis
 from .solver import SolverState, TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
 
 #: a run's records carry at most this many term breakdowns, picked by target time
@@ -69,12 +69,18 @@ class DiagnosticsRecord:
     poincare: float = math.nan
     sobolev: float = math.nan
     sobolev_weighted: float = math.nan
-    # the d^2F/dt^2 breakdown, on the records make_recorder samples by target time
+    # the d^2F/dt^2 breakdown, on the records make_batch_recorder samples by target time
     terms: dict | None = field(default=None, compare=False)
 
 
-def _cell_integral(grid: Grid, integrand: np.ndarray) -> float:
-    return grid.cell_volume * float(integrand.sum())
+def _cells(grid: Grid, values: np.ndarray, reduce=np.sum):
+    """``reduce`` over the grid's axes, the trailing ones: one state's, or each state's of a stack."""
+    return reduce(values, axis=tuple(range(-grid.dim, 0)))
+
+
+def _cell_integral(grid: Grid, integrand: np.ndarray):
+    """h^n times the sum over cells: a float, or for a stack a list of floats."""
+    return (grid.cell_volume * _cells(grid, integrand)).tolist()
 
 
 # Array kernels shared by the public functions and the recorder: one pass over
@@ -90,8 +96,8 @@ def _velocity_sums(components, spacing: float, jac_u=None):
     each is bitwise theirs.  No Jacobian is built."""
     speed_sq = dot(components, components)
     grad_sq, div = (np.zeros(components[0].shape) for _ in range(2))
-    for k, uk in enumerate(components):
-        for l, grad in enumerate(gradient_arrays(uk, spacing)):
+    for k, uk in enumerate(components):  # one u_k per grid axis; axes before the grid's stack states
+        for l, grad in enumerate(gradient_arrays(uk, spacing, uk.ndim - len(components))):
             if jac_u is not None:
                 jac_u[k] += grad * components[l]
             if l == k:
@@ -154,34 +160,38 @@ def max_principle_envelope(
 
 def envelope_margin(f: ScalarField, envelope: tuple[ScalarField, ScalarField]) -> float:
     """Worst signed containment margin min(f - lower, upper - f) over cells."""
+    return _envelope_margin(f.grid, f.values, envelope)
+
+
+def _envelope_margin(grid: Grid, fv: np.ndarray, envelope):
     lower, upper = envelope
-    return float(np.minimum(f.values - lower.values, upper.values - f.values).min())
+    return _cells(grid, np.minimum(fv - lower.values, upper.values - fv), np.min).tolist()
 
 
-def _jensen_margin(dim: int, grad_sq: np.ndarray, div: np.ndarray) -> float:
-    return float((dim * grad_sq - div**2).min())
+def _jensen_margin(grid: Grid, grad_sq: np.ndarray, div: np.ndarray):
+    return _cells(grid, grid.dim * grad_sq - div**2, np.min).tolist()
 
 
 def jensen_check(grid: Grid, u) -> float:
     """min over cells of n |grad u|^2 - |Div u|^2 (nonnegative to round-off), u
     one array per axis."""
     _, grad_sq, div = _velocity_sums(per_axis(grid, u, "velocity"), grid.spacing)
-    return _jensen_margin(grid.dim, grad_sq, div)
+    return _jensen_margin(grid, grad_sq, div)
 
 
-def _velocity_pass(f: ScalarField, coeffs: CoefficientSet, t: float, jac_u: bool = False):
-    """(log f, pi, u, J u, |u|^2, |grad u|^2, div u) of one state, log f taken once;
-    the u_k are compute_velocity's and the (J u)_k _velocity_sums', each in a list, J u
-    None unless asked for.  A nonpositive cell raises NonPositiveDensityError, a NaN
-    or infinite |u| (|u|^2 or |grad u|^2 overflowing too) NonFiniteFieldError."""
-    require_positive_density(f.values)
-    grid, log_f = f.grid, np.log(f.values)
+def _velocity_pass(grid: Grid, fv: np.ndarray, pi: np.ndarray, coeffs: CoefficientSet, jac_u: bool = False):
+    """(log f, pi, u, J u, |u|^2, |grad u|^2, div u) of a stack of states, ``fv`` and
+    ``pi`` of shape (B, *grid.shape), log f taken once; the u_k are compute_velocity's
+    and the (J u)_k _velocity_sums', each in a list, J u None unless asked for.  Before
+    any sum, a nonpositive cell raises NonPositiveDensityError, a NaN or infinite |u|
+    (|u|^2 or |grad u|^2 overflowing too) NonFiniteFieldError."""
+    require_positive_density(fv)
+    log_f = np.log(fv)
     psi = log_f * coeffs.D.values  # solver._potential, from the one log f
     psi += coeffs.phi.values
-    pi = coeffs.pi_values(t)
-    u = _velocity_arrays(psi, pi, grid.spacing)
+    u = _velocity_arrays(psi, pi, grid.spacing, lead=1)
     del psi  # freed before the sums' arrays are built
-    ju = [np.zeros(grid.shape) for _ in u] if jac_u else None
+    ju = [np.zeros(fv.shape) for _ in u] if jac_u else None
     with np.errstate(over="ignore"):  # an overflowing square is +inf, raised on below
         sums = _velocity_sums(u, grid.spacing, ju)
     if not all(math.isfinite(float(sq.max())) for sq in sums[:2]):  # NaN if any entry is NaN
@@ -204,14 +214,17 @@ def second_derivative_terms(f: ScalarField, coeffs: CoefficientSet, t: float, mo
         raise ValueError(f"mode must be one of {REGIMES}")
     if REGIMES.index(mode) < REGIMES.index(coeffs.regime):
         raise WrongRegimeError(f"{mode} mode does not cover the {coeffs.regime} regime")
-    return _term_breakdown(f, coeffs, t, mode, _velocity_pass(f, coeffs, t, jac_u=mode == "full"))
+    velocity = _velocity_pass(f.grid, f.values[None], coeffs.pi_values(t)[None], coeffs, jac_u=mode == "full")
+    return _term_breakdown(f, coeffs, t, mode, velocity)
 
 
-def _term_breakdown(f, coeffs, t, mode, velocity) -> dict:
-    """second_derivative_terms from a _velocity_pass (with J u in full mode).  Each
-    integrand is formed in one array, in place, with the operations in the order
-    its formula is written; H u takes phi's Hessian one entry at a time."""
-    log_f, pi, uc, ju, speed_sq, grad_u_sq, div_u = velocity
+def _term_breakdown(f, coeffs, t, mode, velocity, i: int = 0) -> dict:
+    """second_derivative_terms of state ``i`` of a _velocity_pass (with J u in full
+    mode).  Each integrand is formed in one array, in place, with the operations
+    in the order its formula is written; H u takes phi's Hessian one entry at a time."""
+    log_f, pi, uc, ju, speed_sq, grad_u_sq, div_u = (  # state i's slices
+        a if a is None else [c[i] for c in a] if isinstance(a, list) else a[i] for a in velocity
+    )
     grid, fv, d = f.grid, f.values, coeffs.D.values
 
     def quad(x: np.ndarray, *factors: np.ndarray, over: np.ndarray | None = None) -> float:
@@ -255,24 +268,23 @@ def _term_breakdown(f, coeffs, t, mode, velocity) -> dict:
     return {"mode": mode, "terms": terms, "sum": math.fsum(terms.values())}
 
 
-def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, float]:
-    """The empirical ratios of one velocity pass, NaN where a denominator is
-    not positive; int |grad u|^2 f and int |u|^p* f are formed once for all three."""
-    grad_int = _cell_integral(grid, grad_sq * fv)
+def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> list[dict[str, float]]:
+    """Each stacked state's empirical ratios, NaN where a denominator is not positive;
+    int |grad u|^2 f and int |u|^p* f are formed once for all three, tails in floats."""
+    grad_ints, speed_ints = _cell_integral(grid, grad_sq * fv), _cell_integral(grid, speed_sq * fv)
     with np.errstate(over="ignore"):  # |u|^p* overflowing makes the moment, and both Sobolev ratios, +inf
-        moment = _cell_integral(grid, speed**P_STAR * fv) ** (1.0 / P_STAR)
+        moments = [m ** (1.0 / P_STAR) for m in _cell_integral(grid, speed**P_STAR * fv)]
     # speed**2, not |u|^2 summed again: the two differ in the last bit
-    weighted_sq = _cell_integral(grid, (2.0 * grad_sq + EPS * speed**2) * fv)
-    return {
-        "poincare": _cell_integral(grid, speed_sq * fv) / grad_int if grad_int > 0.0 else math.nan,
-        "sobolev": moment / math.sqrt(grad_int) if grad_int > 0.0 else math.nan,
-        "sobolev_weighted": moment / math.sqrt(weighted_sq) if weighted_sq > 0.0 else math.nan,
-    }
+    weighted = _cell_integral(grid, (2.0 * grad_sq + EPS * speed**2) * fv)
+    return [{"poincare": s / g if g > 0.0 else math.nan,
+             "sobolev": m / math.sqrt(g) if g > 0.0 else math.nan,
+             "sobolev_weighted": m / math.sqrt(w) if w > 0.0 else math.nan}
+            for g, m, w, s in zip(grad_ints, moments, weighted, speed_ints)]
 
 
 def _sample_ratio(f: ScalarField, u, name: str) -> float:
-    speed_sq, grad_sq, _ = _velocity_sums(per_axis(f.grid, u, "velocity"), f.grid.spacing)
-    ratio = _ratios(f.grid, f.values, speed_sq, np.sqrt(speed_sq), grad_sq)[name]
+    speed_sq, grad_sq, _ = _velocity_sums([uk[None] for uk in per_axis(f.grid, u, "velocity")], f.grid.spacing)
+    ratio = _ratios(f.grid, f.values[None], speed_sq, np.sqrt(speed_sq), grad_sq)[0][name]
     if math.isnan(ratio):
         raise UndefinedRatioError(f"{name} ratio undefined: its denominator vanishes (u constant)")
     return ratio
@@ -317,51 +329,57 @@ def decay_fit(series: TimeSeries, window: tuple[float, float]) -> dict:
     }
 
 
-def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
-    """Build the per-state diagnostics callback used by solver.run.
+def make_batch_recorder(coeffs: CoefficientSet, envelope=None, config=None):
+    """Build solver.run's recorder: (states, each one's mobility sample) -> their records.
 
-    The callback is the one place a recorded state is read: from one
-    _velocity_pass (which raises on a nonpositive cell or a non-finite |u|)
-    it records the series row and the Poincare, Sobolev and weighted Sobolev
-    ratios, all NaN when any is undefined, each bitwise what the
-    public functions give.  ``envelope`` is the pair from
-    max_principle_envelope (else the margin is NaN).  Given the run's
-    SolverConfig, the first record at or after each target time j t_end /
-    (TERM_SAMPLES - 1), and the final record of a run max_steps stops early,
-    carry in ``terms`` their pass's bitwise second_derivative_terms in the
-    coefficients' regime.  A recorder serves one run and holds no array: a
-    sampled record takes phi's Hessian one entry at a time.
+    The recorder is the one place a recorded state is read: from one
+    _velocity_pass over the stacked states (which raises on a nonpositive cell
+    or a non-finite |u|) it records each series row and the Poincare, Sobolev
+    and weighted Sobolev ratios (all NaN when one is undefined), each bitwise
+    what the public functions give for its state alone, as every sum runs over
+    one state's cells.  ``envelope`` is the pair from max_principle_envelope
+    (else the margin is NaN).  Given the run's SolverConfig, the first record
+    at or after each target time j t_end / (TERM_SAMPLES - 1), and the final
+    record of a run max_steps stops early, carry in ``terms`` their state's
+    second_derivative_terms in the coefficients' regime, from the same pass.
     """
     mode, targets = coeffs.regime, []
     if config is not None:
         targets = [j * config.t_end / (TERM_SAMPLES - 1) for j in range(TERM_SAMPLES)]
 
-    def recorder(state: SolverState) -> DiagnosticsRecord:
-        f, t, grid, fv = state.f, state.t, state.f.grid, state.f.values
-        final = config is not None and state.step_index >= config.max_steps
-        sampled = bool(targets) and (final or t >= targets[0])
-        targets[:] = [target for target in targets if target > t and not final]
-        velocity = _velocity_pass(f, coeffs, t, jac_u=sampled and mode == "full")
-        terms = _term_breakdown(f, coeffs, t, mode, velocity) if sampled else None
-        log_f, pi, u, ju, speed_sq, grad_sq, div = velocity
+    def recorder(states: list, pis: list) -> list[DiagnosticsRecord]:
+        grid, due = coeffs.grid, []
+        for state in states:
+            final = config is not None and state.step_index >= config.max_steps
+            due.append(bool(targets) and (final or state.t >= targets[0]))
+            targets[:] = [target for target in targets if target > state.t and not final]
+        # one state is viewed as a stack, not copied
+        fv, pi = (a[0][None] if len(a) == 1 else np.stack(a) for a in ([s.f.values for s in states], pis))
+        velocity = _velocity_pass(grid, fv, pi, coeffs, jac_u=mode == "full" and any(due))
+        terms = [_term_breakdown(s.f, coeffs, s.t, mode, velocity, i) if sample else None
+                 for i, (s, sample) in enumerate(zip(states, due))]
+        log_f, _, u, ju, speed_sq, grad_sq, div = velocity
         del velocity, u, ju  # freed before the ratios' arrays are built
         speed = np.sqrt(speed_sq)
-        ratios = _ratios(grid, fv, speed_sq, speed, grad_sq)
-        if any(map(math.isnan, ratios.values())):
-            ratios = {}  # the record's NaN defaults: one undefined ratio voids all three
-        return DiagnosticsRecord(
-            t=t,
-            mass=integrate(f),
-            free_energy=_free_energy(grid, fv, log_f, coeffs),
-            dissipation=_dissipation(grid, fv, pi, speed_sq),
-            f_min=f.min(),
-            f_max=f.max(),
-            log_f_sup=float(np.abs(log_f).max()),
-            u_sup=float(speed.max()),
-            envelope_margin=envelope_margin(f, envelope) if envelope is not None else math.nan,
-            jensen_margin=_jensen_margin(grid.dim, grad_sq, div),
-            terms=terms,
-            **ratios,
+        ratios = [{} if any(map(math.isnan, r.values())) else r for r in _ratios(grid, fv, speed_sq, speed, grad_sq)]
+        rows = zip(
+            [state.t for state in states],
+            _cell_integral(grid, fv),
+            _free_energy(grid, fv, log_f, coeffs),
+            _dissipation(grid, fv, pi, speed_sq),
+            _cells(grid, fv, np.min).tolist(),
+            _cells(grid, fv, np.max).tolist(),
+            _cells(grid, np.abs(log_f), np.max).tolist(),
+            _cells(grid, speed, np.max).tolist(),
+            _envelope_margin(grid, fv, envelope) if envelope is not None else [math.nan] * len(states),
+            _jensen_margin(grid, grad_sq, div),
         )
+        return [DiagnosticsRecord(*row, terms=t, **r) for row, t, r in zip(rows, terms, ratios)]
 
     return recorder
+
+
+def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
+    """make_batch_recorder's recorder on one state and its time's mobility: state -> record."""
+    record = make_batch_recorder(coeffs, envelope, config)
+    return lambda state: record([state], [coeffs.pi_values(state.t)])[0]

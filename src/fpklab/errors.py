@@ -29,6 +29,9 @@ SOURCE_WINDOW = 60
 #: SOURCE_WINDOW, as the value follows the name of its key on the line
 VALUE_WINDOW = 30
 
+#: the longest message a one-line error prints after its "error: "
+MESSAGE_WIDTH = 113
+
 
 def quote_source(source: str, position: int = 0, width: int = SOURCE_WINDOW) -> str:
     """repr(source), or for a source longer than ``width`` the repr of
@@ -42,13 +45,13 @@ def quote_source(source: str, position: int = 0, width: int = SOURCE_WINDOW) -> 
     return f"{head}{source[start:end]!r}{tail} ({len(source)} characters)"
 
 
-def quote_value(value) -> str:
-    """repr(value), or if that is longer than VALUE_WINDOW, quote_source's
+def quote_value(value, width: int = VALUE_WINDOW) -> str:
+    """repr(value), or if that is longer than ``width``, quote_source's
     window of the value (a string) or of its repr, so an error stays one short line."""
     text = repr(value)
-    if len(text) <= VALUE_WINDOW:
+    if len(text) <= width:
         return text
-    return quote_source(value if isinstance(value, str) else text, width=VALUE_WINDOW)
+    return quote_source(value if isinstance(value, str) else text, width=width)
 
 
 class ExpressionError(FpkError):

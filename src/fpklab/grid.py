@@ -85,7 +85,7 @@ def build_grid(dim: int, cells_per_axis: int) -> Grid:
         raise GridTooCoarseError(f"cells_per_axis must be >= 4; got {quote_value(cells_per_axis)}")
     if int(cells_per_axis) ** int(dim) > np.iinfo(np.intp).max // 8:  # the float64 cells numpy can index
         raise FpkError(
-            f"a {dim}-D grid of {quote_value(cells_per_axis)} cells per axis has more cells than numpy can index"
+            f"a {dim}-D grid of {quote_value(cells_per_axis, 20)} cells per axis has more cells than numpy can index"
         )
     return Grid(dim=int(dim), cells_per_axis=int(cells_per_axis))
 
@@ -153,10 +153,10 @@ def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
     )
 
 
-def gradient_arrays(values: np.ndarray, spacing: float) -> list[np.ndarray]:
-    """Centered periodic differences (v[i+1] - v[i-1]) / (2h) per axis."""
+def gradient_arrays(values: np.ndarray, spacing: float, lead: int = 0) -> list[np.ndarray]:
+    """Centered periodic differences (v[i+1] - v[i-1]) / (2h) per axis after the first ``lead``."""
     two_h = 2.0 * spacing
-    return [(shift(values, 1, k) - shift(values, -1, k)) / two_h for k in range(values.ndim)]
+    return [(shift(values, 1, k) - shift(values, -1, k)) / two_h for k in range(lead, values.ndim)]
 
 
 def dot(a, b) -> np.ndarray:

@@ -35,12 +35,12 @@ def clauses_by_name(report: dict) -> dict:
 
 
 def capturing(recorder, states: list):
-    """``recorder``, also appending each state it records to ``states``."""
+    """The batch ``recorder``, also appending each state it records to ``states``."""
 
-    def capture(state):
-        record = recorder(state)
-        states.append(state)
-        return record
+    def capture(batch, pis):
+        records = recorder(batch, pis)
+        states.extend(batch)
+        return records
 
     return capture
 
@@ -49,16 +49,16 @@ def run_with_snapshots(scenario_dict: dict):
     """Run a scenario dict in memory; returns (series, report, snapshots).
 
     The snapshots are the recorded states, captured by wrapping
-    ``diagnostics.make_recorder`` for the duration of the run.
+    ``diagnostics.make_batch_recorder`` for the duration of the run.
     """
     scenario = cli.build_scenario(scenario_dict, fallback_name=scenario_dict.get("name", "test"))
     snapshots = []
-    make_recorder = dg.make_recorder
-    dg.make_recorder = lambda *args, **kwargs: capturing(make_recorder(*args, **kwargs), snapshots)
+    make_batch_recorder = dg.make_batch_recorder
+    dg.make_batch_recorder = lambda *args, **kwargs: capturing(make_batch_recorder(*args, **kwargs), snapshots)
     try:
         series, report = cli.run_scenario_data(scenario)
     finally:
-        dg.make_recorder = make_recorder
+        dg.make_batch_recorder = make_batch_recorder
     return series, report, snapshots
 
 
@@ -207,7 +207,7 @@ def heat_run_64():
     feq, _ = F.compute_equilibrium(coeffs)
     envelope = dg.max_principle_envelope(f0, feq, coeffs)
     snapshots = []
-    recorder = capturing(dg.make_recorder(coeffs, envelope=envelope), snapshots)
+    recorder = capturing(dg.make_batch_recorder(coeffs, envelope=envelope), snapshots)
     series = F.run(
         f0, coeffs, F.SolverConfig(t_end=0.03, cfl_safety=0.4, record_every=8), recorder
     )

@@ -858,6 +858,40 @@ def test_predicted_work_of_a_row_that_cannot_sample_is_zero(monkeypatch):
     assert cli._predicted_work(base) == 0
 
 
+def test_sweep_parent_samples_only_d_and_pi(tmp_path, monkeypatch):
+    # the base's regime and each row's predicted work read D and pi alone; the pool's
+    # workers sample their rows in full, in processes of their own
+    sampled, sample = [], cli.sample_coefficients
+
+    def spy(specs, grid, only=None):
+        sampled.append(only)
+        return sample(specs, grid, only=only)
+
+    monkeypatch.setattr(cli, "sample_coefficients", spy)
+    spec = cli.SweepSpec(base=cli.build_scenario({**MINIMAL, "name": "s"}), axis="d_scale", values=[1, 8, 2, 4])
+    path = cli.run_sweep(spec, tmp_path / "sweep", force=True, jobs=2)
+    assert sampled == [("D", "pi")] * 5
+    assert [row.split(",")[-1] for row in path.read_text().splitlines()[1:]] == [""] * 4
+
+
+def test_sweep_base_phi_that_fails_to_sample_is_each_rows_error(tmp_path):
+    # the parent samples D and pi alone, so phi fails in each row, as an equilibrium failure does
+    base = {**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "phi": "1/(x1-x1)"}}
+    spec = cli.SweepSpec(base=cli.build_scenario(base), axis="d_scale", values=[1, 2])
+    with cli.run_sweep(spec, tmp_path / "sweep", jobs=1).open(newline="") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh)]
+    assert errors == ["coefficient 'phi' is not finite at cell (0,) at offset 0 in '1/(x1-x1)'"] * 2
+
+
+def test_short_unknown_key_lists_the_allowed_keys_that_fit(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "cfl_saftey": 0.4}}))
+    assert cli.main(["check", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver has unknown key 'cfl_saftey'; allowed: t_end, cfl_safety, ")
+    assert err.endswith(", ...\n") and len(err.rstrip("\n")) <= 120
+
+
 @pytest.fixture(scope="module")
 def d_scale_sweep(tmp_path_factory):
     """sweep_d_scale as shipped, run serially."""
@@ -967,9 +1001,13 @@ def test_long_expression_error_is_one_short_line(tmp_path, capsys):
         ("check", json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": -(10**400)}})),
         ("check", json.dumps({**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "D": [1] * 300}})),
         ("sweep", json.dumps({**_SWEEP, "values": ["9" * 500]})),
+        ("check", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "k" * 500: 1}})),
+        ("sweep", json.dumps({**_SWEEP, "axis": "a" * 500})),
+        ("check", json.dumps({**MINIMAL, "grid": {"dim": 3, "cells_per_axis": 10**400}})),
     ],
     ids=["t_end_401_digits", "t_end_long_string", "gamma_301_digits", "cells_401_digits", "coefficient_a_list",
-         "sweep_value_long_string"],
+         "sweep_value_long_string", "solver_key_500_characters", "sweep_axis_500_characters",
+         "cells_3d_401_digits_beyond_numpy_index"],
 )
 def test_long_bad_value_is_one_short_line(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestEnergyLawResidual:
         grid, coeffs, _ = sample({**UNIT, "phi": "cos(2*pi*x1)"}, n=64)
         feq, _ = F.compute_equilibrium(coeffs)
         series = F.run(
-            feq, coeffs, F.SolverConfig(t_end=0.004, record_every=5), dg.make_recorder(coeffs)
+            feq, coeffs, F.SolverConfig(t_end=0.004, record_every=5), dg.make_batch_recorder(coeffs)
         )
         assert np.abs(dg.energy_law_residual(series)).max() <= 1e-10
 
@@ -155,7 +156,7 @@ class TestEnergyLawResidual:
             grid, coeffs, f0 = sample({**UNIT, "f0": "1 + 0.05*sin(2*pi*x1)"}, n=n)
             series = F.run(
                 f0, coeffs, F.SolverConfig(t_end=0.01, cfl_safety=0.4, record_every=4),
-                dg.make_recorder(coeffs),
+                dg.make_batch_recorder(coeffs),
             )
             return np.abs(dg.energy_law_residual(series)).max()
 
@@ -290,14 +291,14 @@ class TestSecondDerivativeTerms:
         }
         grid, coeffs, f0 = sample(spec, dim=dim, n=16)
         config = F.SolverConfig(t_end=0.004, record_every=1)
-        plain = F.run(f0, coeffs, config, dg.make_recorder(coeffs))
+        plain = F.run(f0, coeffs, config, dg.make_batch_recorder(coeffs))
         assert all(r.terms is None for r in plain.records)
 
         spy = NumpyShapeSpy()
         monkeypatch.setattr(dg, "np", spy)
         monkeypatch.setattr(grid_module, "np", spy)
         snaps = []
-        series = F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs, config=config), snaps))
+        series = F.run(f0, coeffs, config, capturing(dg.make_batch_recorder(coeffs, config=config), snaps))
         # neither the recorder nor its calls build, so none holds, an (n, n, ...) array
         assert spy.shapes and max(map(len, spy.shapes)) <= dim + 1
         assert series.records == plain.records  # terms do not take part in ==
@@ -357,7 +358,7 @@ class TestSecondDerivativeTerms:
         snaps = []
         series = F.run(
             f0, coeffs, F.SolverConfig(t_end=t_end, cfl_safety=0.4, record_every=record_every),
-            capturing(dg.make_recorder(coeffs), snaps),
+            capturing(dg.make_batch_recorder(coeffs), snaps),
         )
         t = series.column("t")
         dis = series.column("dissipation")
@@ -554,6 +555,82 @@ class TestTimeSeries:
         series = heat_run_64["series"]
         assert series.column("dissipation").min() >= -1e-12
         assert np.abs(series.column("mass") - 1.0).max() <= 1e-12
+
+
+def record_hex(record) -> tuple:
+    """Every float field of a record as float.hex, and its term breakdown's (None if it has none)."""
+    fields = tuple(float(getattr(record, f.name)).hex() for f in dataclasses.fields(record) if f.name != "terms")
+    terms = record.terms
+    if terms is not None:
+        terms = (terms["mode"], {k: v.hex() for k, v in terms["terms"].items()}, terms["sum"].hex())
+    return fields, terms
+
+
+class TestBatchRecorder:
+    """A stacked pass gives each state the fields and term breakdown the one-state recorder gives it."""
+
+    SPECS = {  # one per regime; s weighs every axis differently, so no component vanishes or equals another
+        "homogeneous": {"D": "1.5", "pi": "1.2"},
+        "inhomogeneous-D": {"D": "2+0.5*cos(2*pi*x1)*cos(2*pi*({s}))", "pi": "1.2"},
+        "full": {"D": "2+0.5*cos(2*pi*x1)*cos(2*pi*({s}))", "pi": "1.2+0.2*(1.5+sin(2*pi*({s})))*(1+t)"},
+    }
+    CELLS = {1: 16, 2: 16, 3: 8}  # full batches of 256, 16 and 8 states
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_every_field_bitwise_equal_to_the_one_state_recorder(self, dim, regime):
+        s = "+".join(f"{k}*x{k}" for k in range(1, dim + 1))
+        spec = {
+            **self.SPECS[regime],
+            "phi": "0.3*cos(2*pi*x1)+0.2*sin(2*pi*({s}))",
+            "f0": "1+0.3*sin(2*pi*x1)+0.2*cos(2*pi*({s}))",
+        }
+        grid, coeffs, f0 = sample({k: v.format(s=s) for k, v in spec.items()}, dim=dim, n=self.CELLS[dim])
+        assert coeffs.regime == regime
+        full = max(1, F.solver.BATCH_CELLS // grid.cell_count)
+        feq, _ = F.compute_equilibrium(coeffs)
+        envelope = dg.max_principle_envelope(f0, feq, coeffs)
+        states = []
+        F.run(f0, coeffs, F.SolverConfig(t_end=1.0, max_steps=max(7, full) + 2, record_every=1),
+              capturing(dg.make_batch_recorder(coeffs), states))
+        pis = [coeffs.pi_values(state.t).copy() for state in states]
+        # terms at the states first at or after 0, 3/8 and 3/4 of the last one's time, and at
+        # that last one, which max_steps makes final before the other two targets
+        config = F.SolverConfig(t_end=1.5 * states[-1].t, max_steps=len(states) - 1)
+        one = dg.make_recorder(coeffs, envelope, config)
+        expected = [record_hex(one(state)) for state in states]
+        assert sum(terms is not None for _, terms in expected) == 4 and expected[-1][1] is not None
+        for size in sorted({1, 2, 7, full}):
+            batch = dg.make_batch_recorder(coeffs, envelope, config)
+            records = []
+            for start in range(0, len(states), size):
+                records += batch(states[start:start + size], pis[start:start + size])
+            assert [record_hex(record) for record in records] == expected, size
+
+    def test_variable_pi_run_same_with_either_recorder(self):
+        scenario = cli.build_scenario(load_scenario_dict("variable_pi_1d"))
+        grid, coeffs, f0, feq, _ = cli._setup(scenario)
+        envelope = dg.max_principle_envelope(f0, feq, coeffs)
+        batched = F.run(f0, coeffs, scenario.solver, dg.make_batch_recorder(coeffs, envelope, scenario.solver))
+        one = dg.make_recorder(coeffs, envelope, scenario.solver)
+        single = F.run(f0, coeffs, scenario.solver, lambda states, pis: [one(state) for state in states])
+        assert len(batched) > F.solver.BATCH_CELLS // grid.cell_count  # more than one batch
+        assert [record_hex(r) for r in batched.records] == [record_hex(r) for r in single.records]
+        assert batched.accepted_steps == single.accepted_steps
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_state_amid_a_batch_raises_the_one_state_error(self, bad):
+        grid, coeffs, f0 = sample({**UNIT, "f0": "1+0.1*sin(2*pi*x1)"}, n=16)
+        values = f0.values.copy()
+        values[5] = bad
+        broken = F.SolverState(f=ScalarField._trusted(grid, values), t=0.0, step_index=1)
+        with pytest.raises(NonFiniteFieldError) as alone:
+            dg.make_recorder(coeffs)(broken)
+        states = [F.SolverState(f=f0, t=0.0, step_index=0), broken, F.SolverState(f=f0, t=0.0, step_index=2)]
+        with pytest.raises(NonFiniteFieldError) as batched:
+            dg.make_batch_recorder(coeffs)(states, [coeffs.pi_values(0.0)] * 3)
+        assert str(batched.value) == str(alone.value)
 
 
 class TestMemory:

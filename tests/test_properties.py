@@ -50,7 +50,7 @@ def check_invariants(specs, dim, n):
     assert np.abs(F.rhs(feq, coeffs, 0.0).values).max() <= 1e-10
 
     config = F.SolverConfig(t_end=0.02, record_every=3)
-    series = F.run(f0, coeffs, config, dg.make_recorder(coeffs))
+    series = F.run(f0, coeffs, config, dg.make_batch_recorder(coeffs))
     mass = series.column("mass")
     assert np.all(np.abs(mass - 1.0) <= 1e-12)
     assert np.all(series.column("f_min") > 0.0)

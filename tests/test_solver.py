@@ -226,7 +226,7 @@ class TestStep:
         grid, coeffs, f0 = sample(HEAT, n=64)
         config = SolverConfig(t_end=0.01, cfl_safety=0.4, record_every=1000)
         snaps = []
-        F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs), snaps))
+        F.run(f0, coeffs, config, capturing(dg.make_batch_recorder(coeffs), snaps))
         amp = np.abs(snaps[-1].f.values - 1.0).max()
         target = 0.1 * np.exp(-4 * np.pi**2 * 0.01)
         assert amp == pytest.approx(target, rel=0.02)
@@ -397,7 +397,7 @@ def test_run_does_not_import_diagnostics():
         "import fpklab as F\n"
         "grid = F.build_grid(1, 16)\n"
         "coeffs, f0 = F.sample_coefficients({'D': '1', 'phi': '0', 'pi': '1', 'f0': '1'}, grid)\n"
-        "recorder = lambda state: types.SimpleNamespace(t=state.t)\n"
+        "recorder = lambda states, pis: [types.SimpleNamespace(t=state.t) for state in states]\n"
         "series = F.run(f0, coeffs, F.SolverConfig(t_end=1e-3, record_every=2), recorder)\n"
         "assert series.accepted_steps > 0 and len(series) > 1\n"
         "assert 'fpklab.diagnostics' not in sys.modules, 'solver imported diagnostics'\n"
@@ -410,14 +410,14 @@ def test_run_does_not_import_diagnostics():
 class TestRun:
     def test_zero_horizon_yields_initial_record_only(self):
         grid, coeffs, f0 = sample(HEAT)
-        series = F.run(f0, coeffs, SolverConfig(t_end=0.0), dg.make_recorder(coeffs))
+        series = F.run(f0, coeffs, SolverConfig(t_end=0.0), dg.make_batch_recorder(coeffs))
         assert len(series) == 1
         assert series.records[0].t == 0.0
 
     def test_equilibrium_start_keeps_energy_constant(self):
         grid, coeffs, _ = sample({**UNIT, "phi": "cos(2*pi*x1)"}, n=64)
         feq, _ = F.compute_equilibrium(coeffs)
-        series = F.run(feq, coeffs, SolverConfig(t_end=0.005, record_every=10), dg.make_recorder(coeffs))
+        series = F.run(feq, coeffs, SolverConfig(t_end=0.005, record_every=10), dg.make_batch_recorder(coeffs))
         fe = series.column("free_energy")
         assert fe.max() - fe.min() <= 1e-10
         assert series.column("dissipation").max() <= 1e-12
@@ -429,21 +429,21 @@ class TestRun:
     def test_record_count_formula(self):
         grid, coeffs, f0 = sample(HEAT, n=32)
         config = SolverConfig(t_end=0.002, cfl_safety=0.4, record_every=7)
-        series = F.run(f0, coeffs, config, dg.make_recorder(coeffs))
+        series = F.run(f0, coeffs, config, dg.make_batch_recorder(coeffs))
         accepted = series.accepted_steps
         expected = 1 + accepted // 7 + (1 if accepted % 7 else 0)
         assert len(series) == expected
 
     def test_max_steps_caps_run(self):
         grid, coeffs, f0 = sample(HEAT, n=32)
-        series = F.run(f0, coeffs, SolverConfig(t_end=10.0, max_steps=5), dg.make_recorder(coeffs))
+        series = F.run(f0, coeffs, SolverConfig(t_end=10.0, max_steps=5), dg.make_batch_recorder(coeffs))
         assert series.accepted_steps == 5
 
     def test_requires_normalized_positive_start(self):
         grid, coeffs, f0 = sample(HEAT)
         doubled = ScalarField(grid, 2.0 * f0.values)
         with pytest.raises(FpkError):
-            F.run(doubled, coeffs, SolverConfig(t_end=0.001), dg.make_recorder(coeffs))
+            F.run(doubled, coeffs, SolverConfig(t_end=0.001), dg.make_batch_recorder(coeffs))
 
     def test_self_convergence_second_order(self):
         spec = {"D": "1", "phi": "0.5*cos(2*pi*x1)", "pi": "1", "f0": "1 + 0.1*sin(2*pi*x1)"}
@@ -455,7 +455,7 @@ class TestRun:
                 f0,
                 coeffs,
                 SolverConfig(t_end=0.01, cfl_safety=0.4, record_every=10**6),
-                capturing(dg.make_recorder(coeffs), snaps),
+                capturing(dg.make_batch_recorder(coeffs), snaps),
             )
             finals[n] = snaps[-1].f.values
 
@@ -474,7 +474,52 @@ class TestRun:
         with pytest.raises(MassConservationError):
             F.step(SolverState(f0, 0.0, 0), coeffs, 1e-5, SolverConfig(t_end=1.0))
         with pytest.raises(FpkError, match="unit mass"):
-            F.run(f0, coeffs, SolverConfig(t_end=1e-4), dg.make_recorder(coeffs))
+            F.run(f0, coeffs, SolverConfig(t_end=1e-4), dg.make_batch_recorder(coeffs))
+
+
+class TestRecordErrorOrder:
+    """run holds recorded states until a batch is full, yet raises the first failure in trajectory order."""
+
+    @staticmethod
+    def _failing_steps(monkeypatch, grid, nan_at, raise_at):
+        """solver.step, but the state of step ``nan_at`` has a NaN cell and step ``raise_at`` raises."""
+        real_step, taken = solver.step, []
+
+        def step(state, coeffs, dt, config):
+            taken.append(state.step_index)
+            if state.step_index + 1 == raise_at:
+                raise StiffnessError("stepped past a failing record", {})
+            new = real_step(state, coeffs, dt, config)
+            if new.step_index == nan_at:
+                values = new.f.values.copy()
+                values[3] = math.nan
+                new = SolverState(ScalarField._trusted(grid, values), new.t, new.step_index)
+            return new
+
+        monkeypatch.setattr(solver, "step", step)
+        return taken
+
+    def test_pending_record_error_raised_before_a_step_error(self, monkeypatch):
+        grid, coeffs, f0 = sample(HEAT, n=64)
+        assert solver.BATCH_CELLS // grid.cell_count > 3  # step 2's record is still held at step 3
+        taken = self._failing_steps(monkeypatch, grid, nan_at=2, raise_at=3)
+        with pytest.raises(NonFiniteFieldError, match="velocity has a NaN"):
+            F.run(f0, coeffs, SolverConfig(t_end=1.0, record_every=1), dg.make_batch_recorder(coeffs))
+        assert taken == [0, 1, 2]
+
+    def test_step_error_raised_when_the_held_records_pass(self, monkeypatch):
+        grid, coeffs, f0 = sample(HEAT, n=64)
+        self._failing_steps(monkeypatch, grid, nan_at=None, raise_at=3)
+        with pytest.raises(StiffnessError, match="stepped past"):
+            F.run(f0, coeffs, SolverConfig(t_end=1.0, record_every=1), dg.make_batch_recorder(coeffs))
+
+    def test_initial_record_fails_before_the_first_step(self, monkeypatch):
+        # finite u (about 1e200) whose square overflows: the initial record raises at once
+        grid, coeffs, f0 = sample({**HEAT, "phi": "1e200*sin(2*pi*x1)"}, n=64)
+        taken = self._failing_steps(monkeypatch, grid, nan_at=None, raise_at=None)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
+            F.run(f0, coeffs, SolverConfig(t_end=1.0, record_every=1), dg.make_batch_recorder(coeffs))
+        assert taken == []
 
 
 class TestStepSize:
@@ -486,7 +531,7 @@ class TestStepSize:
     def test_calls_per_run(self, monkeypatch, uses_t):
         grid, coeffs, f0 = sample(VARPI if uses_t else self.STATIC_PI, n=32)
         calls = count_stable_dt(monkeypatch)
-        series = F.run(f0, coeffs, SolverConfig(t_end=0.002), dg.make_recorder(coeffs))
+        series = F.run(f0, coeffs, SolverConfig(t_end=0.002), dg.make_batch_recorder(coeffs))
         steps = series.accepted_steps
         assert steps > 1
         assert len(calls) == (steps if uses_t else 1)
@@ -497,7 +542,7 @@ class TestStepSize:
 
         def run():
             snaps = []
-            series = F.run(f0, coeffs, config, capturing(dg.make_recorder(coeffs), snaps))
+            series = F.run(f0, coeffs, config, capturing(dg.make_batch_recorder(coeffs), snaps))
             return record_rows(series).tobytes(), [s.f.values.tobytes() for s in snaps], series.accepted_steps
 
         hoisted = run()
@@ -524,7 +569,7 @@ class TestMobilitySampling:
 
         coeffs = dataclasses.replace(coeffs, pi_bound=counted)
         calls = count_pi_values(monkeypatch)
-        F.run(f0, coeffs, scenario.solver, dg.make_recorder(coeffs))
+        F.run(f0, coeffs, scenario.solver, dg.make_batch_recorder(coeffs))
         assert evaluated == sorted(set(calls))
         assert len(calls) > 2 * len(evaluated)
 
@@ -540,7 +585,7 @@ class TestMobilitySampling:
         monkeypatch.setattr(CoefficientExpr, "evaluate", spied)
         grid, coeffs, f0, _, shift = cli._setup(scenario)
         cli.build_constants_ledger(coeffs, f0, grid, t_probe_count=cli.T_PROBE_COUNT, feq_shift=shift)
-        F.run(f0, coeffs, scenario.solver, dg.make_recorder(coeffs, config=scenario.solver))
+        F.run(f0, coeffs, scenario.solver, dg.make_batch_recorder(coeffs, config=scenario.solver))
         assert sources == [scenario.coefficients[name] for name in ("D", "phi", "f0")]
 
     def test_run_bitwise_equal_to_uncached_sampling(self, monkeypatch):
