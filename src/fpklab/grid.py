@@ -3,9 +3,11 @@
 Cells are uniform with centers at (i + 1/2) h, h = 1/N, on [0,1)^n for
 n = 1, 2, 3.  All index arithmetic wraps modulo N on every axis, so sampled
 fields are exactly periodic; there are no ghost cells.  ``shift`` is the one
-wrap: every stencil here and in the solver reads its neighbors through it.
-It takes axis 0's rows through a cached wrapped index and joins two slices
-on the other axes, whichever is cheaper per call there (see ``shift``).
+wrap: every stencil here and in the solver reads its neighbors through it,
+except the solver's one-axis kernel, which takes its rows straight through
+``wrapped_rows``, the cached wrapped index ``shift`` uses along axis 0.  On
+the other axes ``shift`` joins two slices, whichever is cheaper per call
+there (see ``shift``).
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 integrands), gradients are centered second-order differences, and the face
 divergence telescopes to zero total mass on every periodic flux array.
@@ -130,7 +132,8 @@ def integrate(field: ScalarField) -> float:
 
 
 @cache
-def _wrapped_rows(n: int, offset: int) -> np.ndarray:
+def wrapped_rows(n: int, offset: int) -> np.ndarray:
+    """Read-only index i -> (i + offset) mod n, cached per (n, offset)."""
     rows = (np.arange(n) + offset) % n
     rows.setflags(write=False)
     return rows
@@ -146,7 +149,7 @@ def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
     against the join's 1.5-1.6 us in 1-D at N = 4-128, and is never slower
     along axis 0; along axis 2 of 32^3 it would cost 44 us against 20 us."""
     if axis == 0:
-        return values.take(_wrapped_rows(values.shape[0], offset), axis=0)
+        return values.take(wrapped_rows(values.shape[0], offset), axis=0)
     lead = (slice(None),) * axis
     return np.concatenate(
         (values[lead + (slice(offset, None),)], values[lead + (slice(None, offset),)]), axis=axis

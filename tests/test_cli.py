@@ -631,6 +631,7 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("run", _with_coefficients(D="1e160*(1.5+sin(2*pi*x1))")),
         ("check", _with_coefficients(pi="1e-300")),
         ("run", _with_coefficients(pi="1e-300")),
+        ("run", _with_coefficients(pi="1e-300", f0="1")),
         ("run", json.dumps({**MINIMAL, "name": ["a"]})),
         ("sweep", json.dumps({**_SWEEP, "base": {**MINIMAL, "name": ["a"]}})),
         ("run", _with_coefficients(D=None)),
@@ -695,6 +696,7 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "velocity_squares_overflow",
         "check_tiny_pi_velocity_overflows",
         "tiny_pi_velocity_overflows",
+        "tiny_pi_flux_overflows",
         "name_a_list",
         "sweep_name_a_list",
         "coefficient_null",
