@@ -251,10 +251,12 @@ def _ratio_maxima(records) -> dict:
 
 
 def _constants(settings: TheorySettings, empirical: dict) -> dict:
-    """Each constant as a (value, provenance) pair: certified where the scenario gives one."""
+    """Each constant as report.json writes it, {"value", "provenance"}: certified
+    where the scenario gives one, else the empirical maximum."""
 
     def pick(certified, name):
-        return (certified, "certified") if certified is not None else (empirical[name], "empirical")
+        value, provenance = (empirical[name], "empirical") if certified is None else (certified, "certified")
+        return {"value": value, "provenance": provenance}
 
     return {
         "poincare": pick(settings.certified_poincare, "poincare"),
@@ -338,9 +340,8 @@ def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
         "sobolev_constant_note": SOBOLEV_NOTE,
     }
     if settings is not None:
-        gamma, g0 = settings.gamma, series.records[0].dissipation
-        constants = _constants(settings, empirical)
-        report["condition_reports"] = theory.condition_reports(regime, ledger, gamma, g0, **constants)
+        gamma, g0, constants = settings.gamma, series.records[0].dissipation, _constants(settings, empirical)
+        report["condition_reports"] = theory.condition_reports(regime, ledger, gamma, g0, constants)
     if "accepted_steps" not in fields:  # unstepped, as fpk check reads it
         report["sobolev_constant_note"] += CHECK_NOTE
     else:

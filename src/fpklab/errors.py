@@ -29,7 +29,10 @@ SOURCE_WINDOW = 60
 #: SOURCE_WINDOW, as the value follows the name of its key on the line
 VALUE_WINDOW = 30
 
-#: the longest message a one-line error prints after its "error: "
+#: the width after its "error: " that an unknown-key error cuts its list of
+#: allowed keys to, and that a stiffness summary fits in.  It bounds no other
+#: error: those that quote an expression's SOURCE_WINDOW or a path, or print
+#: several floats in full, stay one line but can reach about 170 characters
 MESSAGE_WIDTH = 113
 
 
@@ -86,11 +89,11 @@ class NonPositiveDensityError(FpkError):
 
 
 class StiffnessError(FpkError):
-    """Ten consecutive step rejections; carries a diagnostic dump."""
+    """Ten consecutive step rejections: a one-line summary, the whole diagnostic dict in ``dump``."""
 
     def __init__(self, message: str, dump: dict):
         self.dump = dump
-        super().__init__(f"{message}; diagnostics: {dump}")
+        super().__init__(message)
 
 
 class MassConservationError(FpkError):

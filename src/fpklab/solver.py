@@ -274,7 +274,8 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
         rejections += 1
         if rejections >= MAX_RETRIES:
             raise StiffnessError(
-                f"{MAX_RETRIES} consecutive step rejections",
+                f"{MAX_RETRIES} consecutive step rejections at t = {state.t:.6g}, step {state.step_index}"
+                f" (last dt {dt:.3e}, min new value {fmin:.3e})",
                 {
                     "t": state.t,
                     "step_index": state.step_index,

@@ -3,8 +3,8 @@
 The decay results form a ladder: THEOREMS[i] covers the coefficient regime
 ``coefficients.REGIMES[i]`` and every earlier one, and a run checks its own
 regime's theorem and every later one (``regime_theorems``).  This module is
-the one place that knows the theorems: ``condition_reports`` gives each of a
-regime's theorems its constants and returns their reports, and
+the one place that knows the theorems: ``condition_reports`` passes the run's
+constants to each of a regime's theorems and returns their reports, and
 ``envelope_report`` compares a series with the envelope of the regime's own
 theorem.  A verdict has one form: each checker returns its theorem's
 ``condition_reports`` entry of report.json as a plain dict, whose clauses
@@ -23,13 +23,16 @@ named once in CLAUSES, are:
 
 The Sobolev/Poincare constants are non-constructive, so every report records
 the numeric value used together with its provenance (empirical running
-maximum or a user-certified value).  A constant that is missing, 0 or NaN
-gives each theorem that takes it an error entry naming it, not a verdict: a
-ratio that underflowed to 0 lies below the true constant and would loosen
-the T3/T4 diffusion floor.  Division-by-zero entries for grad_d = 0
-are treated as infinitely permissive, matching the degeneration of the
-derivation when D is constant.  An entry that overflows a float is +inf, and
-a zero factor keeps its entry at 0 beside it, so no clause sees a NaN.
+maximum or a user-certified value), in report.json's form {"value",
+"provenance"}.  A checker ``check_condition_T*(ledger, gamma, g0, constants)``
+takes the map of all three ("poincare", "sobolev", "sobolev_weighted") and
+checks the ones its theorem takes: one that is missing, 0, negative or NaN
+raises an FpkError naming it, an error entry and not a verdict, as a ratio
+that underflowed to 0 lies below the true constant and would loosen the T3/T4
+diffusion floor.  Division-by-zero entries for grad_d = 0 are treated as
+infinitely permissive, matching the degeneration of the derivation when D is
+constant.  An entry that overflows a float is +inf, and a zero factor keeps
+its entry at 0 beside it, so no clause sees a NaN.
 
 Each theorem closes with the comparison inequality dg/dt <= -c g + d g^p,
 c = gamma, p = 3, d = 0 (T2), 1/6 (T3) or 1/(12 pi_min^3) (T4).  Below the
@@ -224,91 +227,76 @@ def _validate_common(ledger: ConstantsLedger, gamma: float) -> None:
         raise WrongRegimeError("decay conditions cover dimensions 1, 2, 3 only")
 
 
-def _report(theorem: str, ledger: ConstantsLedger, gamma, g0, sides, **constants) -> dict:
+def _usable(name: str, constant: dict) -> dict:
+    """A {"value", "provenance"} constant, checked: an FpkError naming it when the
+    value is None, 0 (an underflowed ratio, below the true constant), negative or NaN."""
+    value, provenance = constant["value"], constant["provenance"]
+    if value is None:
+        raise FpkError(f"no {provenance} {name} constant available (trajectory had u = 0)")
+    if not value > 0.0:
+        raise FpkError(f"the {provenance} {name} constant is {value!r}, not positive")
+    return constant
+
+
+def _report(theorem: str, ledger: ConstantsLedger, gamma, g0, sides, used: dict) -> dict:
     """The theorem's report.json entry: ``sides`` holds each clause's (lhs, rhs, op)
-    in CLAUSES order, and each constant it used is a (value, provenance) pair."""
+    in CLAUSES order, and ``used`` each constant it took, as it was given."""
     clauses = [
         {"name": name, "lhs": lhs, "rhs": rhs, "op": op, "pass": _OPS[op](lhs, rhs)}
         for name, (lhs, rhs, op) in zip(CLAUSES[theorem], sides, strict=True)
     ]
-    used = {name: {"value": value, "provenance": prov} for name, (value, prov) in constants.items()}
     return {
         "theorem": theorem, "gamma": gamma, "g0": g0, "ledger": asdict(ledger), "constants": used,
         "clauses": clauses, "overall": all(c["pass"] for c in clauses),
     }
 
 
-def check_condition_T2(
-    ledger: ConstantsLedger,
-    poincare_const: float,
-    gamma: float,
-    g0: float,
-    poincare_provenance: str = "empirical",
-) -> dict:
+def check_condition_T2(ledger: ConstantsLedger, gamma: float, g0: float, constants: dict) -> dict:
     """Homogeneous regime: rate clause plus initial-energy finiteness."""
+    poincare = _usable("Poincare", constants["poincare"])
     _validate_common(ledger, gamma)
-    if poincare_const <= 0.0:
-        raise ValueError("poincare_const must be positive")
     if ledger.grad_d > _REGIME_ATOL or ledger.grad_pi > _REGIME_ATOL or ledger.pi_time > _REGIME_ATOL:
         raise WrongRegimeError("homogeneous check requires constant D and constant pi")
     sides = [
-        (-2.0 * ledger.hess_phi_lower + 2.0 * ledger.d_min / poincare_const, gamma, ">="),
+        (-2.0 * ledger.hess_phi_lower + 2.0 * ledger.d_min / poincare["value"], gamma, ">="),
         (g0, math.inf, "<"),
     ]
-    return _report("T2", ledger, gamma, g0, sides, poincare=(poincare_const, poincare_provenance))
+    return _report("T2", ledger, gamma, g0, sides, {"poincare": poincare})
 
 
-def check_condition_T3(
-    ledger: ConstantsLedger,
-    sobolev3: float,
-    poincare3: float,
-    gamma: float,
-    g0: float,
-    sobolev_provenance: str = "empirical",
-    poincare_provenance: str = "empirical",
-) -> dict:
+def check_condition_T3(ledger: ConstantsLedger, gamma: float, g0: float, constants: dict) -> dict:
     """Spatial-D regime: diffusion floor, rate clause, saturation threshold."""
+    poincare = _usable("Poincare", constants["poincare"])
+    sobolev = _usable("Sobolev", constants["sobolev"])
     _validate_common(ledger, gamma)
-    if sobolev3 <= 0.0 or poincare3 <= 0.0:
-        raise ValueError("sobolev3 and poincare3 must be positive")
     if ledger.grad_pi > _REGIME_ATOL or ledger.pi_time > _REGIME_ATOL:
         raise WrongRegimeError("this check requires a constant mobility")
     lf = ledger.log_f_bound
     gd = ledger.grad_d
     n = ledger.dim
     floor_lhs = max(
-        _entry(3.0, lf, gd, _power(sobolev3, 1.5)),
+        _entry(3.0, lf, gd, _power(sobolev["value"], 1.5)),
         2.0 * lf * gd * ledger.grad_phi_sup,
         4.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
     )
     sides = [
         (floor_lhs, ledger.d_min, "<="),
-        (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare3, gamma, ">="),
+        (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare["value"], gamma, ">="),
         (g0, gronwall_threshold(_comparison_spec("T3", gamma, g0)), "<"),
     ]
-    return _report(
-        "T3", ledger, gamma, g0, sides,
-        sobolev=(sobolev3, sobolev_provenance), poincare=(poincare3, poincare_provenance),
-    )
+    return _report("T3", ledger, gamma, g0, sides, {"sobolev": sobolev, "poincare": poincare})
 
 
-def check_condition_T4(
-    ledger: ConstantsLedger,
-    sobolev4: float,
-    poincare4: float,
-    gamma: float,
-    g0: float,
-    sobolev_provenance: str = "empirical",
-    poincare_provenance: str = "empirical",
-) -> dict:
-    """Variable-mobility regime: the full six-clause report."""
+def check_condition_T4(ledger: ConstantsLedger, gamma: float, g0: float, constants: dict) -> dict:
+    """Variable-mobility regime: the full six-clause report, whose ``sobolev``
+    constant is the weighted one."""
+    poincare = _usable("Poincare", constants["poincare"])
+    sobolev = _usable("weighted Sobolev", constants["sobolev_weighted"])
     _validate_common(ledger, gamma)
-    if sobolev4 <= 0.0 or poincare4 <= 0.0:
-        raise ValueError("sobolev4 and poincare4 must be positive")
     lf = ledger.log_f_bound
     gd = ledger.grad_d
     n = ledger.dim
-    k32 = _power(sobolev4, 1.5)  # K^{3/2}
+    k32 = _power(sobolev["value"], 1.5)  # K^{3/2}
     floor_lhs = max(
         _entry(12.0, lf, ledger.pi_max, gd, k32),
         12.0 * lf * gd * ledger.grad_phi_sup,
@@ -326,14 +314,11 @@ def check_condition_T4(
         (floor_lhs, ledger.d_min, "<="),
         (ledger.pi_time, 1.0 / 6.0, "<="),
         (ledger.grad_pi, grad_pi_cap, "<="),
-        (ledger.grad_pi, ledger.pi_min / (2.0 * sobolev4), "<="),
-        (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare4, gamma * ledger.pi_max, ">="),
+        (ledger.grad_pi, ledger.pi_min / (2.0 * sobolev["value"]), "<="),
+        (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare["value"], gamma * ledger.pi_max, ">="),
         (g0, gronwall_threshold(comparison), "<"),
     ]
-    return _report(
-        "T4", ledger, gamma, g0, sides,
-        sobolev=(sobolev4, sobolev_provenance), poincare=(poincare4, poincare_provenance),
-    )
+    return _report("T4", ledger, gamma, g0, sides, {"sobolev": sobolev, "poincare": poincare})
 
 
 def _comparison_spec(theorem: str, gamma: float, g0: float, pi_min: float | None = None) -> GronwallSpec:
@@ -379,42 +364,19 @@ def compare_to_envelope(series, spec: GronwallSpec) -> float:
     return float(np.max(ratios))
 
 
-def _usable(name: str, constant) -> float:
-    """The value of a (value, provenance) constant; an FpkError naming it when the
-    value is None, 0 (an underflowed ratio, below the true constant) or NaN."""
-    value, provenance = constant
-    if value is None:
-        raise FpkError(f"no {provenance} {name} constant available (trajectory had u = 0)")
-    if not value > 0.0:
-        raise FpkError(f"the {provenance} {name} constant is {value!r}, not positive")
-    return value
-
-
-def condition_reports(regime, ledger, gamma, g0, poincare, sobolev, sobolev_weighted) -> list[dict]:
+def condition_reports(regime, ledger, gamma, g0, constants) -> list[dict]:
     """The report.json entry of each theorem that covers ``regime``.
 
-    Each constant is a (value, provenance) pair.  Every theorem takes the
-    Poincare constant; T3 also the plain Sobolev ratio, T4 the weighted one.
+    ``constants`` maps "poincare", "sobolev" and "sobolev_weighted" to
+    {"value", "provenance"}, and each checker reads the ones its theorem takes.
     A theorem whose constant is unusable (see _usable), or whose check raises
     an FpkError, gets {"theorem", "error"} in place of its report.
     """
-    with_sobolev = {
-        "T3": (check_condition_T3, "Sobolev", sobolev),
-        "T4": (check_condition_T4, "weighted Sobolev", sobolev_weighted),
-    }
     reports = []
     for theorem in regime_theorems(regime):
+        check = globals()[f"check_condition_{theorem}"]  # looked up per call, so a wrapper is seen
         try:
-            poin = _usable("Poincare", poincare)
-            if theorem == "T2":
-                report = check_condition_T2(ledger, poin, gamma, g0, poincare_provenance=poincare[1])
-            else:
-                check, name, sob = with_sobolev[theorem]
-                report = check(
-                    ledger, _usable(name, sob), poin, gamma, g0,
-                    sobolev_provenance=sob[1], poincare_provenance=poincare[1],
-                )
-            reports.append(report)
+            reports.append(check(ledger, gamma, g0, constants))
         except FpkError as exc:
             reports.append({"theorem": theorem, "error": str(exc)})
     return reports

@@ -34,6 +34,19 @@ def clauses_by_name(report: dict) -> dict:
     return {c["name"]: c for c in report["clauses"]}
 
 
+def constant(value, provenance: str = "empirical") -> dict:
+    """A decay constant as the T2/T3/T4 checkers take it and report.json writes it."""
+    return {"value": value, "provenance": provenance}
+
+
+def constants_map(poincare, sobolev=1.0, sobolev_weighted=None, provenance: str = "empirical") -> dict:
+    """The constants map the T2/T3/T4 checkers take, all of one provenance; the
+    weighted Sobolev constant is the plain one unless given."""
+    weighted = sobolev if sobolev_weighted is None else sobolev_weighted
+    values = {"poincare": poincare, "sobolev": sobolev, "sobolev_weighted": weighted}
+    return {name: constant(value, provenance) for name, value in values.items()}
+
+
 def capturing(recorder, states: list):
     """The batch ``recorder``, also appending each state it records to ``states``."""
 

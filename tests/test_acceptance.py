@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import SCENARIO_DIR, clauses_by_name, interpolation_check, load_scenario_dict, run_with_snapshots
+from conftest import SCENARIO_DIR, clauses_by_name, constants_map, interpolation_check, load_scenario_dict, run_with_snapshots
 from fpklab import cli, diagnostics as dg, theory as th
 from fpklab.grid import dot
 
@@ -196,44 +196,44 @@ def test_criterion_8_condition_truth_table():
     inf = math.inf
     cases = [
         # homogeneous-rate clause
-        (th.check_condition_T2, dict(ledger=_ledger(), poincare_const=0.0254, gamma=1.0, g0=0.5),
+        (th.check_condition_T2, dict(ledger=_ledger(), gamma=1.0, g0=0.5, constants=constants_map(0.0254)),
          "rate", 2 / 0.0254, 1.0, True),
-        (th.check_condition_T2, dict(ledger=_ledger(hess_phi_lower=10.0), poincare_const=1.0, gamma=1.0, g0=0.5),
+        (th.check_condition_T2, dict(ledger=_ledger(hess_phi_lower=10.0), gamma=1.0, g0=0.5, constants=constants_map(1.0)),
          "rate", -18.0, 1.0, False),
-        (th.check_condition_T2, dict(ledger=_ledger(), poincare_const=1.0, gamma=1.0, g0=0.5),
+        (th.check_condition_T2, dict(ledger=_ledger(), gamma=1.0, g0=0.5, constants=constants_map(1.0)),
          "initial_energy_finite", 0.5, inf, True),
         # spatial-D diffusion floor
-        (th.check_condition_T3, dict(ledger=_ledger(), sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5),
+        (th.check_condition_T3, dict(ledger=_ledger(), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "diffusion_floor", 0.0, 1.0, True),
         (th.check_condition_T3,
-         dict(ledger=_ledger(log_f_bound=2.0, grad_d=1.0, grad_phi_sup=0.1), sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5),
+         dict(ledger=_ledger(log_f_bound=2.0, grad_d=1.0, grad_phi_sup=0.1), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "diffusion_floor", 72.0, 1.0, False),
         (th.check_condition_T3,
-         dict(ledger=_ledger(log_f_bound=2.0, grad_d=1.0, grad_phi_sup=0.1, d_min=72.0), sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5),
+         dict(ledger=_ledger(log_f_bound=2.0, grad_d=1.0, grad_phi_sup=0.1, d_min=72.0), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "diffusion_floor", 72.0, 72.0, True),
-        (th.check_condition_T3, dict(ledger=_ledger(), sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=3.0),
+        (th.check_condition_T3, dict(ledger=_ledger(), gamma=1.0, g0=3.0, constants=constants_map(0.01, 1.0)),
          "gronwall_threshold", 3.0, math.sqrt(6.0), False),
-        (th.check_condition_T3, dict(ledger=_ledger(hess_phi_lower=1.0, d_min=2.0), sobolev3=1.0, poincare3=0.05, gamma=1.0, g0=0.5),
+        (th.check_condition_T3, dict(ledger=_ledger(hess_phi_lower=1.0, d_min=2.0), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1.0)),
          "rate", 36.0, 1.0, True),
         # variable-mobility clauses
-        (th.check_condition_T4, dict(ledger=_ledger(), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5),
+        (th.check_condition_T4, dict(ledger=_ledger(), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "diffusion_floor", 0.0, 1.0, True),
-        (th.check_condition_T4, dict(ledger=_ledger(pi_time=0.2), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5),
+        (th.check_condition_T4, dict(ledger=_ledger(pi_time=0.2), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "mobility_time", 0.2, 1 / 6, False),
-        (th.check_condition_T4, dict(ledger=_ledger(pi_time=0.1), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5),
+        (th.check_condition_T4, dict(ledger=_ledger(pi_time=0.1), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "mobility_time", 0.1, 1 / 6, True),
         (th.check_condition_T4,
-         dict(ledger=_ledger(grad_pi=0.05, pi_min=0.5, pi_max=2.0), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5),
+         dict(ledger=_ledger(grad_pi=0.05, pi_min=0.5, pi_max=2.0), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "mobility_gradient", 0.05, min(1 / 6, 0.5 / (4 * math.sqrt(2.0)), 0.5), True),
         (th.check_condition_T4,
-         dict(ledger=_ledger(grad_pi=0.2, pi_min=0.5, pi_max=2.0), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5),
+         dict(ledger=_ledger(grad_pi=0.2, pi_min=0.5, pi_max=2.0), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "mobility_gradient", 0.2, min(1 / 6, 0.5 / (4 * math.sqrt(2.0)), 0.5), False),
         (th.check_condition_T4,
-         dict(ledger=_ledger(grad_pi=0.3, pi_min=0.5), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5),
+         dict(ledger=_ledger(grad_pi=0.3, pi_min=0.5), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0)),
          "poincare_gate", 0.3, 0.25, False),
-        (th.check_condition_T4, dict(ledger=_ledger(pi_max=3.0, d_min=2.0), sobolev4=1.0, poincare4=0.05, gamma=1.0, g0=0.5),
+        (th.check_condition_T4, dict(ledger=_ledger(pi_max=3.0, d_min=2.0), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1.0)),
          "rate", 38.0, 3.0, True),
-        (th.check_condition_T4, dict(ledger=_ledger(pi_min=1.0), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=4.0),
+        (th.check_condition_T4, dict(ledger=_ledger(pi_min=1.0), gamma=1.0, g0=4.0, constants=constants_map(0.01, 1.0)),
          "gronwall_threshold", 4.0, math.sqrt(12.0), False),
     ]
     checked = 0
@@ -245,7 +245,7 @@ def test_criterion_8_condition_truth_table():
         assert clause["pass"] is expect_pass, (checker.__name__, clause_name)
         checked += 1
     # grad_d = 0 degeneracy: every gradient-driven clause auto-passes
-    degen = th.check_condition_T4(_ledger(), sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5)
+    degen = th.check_condition_T4(_ledger(), gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
     for name in ("diffusion_floor", "mobility_gradient", "poincare_gate"):
         assert clauses_by_name(degen)[name]["pass"]
     emit(8, "condition truth table", checked >= 12, f"{checked} hand-built ledger cases reproduced")

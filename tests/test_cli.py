@@ -9,7 +9,7 @@ import pytest
 from conftest import SCENARIO_DIR, SCHEMA_DIR, load_scenario_dict, run_with_snapshots
 from fpklab import cli, diagnostics, theory
 from fpklab.coefficients import REGIMES, ConstantsLedger
-from fpklab.errors import ScenarioError, WrongRegimeError, quote_source
+from fpklab.errors import MESSAGE_WIDTH, ScenarioError, WrongRegimeError, quote_source
 from fpklab.grid import gradient_arrays
 
 MINIMAL = {
@@ -239,7 +239,8 @@ class TestRunScenario:
 
     def test_output_blocks_keep_their_key_order(self):
         # the report schema fixes no key order; these blocks are written as they are built
-        data = {**MINIMAL, "diagnostics": {"record_every": 1}, "theory": {"gamma": 1.0}}
+        theory = {"gamma": 1.0, "certified_poincare": 0.05}  # so both provenances appear
+        data = {**MINIMAL, "diagnostics": {"record_every": 1}, "theory": theory}
         _, report = cli.run_scenario_data(cli.build_scenario(data))
         assert list(report["decay_fit"]) == ["rate", "log_intercept", "window", "residual_rms", "n_points"]
         samples = report["term_breakdown_samples"]
@@ -247,6 +248,11 @@ class TestRunScenario:
         ledger_keys = [field.name for field in dataclasses.fields(ConstantsLedger)]
         assert list(report["constants_ledger"]) == ledger_keys
         assert [list(cond["ledger"]) for cond in report["condition_reports"]] == [ledger_keys] * 3
+        constants = [cond["constants"] for cond in report["condition_reports"]]
+        assert [list(used) for used in constants] == [["poincare"], ["sobolev", "poincare"], ["sobolev", "poincare"]]
+        entries = [entry for used in constants for entry in used.values()]
+        assert all(list(entry) == ["value", "provenance"] for entry in entries)
+        assert {entry["provenance"] for entry in entries} == {"certified", "empirical"}
 
     def test_term_samples_when_run_stops_early(self):
         data = {
@@ -719,6 +725,16 @@ def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
     assert err.startswith("error: ") and err.count("\n") == 1
     inside_out = {out, *out.parents, *out.rglob("*")}
     assert set(tmp_path.rglob("*")) - inside_out == {path}  # nothing written outside --out
+
+
+def test_stiffness_error_prints_a_summary_that_fits(tmp_path, capsys):
+    # the tiny_pi_flux_overflows input above: every halved step overflows the flux
+    path = tmp_path / "input.json"
+    path.write_text(_with_coefficients(pi="1e-300", f0="1"))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    line = capsys.readouterr().err.rstrip("\n")
+    assert line == "error: 10 consecutive step rejections at t = 0, step 0 (last dt 1.526e-306, min new value nan)"
+    assert len(line) <= len("error: ") + MESSAGE_WIDTH
 
 
 @pytest.mark.parametrize("below", [False, True], ids=["out_is_a_file", "out_below_a_file"])

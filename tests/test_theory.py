@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import clauses_by_name
-from fpklab import diagnostics as dg, theory as th
+from conftest import clauses_by_name, constant, constants_map
+from fpklab import cli, diagnostics as dg, theory as th
 from fpklab.errors import ThresholdError, WrongRegimeError
 
 
@@ -110,7 +110,7 @@ class TestGronwallComparisonOde:
 class TestConditionT2:
     def test_passes_with_empirical_first_mode_constant(self):
         led = make_ledger()
-        report = th.check_condition_T2(led, poincare_const=0.0254, gamma=1.0, g0=0.5)
+        report = th.check_condition_T2(led, gamma=1.0, g0=0.5, constants=constants_map(0.0254))
         clauses = clauses_by_name(report)
         assert clauses["rate"]["lhs"] == pytest.approx(2.0 / 0.0254, rel=1e-12)
         assert clauses["rate"]["pass"]
@@ -119,36 +119,36 @@ class TestConditionT2:
 
     def test_fails_with_strong_nonconvexity(self):
         led = make_ledger(hess_phi_lower=10.0)
-        report = th.check_condition_T2(led, poincare_const=1.0, gamma=1.0, g0=0.5)
+        report = th.check_condition_T2(led, gamma=1.0, g0=0.5, constants=constants_map(1.0))
         assert clauses_by_name(report)["rate"]["lhs"] == pytest.approx(-18.0)
         assert not report["overall"]
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
-            th.check_condition_T2(make_ledger(), 1.0, 0.0, 0.5)
+            th.check_condition_T2(make_ledger(), 0.0, 0.5, constants_map(1.0))
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegimeError):
-            th.check_condition_T2(make_ledger(grad_d=0.5), 1.0, 1.0, 0.5)
+            th.check_condition_T2(make_ledger(grad_d=0.5), 1.0, 0.5, constants_map(1.0))
         with pytest.raises(WrongRegimeError):
-            th.check_condition_T2(make_ledger(grad_pi=0.5), 1.0, 1.0, 0.5)
+            th.check_condition_T2(make_ledger(grad_pi=0.5), 1.0, 0.5, constants_map(1.0))
 
     def test_diffusion_floor_below_one_rejected(self):
         with pytest.raises(WrongRegimeError):
-            th.check_condition_T2(make_ledger(d_min=0.5), 1.0, 1.0, 0.5)
+            th.check_condition_T2(make_ledger(d_min=0.5), 1.0, 0.5, constants_map(1.0))
 
 
 class TestConditionT3:
     def test_constant_diffusion_floor_clause_degenerates(self):
         led = make_ledger()
-        report = th.check_condition_T3(led, sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5)
+        report = th.check_condition_T3(led, gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
         floor = clauses_by_name(report)["diffusion_floor"]
         assert floor["lhs"] == 0.0
         assert floor["pass"]
 
     def test_floor_entries_maximum(self):
         led = make_ledger(log_f_bound=2.0, grad_d=1.0, grad_phi_sup=0.1)
-        report = th.check_condition_T3(led, sobolev3=1.0, poincare3=0.01, gamma=1.0, g0=0.5)
+        report = th.check_condition_T3(led, gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
         # entries: 3*2*1*1 = 6, 2*2*1*0.1 = 0.4, 4*(1+1)*(3)^2*1 = 72
         floor = clauses_by_name(report)["diffusion_floor"]
         assert floor["lhs"] == pytest.approx(72.0)
@@ -156,25 +156,25 @@ class TestConditionT3:
 
     def test_gronwall_threshold_clause(self):
         led = make_ledger()
-        report = th.check_condition_T3(led, 1.0, 0.01, gamma=1.0, g0=3.0)
+        report = th.check_condition_T3(led, gamma=1.0, g0=3.0, constants=constants_map(0.01, 1.0))
         clause = clauses_by_name(report)["gronwall_threshold"]
         assert clause["rhs"] == pytest.approx(math.sqrt(6.0))
         assert not clause["pass"]
 
     def test_rate_clause_value(self):
         led = make_ledger(hess_phi_lower=1.0, d_min=2.0)
-        report = th.check_condition_T3(led, 1.0, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T3(led, gamma=1.0, g0=0.5, constants=constants_map(0.05, 1.0))
         assert clauses_by_name(report)["rate"]["lhs"] == pytest.approx(-4.0 + 40.0)
 
     def test_wrong_regime_variable_pi(self):
         with pytest.raises(WrongRegimeError):
-            th.check_condition_T3(make_ledger(pi_time=0.1), 1.0, 1.0, 1.0, 0.5)
+            th.check_condition_T3(make_ledger(pi_time=0.1), 1.0, 0.5, constants_map(1.0, 1.0))
 
 
 class TestConditionT4:
     def test_constant_coefficients_auto_pass_gradient_clauses(self):
         led = make_ledger()
-        report = th.check_condition_T4(led, sobolev4=1.0, poincare4=0.01, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
         clauses = clauses_by_name(report)
         assert clauses["diffusion_floor"]["lhs"] == 0.0
         assert clauses["mobility_time"]["pass"]
@@ -183,26 +183,26 @@ class TestConditionT4:
 
     def test_mobility_time_clause_fails_above_sixth(self):
         led = make_ledger(pi_time=0.2)
-        report = th.check_condition_T4(led, 1.0, 0.01, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
         clause = clauses_by_name(report)["mobility_time"]
         assert clause["rhs"] == pytest.approx(1 / 6)
         assert not clause["pass"]
 
     def test_gronwall_threshold_value(self):
         led = make_ledger()
-        report = th.check_condition_T4(led, 1.0, 0.01, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
         assert clauses_by_name(report)["gronwall_threshold"]["rhs"] == pytest.approx(math.sqrt(12.0))
 
     def test_grad_d_zero_makes_second_cap_entry_infinite(self):
         led = make_ledger(grad_pi=0.05, pi_min=0.5, pi_max=2.0)
-        report = th.check_condition_T4(led, 1.0, 0.01, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.01, 1.0))
         cap = clauses_by_name(report)["mobility_gradient"]["rhs"]
         # min over {1/6, inf, 0.5/(4 sqrt(2)), 0.5}
         assert cap == pytest.approx(min(1 / 6, 0.5 / (4 * math.sqrt(2.0)), 0.5))
 
     def test_rate_clause_scaled_by_pi_max(self):
         led = make_ledger(pi_max=3.0, d_min=2.0)
-        report = th.check_condition_T4(led, 1.0, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.05, 1.0))
         clause = clauses_by_name(report)["rate"]
         assert clause["rhs"] == pytest.approx(3.0)
         assert clause["lhs"] == pytest.approx(-2.0 + 40.0)
@@ -222,8 +222,8 @@ class TestConditionT4:
                 log_f_bound=float(rng.uniform(0.5, 3.0)),
             )
             led_big = F.ConstantsLedger(**{**dataclasses.asdict(led_small), "d_min": led_small.d_min * 4.0})
-            small = th.check_condition_T4(led_small, 0.8, 0.05, gamma=1.0, g0=0.5)
-            big = th.check_condition_T4(led_big, 0.8, 0.05, gamma=1.0, g0=0.5)
+            small = th.check_condition_T4(led_small, gamma=1.0, g0=0.5, constants=constants_map(0.05, 0.8))
+            big = th.check_condition_T4(led_big, gamma=1.0, g0=0.5, constants=constants_map(0.05, 0.8))
             for c_small, c_big in zip(small["clauses"], big["clauses"]):
                 if c_small["pass"] and not c_big["pass"]:
                     assert c_small["name"] in flippable
@@ -239,16 +239,16 @@ class TestExtremeConstants:
             assert not (math.isnan(c["lhs"]) or math.isnan(c["rhs"])), c
 
     def test_overflowing_sobolev_power_fails_t3_floor(self):
-        report = th.check_condition_T3(make_ledger(grad_d=0.5), 1e300, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T3(make_ledger(grad_d=0.5), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1e300))
         floor = clauses_by_name(report)["diffusion_floor"]
         assert floor["lhs"] == math.inf
         assert not floor["pass"]
         self._no_nan(report)
 
     def test_overflowing_sobolev_power_with_constant_d(self):
-        report = th.check_condition_T3(make_ledger(), 1e300, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T3(make_ledger(), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1e300))
         assert clauses_by_name(report)["diffusion_floor"]["lhs"] == 0.0  # 3 lf 0 inf stays 0
-        report = th.check_condition_T4(make_ledger(grad_pi=0.05), 1e300, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(make_ledger(grad_pi=0.05), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1e300))
         clauses = clauses_by_name(report)
         assert clauses["diffusion_floor"]["lhs"] == 0.0
         assert clauses["mobility_gradient"]["rhs"] == 0.0  # 1 / (6 inf)
@@ -256,7 +256,7 @@ class TestExtremeConstants:
         self._no_nan(report)
 
     def test_overflowing_sobolev_power_fails_t4_floor(self):
-        report = th.check_condition_T4(make_ledger(grad_d=0.5), 1e300, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(make_ledger(grad_d=0.5), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1e300))
         floor = clauses_by_name(report)["diffusion_floor"]
         assert floor["lhs"] == math.inf
         assert not floor["pass"]
@@ -264,7 +264,7 @@ class TestExtremeConstants:
 
     def test_underflowing_pi_min_cubed_leaves_no_threshold(self):
         led = make_ledger(pi_min=1e-150, pi_max=3e-150, grad_pi=6e-150)
-        report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.05, 0.2))
         threshold = clauses_by_name(report)["gronwall_threshold"]
         assert threshold["rhs"] == 0.0
         assert not threshold["pass"]
@@ -274,7 +274,7 @@ class TestExtremeConstants:
 
     def test_overflowing_pi_min_cubed_leaves_no_saturation(self):
         led = make_ledger(pi_min=1e200, pi_max=1e200)
-        report = th.check_condition_T4(led, 0.2, 0.05, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.05, 0.2))
         assert clauses_by_name(report)["gronwall_threshold"]["rhs"] == math.inf
         assert th.gronwall_bound(th.predicted_envelope("T4", gamma=1.0, g0=0.5, pi_min=1e200), 0.0) == 0.5
 
@@ -292,14 +292,11 @@ def _series(*dissipations):
 
 
 class TestConditionReports:
-    POINCARE = (0.0254, "empirical")
-
     @pytest.mark.parametrize("value", [0.0, math.nan, None], ids=["zero", "nan", "none"])
     def test_unusable_sobolev_constant_gives_error_entries(self, value):
         ledger = make_ledger()
-        sobolev = (value, "empirical")
-        reports = th.condition_reports("homogeneous", ledger, 1.0, 0.5, self.POINCARE, sobolev, sobolev)
-        assert reports[0] == th.check_condition_T2(ledger, 0.0254, 1.0, 0.5)
+        reports = th.condition_reports("homogeneous", ledger, 1.0, 0.5, constants_map(0.0254, value))
+        assert reports[0] == th.check_condition_T2(ledger, 1.0, 0.5, constants_map(0.0254))
         assert reports[0]["overall"] is True
         assert [set(r) for r in reports[1:]] == [{"theorem", "error"}] * 2
         assert [r["theorem"] for r in reports[1:]] == ["T3", "T4"]
@@ -308,24 +305,45 @@ class TestConditionReports:
 
     @pytest.mark.parametrize("value", [0.0, math.nan, None], ids=["zero", "nan", "none"])
     def test_unusable_poincare_constant_gives_error_entries(self, value):
-        sobolev = (0.3, "certified")
-        poincare = (value, "empirical")
-        reports = th.condition_reports("homogeneous", make_ledger(), 1.0, 0.5, poincare, sobolev, sobolev)
+        constants = {**constants_map(0.3, 0.3, provenance="certified"), "poincare": constant(value)}
+        reports = th.condition_reports("homogeneous", make_ledger(), 1.0, 0.5, constants)
         assert [r["theorem"] for r in reports] == ["T2", "T3", "T4"]
         assert all("empirical Poincare constant" in r["error"] for r in reports)
 
+    @pytest.mark.parametrize("value", [0.0, math.nan, None], ids=["zero", "nan", "none"])
+    def test_unusable_constant_is_named_before_the_diffusion_floor(self, value):
+        reports = th.condition_reports("homogeneous", make_ledger(d_min=0.5), 1.0, 0.5, constants_map(value, value))
+        assert [r["theorem"] for r in reports] == ["T2", "T3", "T4"]
+        assert all("empirical Poincare constant" in r["error"] for r in reports)
+
+    def test_flat_start_below_the_diffusion_floor_names_the_constant(self):
+        data = {
+            "grid": {"dim": 1, "cells_per_axis": 16},
+            "coefficients": {"D": "0.5", "phi": "0", "pi": "1", "f0": "1"},
+            "solver": {"t_end": 0.002},
+            "theory": {"gamma": 1.0},
+        }
+        report = cli.check_scenario_data(cli.build_scenario(data, fallback_name="flat"))
+        assert report["constants_ledger"]["d_min"] == 0.5
+        error = "no empirical Poincare constant available (trajectory had u = 0)"
+        assert report["condition_reports"] == [{"theorem": t, "error": error} for t in ("T2", "T3", "T4")]
+
     def test_each_theorem_takes_its_constants(self):
         ledger = make_ledger(grad_d=0.1)
-        poincare, sobolev, weighted = (0.02, "certified"), (0.3, "empirical"), (0.2, "empirical")
-        reports = th.condition_reports("inhomogeneous-D", ledger, 1.0, 0.5, poincare, sobolev, weighted)
+        constants = {**constants_map(0.02, 0.3, 0.2), "poincare": constant(0.02, "certified")}
+        reports = th.condition_reports("inhomogeneous-D", ledger, 1.0, 0.5, constants)
         assert reports == [
-            th.check_condition_T3(ledger, 0.3, 0.02, 1.0, 0.5, poincare_provenance="certified"),
-            th.check_condition_T4(ledger, 0.2, 0.02, 1.0, 0.5, poincare_provenance="certified"),
+            th.check_condition_T3(ledger, 1.0, 0.5, constants),
+            th.check_condition_T4(ledger, 1.0, 0.5, constants),
+        ]
+        poincare = {"value": 0.02, "provenance": "certified"}
+        assert [r["constants"] for r in reports] == [
+            {"sobolev": {"value": 0.3, "provenance": "empirical"}, "poincare": poincare},
+            {"sobolev": {"value": 0.2, "provenance": "empirical"}, "poincare": poincare},
         ]
 
     def test_checker_error_becomes_an_error_entry(self):
-        constant = (0.1, "empirical")
-        reports = th.condition_reports("full", make_ledger(d_min=0.5), 1.0, 0.5, *[constant] * 3)
+        reports = th.condition_reports("full", make_ledger(d_min=0.5), 1.0, 0.5, constants_map(0.1, 0.1))
         error = "decay conditions require the diffusion floor d_min >= 1"
         assert reports == [{"theorem": "T4", "error": error}]
 
@@ -400,7 +418,7 @@ def test_envelopes_and_thresholds_are_the_closed_form_bound():
                     if theorem == "T2":
                         continue
                     check = th.check_condition_T3 if theorem == "T3" else th.check_condition_T4
-                    report = check(ledger, 1.0, 0.01, gamma, g0)
+                    report = check(ledger, gamma, g0, constants_map(0.01, 1.0))
                     assert clauses_by_name(report)["gronwall_threshold"]["rhs"] == th.gronwall_threshold(spec)
                     checked += 1
     assert checked == 15 * 8 * 2 * 12
@@ -438,7 +456,7 @@ class TestCompareToEnvelope:
 class TestClauseBookkeeping:
     def test_pass_reproducible_from_stored_sides(self):
         led = make_ledger(pi_time=0.1, grad_pi=0.05, grad_d=0.2, pi_min=0.8, pi_max=1.4)
-        report = th.check_condition_T4(led, 0.9, 0.02, gamma=1.0, g0=0.5)
+        report = th.check_condition_T4(led, gamma=1.0, g0=0.5, constants=constants_map(0.02, 0.9))
         for clause in report["clauses"]:
             if clause["op"] == "<=":
                 assert clause["pass"] == (clause["lhs"] <= clause["rhs"])
@@ -451,9 +469,9 @@ class TestClauseBookkeeping:
     def test_clause_names_match_checkers(self):
         led = make_ledger()
         reports = [
-            th.check_condition_T2(led, 1.0, 1.0, 0.5),
-            th.check_condition_T3(led, 1.0, 1.0, 1.0, 0.5),
-            th.check_condition_T4(led, 1.0, 1.0, 1.0, 0.5),
+            th.check_condition_T2(led, 1.0, 0.5, constants_map(1.0)),
+            th.check_condition_T3(led, 1.0, 0.5, constants_map(1.0, 1.0)),
+            th.check_condition_T4(led, 1.0, 0.5, constants_map(1.0, 1.0)),
         ]
         names = {r["theorem"]: tuple(c["name"] for c in r["clauses"]) for r in reports}
         assert names == th.CLAUSES
