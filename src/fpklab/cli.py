@@ -1,7 +1,11 @@
 """Scenario configuration, batch execution, sweeps, and serialization.
 
 A scenario is a JSON file naming the grid, the four coefficient expressions,
-solver settings, and optional diagnostics/theory blocks.  ``fpk run`` writes
+solver settings, and optional diagnostics/theory blocks.  ``build_scenario``
+validates each value once and keeps it in the form scenario.normalized.json
+writes (the theory block as that dict; the solver defaults live in
+SolverConfig alone), and a sweep row is its base's dict with one axis
+applied, which that same call validates.  ``fpk run`` writes
 a time series (series.csv), a full report (report.json), and the normalized
 scenario (scenario.normalized.json) into the output directory; ``fpk check``
 evaluates the decay conditions without time stepping; ``fpk sweep`` runs a
@@ -31,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, solver, theory
-from .coefficients import build_constants_ledger, compute_equilibrium, sample_coefficients
+from .coefficients import T_PROBE_COUNT, build_constants_ledger, compute_equilibrium, sample_coefficients
 from .errors import MESSAGE_WIDTH, FpkError, ScenarioError, TooShortSeriesError, quote_source, quote_value
 from .expressions import parse_expression
 from .grid import Grid, build_grid, integrate
@@ -49,10 +53,20 @@ SERIES_COLUMNS = (
     "jensen_margin",
 )
 
-SWEEP_AXES = ("d_scale", "gamma", "grad_pi_scale", "resolution")
+#: the sweep axes, each with the tag a row's name carries before its value
+SWEEP_AXES = {"d_scale": "d", "gamma": "g", "grad_pi_scale": "p", "resolution": "n"}
 
-#: probe count for the mobility sups in the constants ledger
-T_PROBE_COUNT = 9
+#: the solver settings a scenario may give, in validation order, with their
+#: kinds; SolverConfig holds the defaults of those it leaves out
+SOLVER_KINDS = {
+    "t_end": float, "cfl_safety": float, "positivity_floor": float,
+    "integrator": str, "max_steps": int, "record_every": int,
+}
+
+#: the theory key whose certified value, if the scenario gives one, stands in for each constant
+CERTIFIED_KEYS = {
+    "poincare": "certified_poincare", "sobolev": "certified_sobolev", "sobolev_weighted": "certified_sobolev"
+}
 
 def _fmt(value) -> str:
     """17-significant-digit formatting; stable across reruns."""
@@ -62,20 +76,14 @@ def _fmt(value) -> str:
 
 
 @dataclass(frozen=True)
-class TheorySettings:
-    gamma: float
-    certified_sobolev: float | None = None
-    certified_poincare: float | None = None
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     grid: Grid
     coefficients: dict
     solver: SolverConfig
     fit_window: tuple[float, float] | None = None
-    theory: TheorySettings | None = None
+    #: the validated theory block: gamma, then the certified values the file gives
+    theory: dict | None = None
 
     def to_dict(self) -> dict:
         solver_block = asdict(self.solver)
@@ -90,7 +98,7 @@ class Scenario:
         if self.fit_window is not None:
             data["diagnostics"]["fit_window"] = list(self.fit_window)
         if self.theory is not None:
-            data["theory"] = {k: v for k, v in asdict(self.theory).items() if v is not None}
+            data["theory"] = dict(self.theory)
         return data
 
 
@@ -171,24 +179,19 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
             raise ScenarioError(f"coefficient {key!r} is spatial-only but uses t")
         coefficients[key] = source
 
-    solver_block = _object(
-        data.get("solver", {}),
-        "solver",
-        ("t_end", "cfl_safety", "positivity_floor", "integrator", "max_steps", "record_every"),
-    )
+    solver_block = _object(data.get("solver", {}), "solver", tuple(SOLVER_KINDS))
     diag_block = _object(data.get("diagnostics", {}), "diagnostics", ("record_every", "fit_window"))
-    record_every = diag_block.get("record_every", solver_block.get("record_every", 10))
+    _require(solver_block, "t_end", "solver")
+    given = dict(solver_block)
+    if "record_every" in diag_block:  # it wins over the solver block's
+        given["record_every"] = diag_block["record_every"]
+    settings = {}
+    for key, kind in SOLVER_KINDS.items():
+        if key in given:
+            where = "diagnostics.record_every" if key == "record_every" else f"solver.{key}"
+            settings[key] = str(given[key]) if kind is str else _number(kind, given[key], where)
     try:
-        config = SolverConfig(
-            t_end=_number(float, _require(solver_block, "t_end", "solver"), "solver.t_end"),
-            cfl_safety=_number(float, solver_block.get("cfl_safety", 0.4), "solver.cfl_safety"),
-            positivity_floor=_number(
-                float, solver_block.get("positivity_floor", 0.0), "solver.positivity_floor"
-            ),
-            integrator=str(solver_block.get("integrator", "rk4")),
-            max_steps=_number(int, solver_block.get("max_steps", 1_000_000), "solver.max_steps"),
-            record_every=_number(int, record_every, "diagnostics.record_every"),
-        )
+        config = SolverConfig(**settings)
     except ValueError as exc:
         raise ScenarioError(f"solver: {exc}") from exc
 
@@ -205,17 +208,14 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
         if fit_window[1] <= fit_window[0]:
             raise ScenarioError("diagnostics.fit_window must have t_lo < t_hi")
 
-    theory_settings = None
+    theory_block = None
     if "theory" in data:
         certified_keys = ("certified_sobolev", "certified_poincare")
-        theory_block = _object(data["theory"], "theory", ("gamma", *certified_keys))
-        gamma = _positive(_require(theory_block, "gamma", "theory"), "theory.gamma")
-        certified = {
-            key: _positive(theory_block[key], f"theory.{key}")
-            for key in certified_keys
-            if theory_block.get(key) is not None
-        }
-        theory_settings = TheorySettings(gamma=gamma, **certified)
+        given = _object(data["theory"], "theory", ("gamma", *certified_keys))
+        theory_block = {"gamma": _positive(_require(given, "gamma", "theory"), "theory.gamma")}
+        for key in certified_keys:
+            if given.get(key) is not None:
+                theory_block[key] = _positive(given[key], f"theory.{key}")
 
     return Scenario(
         name=name,
@@ -223,7 +223,7 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
         coefficients=coefficients,
         solver=config,
         fit_window=fit_window,
-        theory=theory_settings,
+        theory=theory_block,
     )
 
 
@@ -243,26 +243,21 @@ def parse_scenario(path) -> Scenario:
     return build_scenario(_load_json(path, "scenario"), fallback_name=path.stem)
 
 
-def _ratio_maxima(records) -> dict:
-    """Running maxima of the recorded empirical ratios; None where no state defines them."""
+def _constants(theory_block: dict | None, records) -> tuple[dict, dict, dict | None]:
+    """(empirical_constants, constants, certified_consistency) as report.json writes them.
+    Each constant is its certified value where the scenario gives one, else the running
+    maximum of its recorded ratio (None where no state defines it); a certified Poincare
+    or Sobolev value is compared with that maximum."""
     defined = [r for r in records if not math.isnan(r.poincare)]
-    names = ("poincare", "sobolev", "sobolev_weighted")
-    return {name: max((getattr(r, name) for r in defined), default=None) for name in names}
-
-
-def _constants(settings: TheorySettings, empirical: dict) -> dict:
-    """Each constant as report.json writes it, {"value", "provenance"}: certified
-    where the scenario gives one, else the empirical maximum."""
-
-    def pick(certified, name):
-        value, provenance = (empirical[name], "empirical") if certified is None else (certified, "certified")
-        return {"value": value, "provenance": provenance}
-
-    return {
-        "poincare": pick(settings.certified_poincare, "poincare"),
-        "sobolev": pick(settings.certified_sobolev, "sobolev"),
-        "sobolev_weighted": pick(settings.certified_sobolev, "sobolev_weighted"),
-    }
+    empirical, constants, consistency = {}, {}, {}
+    for name, key in CERTIFIED_KEYS.items():
+        empirical[name] = top = max((getattr(r, name) for r in defined), default=None)
+        certified = (theory_block or {}).get(key)
+        value, provenance = (top, "empirical") if certified is None else (certified, "certified")
+        constants[name] = {"value": value, "provenance": provenance}
+        if certified is not None and top is not None and name != "sobolev_weighted":
+            consistency[name] = {"certified": certified, "empirical_max": top, "consistent": top <= certified}
+    return empirical, constants, consistency or None
 
 
 SOBOLEV_NOTE = (
@@ -284,7 +279,7 @@ def _setup(scenario: Scenario):
     """Grid, coefficients, unit-mass f0, and the equilibrium with its shift."""
     grid = scenario.grid
     coeffs, f0 = sample_coefficients(scenario.coefficients, grid)
-    feq, shift = compute_equilibrium(coeffs, tol=1e-12)
+    feq, shift = compute_equilibrium(coeffs)
     return grid, coeffs, f0, feq, shift
 
 
@@ -331,7 +326,8 @@ def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
     """The report of ``scenario`` on its trajectory.  Empirical constants are
     maxima of the recorded ratios: on an unstepped trajectory, of the initial
     state's alone, as the note says; such a report has no envelope."""
-    empirical, regime, settings = _ratio_maxima(series.records), fields["regime"], scenario.theory
+    empirical, constants, consistency = _constants(scenario.theory, series.records)
+    regime, gamma = fields["regime"], (scenario.theory or {}).get("gamma")
     report = {
         "scenario": scenario.to_dict(),
         **fields,
@@ -339,16 +335,16 @@ def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
         "condition_reports": [],
         "sobolev_constant_note": SOBOLEV_NOTE,
     }
-    if settings is not None:
-        gamma, g0, constants = settings.gamma, series.records[0].dissipation, _constants(settings, empirical)
+    if gamma is not None:
+        g0 = series.records[0].dissipation
         report["condition_reports"] = theory.condition_reports(regime, ledger, gamma, g0, constants)
     if "accepted_steps" not in fields:  # unstepped, as fpk check reads it
         report["sobolev_constant_note"] += CHECK_NOTE
     else:
-        report["certified_consistency"] = _certified_consistency(scenario, empirical)
+        report["certified_consistency"] = consistency
         report["envelope"] = None
-        if settings is not None:
-            report["envelope"] = theory.envelope_report(regime, ledger, settings.gamma, series)
+        if gamma is not None:
+            report["envelope"] = theory.envelope_report(regime, ledger, gamma, series)
     return {key: report[key] for key in REPORT_KEYS if key in report}
 
 
@@ -361,22 +357,6 @@ def run_scenario_data(scenario: Scenario):
 def check_scenario_data(scenario: Scenario) -> dict:
     """Condition checks only: the report of the unstepped trajectory."""
     return _report(scenario, *_trajectory(scenario, steps=False))
-
-
-def _certified_consistency(scenario, empirical) -> dict | None:
-    """Whether trajectory ratios stayed below user-certified constants."""
-    if scenario.theory is None:
-        return None
-    checks = {}
-    for name in ("poincare", "sobolev"):
-        certified = getattr(scenario.theory, f"certified_{name}")
-        if certified is not None and empirical[name] is not None:
-            checks[name] = {
-                "certified": certified,
-                "empirical_max": empirical[name],
-                "consistent": empirical[name] <= certified,
-            }
-    return checks or None
 
 
 def _series_rows(series) -> list[list[str]]:
@@ -451,32 +431,25 @@ def parse_sweep(path) -> SweepSpec:
     return SweepSpec(base=base, axis=str(_require(data, "axis", "sweep")), values=values)
 
 
-def apply_axis(scenario: Scenario, axis: str, value) -> Scenario:
-    """Derive the row scenario for one sweep value."""
+def apply_axis(scenario: Scenario, axis: str, value) -> dict:
+    """The scenario dict of one sweep row, named after its value; build_scenario validates it."""
+    if axis not in SWEEP_AXES:
+        raise ScenarioError(f"unknown sweep axis {axis!r}")
+    data = scenario.to_dict()  # fresh to its leaves, so the base is left alone
+    coeffs = data["coefficients"]
     if axis == "d_scale":
-        coeffs = dict(scenario.coefficients)
         coeffs["D"] = f"({value!r})*({coeffs['D']})"
-        return replace(scenario, name=f"{scenario.name}-d{value}", coefficients=coeffs)
-    if axis == "gamma":
+    elif axis == "gamma":
         if scenario.theory is None:
             raise ScenarioError("gamma sweep requires a theory block in the base scenario")
-        return replace(
-            scenario,
-            name=f"{scenario.name}-g{value}",
-            theory=replace(scenario.theory, gamma=float(value)),
-        )
-    if axis == "grad_pi_scale":
+        data["theory"]["gamma"] = float(value)
+    elif axis == "grad_pi_scale":
         # pi -> 1 + s (pi - 1): scales grad(pi) and pi_t by exactly s
-        coeffs = dict(scenario.coefficients)
         coeffs["pi"] = f"1 + ({value!r})*(({coeffs['pi']}) - 1)"
-        return replace(scenario, name=f"{scenario.name}-p{value}", coefficients=coeffs)
-    if axis == "resolution":
-        return replace(
-            scenario,
-            name=f"{scenario.name}-n{value}",
-            grid=Grid(scenario.grid.dim, value),  # the row's build_scenario validates it
-        )
-    raise ScenarioError(f"unknown sweep axis {axis!r}")
+    else:
+        data["grid"]["cells_per_axis"] = value
+    data["name"] = f"{scenario.name}-{SWEEP_AXES[axis]}{value}"
+    return data
 
 
 def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> list[str]:
@@ -547,10 +520,10 @@ def run_sweep(spec: SweepSpec, out_dir, force: bool = False, jobs: int | None = 
     theorem = theory.regime_theorems(coeffs.regime)[0]
     rows, groups = [None] * len(spec.values), {}
     for index, value in enumerate(spec.values):
-        row_scenario = apply_axis(spec.base, spec.axis, value)
-        row_dir = _prepare_out_dir(out / "rows" / f"{index:03d}_{row_scenario.name}", force=True)
+        row = apply_axis(spec.base, spec.axis, value)
+        row_dir = _prepare_out_dir(out / "rows" / f"{index:03d}_{row['name']}", force=True)
         try:
-            row_scenario = build_scenario(row_scenario.to_dict())
+            row_scenario = build_scenario(row)
         except FpkError as exc:  # recorded in its row, which is never dispatched
             rows[index] = _sweep_row(theorem, error=str(exc))
             continue
@@ -624,6 +597,8 @@ def main(argv=None) -> int:
             report = check_scenario_data(scenario)
             write_report(out / "report.json", report)
             write_report(out / "scenario.normalized.json", scenario.to_dict())
+            if scenario.theory is None:
+                print("no decay condition checked: the scenario has no theory block")
             for cond in report["condition_reports"]:
                 if "error" in cond:
                     print(f"{cond['theorem']}: error: {cond['error']}")

@@ -53,6 +53,9 @@ PI_TIME_DELTA = 1e-4
 #: bisection iteration cap for the equilibrium normalization shift
 SHIFT_MAX_ITERATIONS = 200
 
+#: probe times for the mobility sups in the constants ledger
+T_PROBE_COUNT = 9
+
 
 def _grid_coords(expr: CoefficientExpr, grid: Grid, name: str) -> dict[str, np.ndarray]:
     allowed = {f"x{k + 1}" for k in range(grid.dim)}
@@ -340,7 +343,7 @@ def build_constants_ledger(
     coeffs: CoefficientSet,
     f0: ScalarField,
     grid: Grid,
-    t_probe_count: int = 9,
+    t_probe_count: int = T_PROBE_COUNT,
     t_horizon: float = 1.0,
     feq_shift: float | None = None,
 ) -> ConstantsLedger:

@@ -55,6 +55,10 @@ class TestParseScenario:
         data = {**MINIMAL, "diagnostics": {"fit_window": [0.5, 0.1]}}
         with pytest.raises(ScenarioError):
             cli.build_scenario(data)
+        data = {**MINIMAL, "diagnostics": {"fit_window": [0.1]}}
+        with pytest.raises(ScenarioError) as err:
+            cli.build_scenario(data)
+        assert str(err.value) == "diagnostics.fit_window must be [t_lo, t_hi]"
 
     @pytest.mark.parametrize(
         "block, key",
@@ -278,6 +282,13 @@ class TestRunScenario:
 
 
 class TestCheck:
+    def test_check_without_a_theory_block_says_so(self, tmp_path, capsys):
+        path = tmp_path / "heat.json"
+        path.write_text(json.dumps({**MINIMAL, "grid": {"dim": 1, "cells_per_axis": 16}}))
+        assert cli.main(["check", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == "no decay condition checked: the scenario has no theory block\n"
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["condition_reports"] == []
+
     def test_check_without_stepping(self, tmp_path):
         data = {**MINIMAL, "name": "checkonly", "theory": {"gamma": 1.0}}
         report = cli.check_scenario_data(cli.build_scenario(data))
@@ -407,6 +418,42 @@ class TestSweep:
         assert row["fit_error"].startswith("need >= 5 records")
         assert row["error"] == ""
 
+    def test_row_whose_theorem_reports_an_error(self, tmp_path):
+        # D = 0.5 is below the diffusion floor: the row keeps its rate, and its error replaces a verdict
+        base = {**MINIMAL, "solver": {"t_end": 0.01}, "diagnostics": {"record_every": 1}, "theory": {"gamma": 1.0}}
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="d_scale", values=[0.5, 1])
+        with cli.run_sweep(spec, tmp_path / "esweep", jobs=1).open(newline="") as fh:
+            below, above = csv.DictReader(fh)
+        assert math.isfinite(float(below["measured_rate"]))
+        margins = [value for key, value in below.items() if key.startswith("margin_")]
+        assert margins and all(math.isnan(float(value)) for value in margins)
+        assert below["overall_pass"] == ""
+        assert below["error"] == "decay conditions require the diffusion floor d_min >= 1"
+        assert above["error"] == ""
+
+    def test_rows_leave_their_base_alone(self, tmp_path):
+        theory_block = {"gamma": 1.0, "certified_poincare": 0.05}
+        base = cli.build_scenario({**MINIMAL, "name": "b", "theory": theory_block})
+        before = base.to_dict()
+        gamma_spec = cli.SweepSpec(base=base, axis="gamma", values=[2, 3])
+        out = cli.run_sweep(gamma_spec, tmp_path / "gamma", jobs=1).parent
+        cli.run_sweep(cli.SweepSpec(base=base, axis="d_scale", values=[2]), tmp_path / "d", jobs=1)
+        assert base.to_dict() == before and before["theory"] == theory_block
+        rows = [out / "rows" / name for name in ("000_b-g2", "001_b-g3")]
+        gammas = [json.loads((row / "report.json").read_text())["scenario"]["theory"]["gamma"] for row in rows]
+        assert gammas == [2.0, 3.0]
+
+    def test_relative_base_is_read_from_the_sweep_files_directory(self, tmp_path, monkeypatch):
+        specs, elsewhere = tmp_path / "specs", tmp_path / "elsewhere"
+        specs.mkdir()
+        elsewhere.mkdir()
+        (specs / "base.json").write_text(json.dumps({**MINIMAL, "name": "beside"}))
+        (elsewhere / "base.json").write_text(json.dumps({**MINIMAL, "name": "cwd"}))
+        (specs / "sweep.json").write_text(json.dumps({"axis": "d_scale", "values": [1], "base": "base.json"}))
+        monkeypatch.chdir(elsewhere)
+        assert cli.parse_sweep(specs / "sweep.json").base.name == "beside"
+        assert cli.parse_sweep("../specs/sweep.json").base.name == "beside"
+
     def test_empty_values_rejected(self):
         with pytest.raises(ScenarioError):
             cli.SweepSpec(base=cli.build_scenario(MINIMAL), axis="gamma", values=[])
@@ -441,7 +488,7 @@ class TestSweep:
         base = cli.build_scenario(
             {**MINIMAL, "coefficients": {**MINIMAL["coefficients"], "pi": "1 + 0.2*cos(2*pi*x1)"}}
         )
-        row = cli.apply_axis(base, "grad_pi_scale", 0.5)
+        row = cli.build_scenario(cli.apply_axis(base, "grad_pi_scale", 0.5))
         assert "0.5" in row.coefficients["pi"]
         grid_mod = cli.build_grid(1, 32)
         coeffs, _ = cli.sample_coefficients(row.coefficients, grid_mod)
@@ -647,6 +694,7 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("run", json.dumps({**MINIMAL, "solver": {"t_end": "0.001"}})),
         ("check", json.dumps({**MINIMAL, "theory": {"gamma": "5"}})),
         ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [0.0005, "0.002"]}})),
+        ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [0.1]}})),
     ],
     ids=[
         "truncated_json",
@@ -712,6 +760,7 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "t_end_a_string",
         "check_gamma_a_string",
         "fit_window_end_a_string",
+        "fit_window_one_end",
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -781,6 +830,13 @@ def test_infinite_sweep_value_is_its_rows_error(tmp_path, jobs):
     rows = list(csv.reader(cli.run_sweep(spec, tmp_path / "out", jobs=jobs).open()))
     assert rows[1][0] == "inf" and rows[1][-1] == "theory.gamma must be positive and finite; got inf"
     assert rows[2][-3] == "True" and rows[2][-1] == ""  # the sweep went on
+
+
+def test_gamma_sweep_of_a_base_without_theory_exits_2(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"axis": "gamma", "values": [1, 2], "base": MINIMAL}))
+    assert cli.main(["sweep", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: gamma sweep requires a theory block in the base scenario\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -867,7 +923,7 @@ def test_sweep_row_that_fails_to_build_is_never_dispatched(tmp_path, monkeypatch
 def test_predicted_work_of_a_row_that_cannot_sample_is_zero(monkeypatch):
     base = cli.build_scenario(MINIMAL)
     assert cli._predicted_work(base) > 0
-    assert cli._predicted_work(cli.apply_axis(base, "d_scale", -1.0)) == 0
+    assert cli._predicted_work(cli.build_scenario(cli.apply_axis(base, "d_scale", -1.0))) == 0
 
     def exhausted(self):
         raise MemoryError("Unable to allocate 7.28 TiB")
@@ -922,7 +978,7 @@ def test_predicted_steps_equal_accepted_steps(d_scale_sweep):
     spec, path = d_scale_sweep
     cells = spec.base.grid.cell_count
     for index, value in enumerate(spec.values):
-        row = cli.apply_axis(spec.base, spec.axis, value)
+        row = cli.build_scenario(cli.apply_axis(spec.base, spec.axis, value))
         report = json.loads((path.parent / "rows" / f"{index:03d}_{row.name}" / "report.json").read_text())
         assert cli._predicted_work(row) == cells * report["accepted_steps"]
 
