@@ -182,18 +182,18 @@ def build_scenario(data: dict, fallback_name: str = "scenario") -> Scenario:
     solver_block = _object(data.get("solver", {}), "solver", tuple(SOLVER_KINDS))
     diag_block = _object(data.get("diagnostics", {}), "diagnostics", ("record_every", "fit_window"))
     _require(solver_block, "t_end", "solver")
-    given = dict(solver_block)
+    given, blocks = dict(solver_block), dict.fromkeys(SOLVER_KINDS, "solver")
     if "record_every" in diag_block:  # it wins over the solver block's
-        given["record_every"] = diag_block["record_every"]
+        given["record_every"], blocks["record_every"] = diag_block["record_every"], "diagnostics"
     settings = {}
     for key, kind in SOLVER_KINDS.items():
         if key in given:
-            where = "diagnostics.record_every" if key == "record_every" else f"solver.{key}"
+            where = f"{blocks[key]}.{key}"
             settings[key] = str(given[key]) if kind is str else _number(kind, given[key], where)
     try:
         config = SolverConfig(**settings)
-    except ValueError as exc:
-        raise ScenarioError(f"solver: {exc}") from exc
+    except ValueError as exc:  # each message starts with the name of the setting it rejects
+        raise ScenarioError(f"{blocks.get(str(exc).partition(' ')[0], 'solver')}: {exc}") from exc
 
     fit_window = None
     if "fit_window" in diag_block:
@@ -243,15 +243,14 @@ def parse_scenario(path) -> Scenario:
     return build_scenario(_load_json(path, "scenario"), fallback_name=path.stem)
 
 
-def _constants(theory_block: dict | None, records) -> tuple[dict, dict, dict | None]:
+def _constants(theory_block: dict | None, columns: dict) -> tuple[dict, dict, dict | None]:
     """(empirical_constants, constants, certified_consistency) as report.json writes them.
     Each constant is its certified value where the scenario gives one, else the running
     maximum of its recorded ratio (None where no state defines it); a certified Poincare
     or Sobolev value is compared with that maximum."""
-    defined = [r for r in records if not math.isnan(r.poincare)]
     empirical, constants, consistency = {}, {}, {}
     for name, key in CERTIFIED_KEYS.items():
-        empirical[name] = top = max((getattr(r, name) for r in defined), default=None)
+        empirical[name] = top = max((x for x in columns[name] if not math.isnan(x)), default=None)
         certified = (theory_block or {}).get(key)
         value, provenance = (top, "empirical") if certified is None else (certified, "certified")
         constants[name] = {"value": value, "provenance": provenance}
@@ -295,9 +294,9 @@ def _equilibrium_block(feq, shift) -> dict:
 def _trajectory(scenario: Scenario, steps: bool = True):
     """(series, ledger, fields): what the flow alone decides, ``fields`` being
     its report entries; it reads neither the scenario's name nor its theory.
-    With ``steps=False`` the series is the initial record alone.  A stepped
-    run's term breakdowns are those its recorder put on the records it
-    sampled (see diagnostics.make_batch_recorder); a run holds at most one batch of recorded states."""
+    With ``steps=False`` the series records the initial state alone.  A stepped
+    run's term breakdowns are its recorder's ``terms`` list, None where unsampled
+    (see diagnostics.make_batch_recorder); a run holds at most one batch of recorded states."""
     grid, coeffs, f0, feq, shift = _setup(scenario)
     t_end = scenario.solver.t_end
     ledger = build_constants_ledger(
@@ -306,13 +305,15 @@ def _trajectory(scenario: Scenario, steps: bool = True):
     fields = {"regime": coeffs.regime, "equilibrium": _equilibrium_block(feq, shift)}
     fields["constants_ledger"] = asdict(ledger)
     if not steps:
-        initial = diagnostics.make_recorder(coeffs)(solver.SolverState(f=f0, t=0.0, step_index=0))
-        return solver.TimeSeries([initial]), ledger, fields
+        initial = solver.SolverState(f=f0, t=0.0, step_index=0)
+        columns = diagnostics.make_batch_recorder(coeffs)([initial], [coeffs.pi_values(0.0)])
+        return solver.TimeSeries(columns), ledger, fields
 
     envelope = diagnostics.max_principle_envelope(f0, feq, coeffs)
     recorder = diagnostics.make_batch_recorder(coeffs, envelope=envelope, config=scenario.solver)
     series = solver.run(f0, coeffs, scenario.solver, recorder)
-    fields["term_breakdown_samples"] = [{"t": r.t, **r.terms} for r in series.records if r.terms is not None]
+    samples = zip(series.columns["t"], series.columns["terms"])
+    fields["term_breakdown_samples"] = [{"t": t, **terms} for t, terms in samples if terms is not None]
     try:
         fields["decay_fit"] = diagnostics.decay_fit(series, scenario.fit_window or (t_end / 4.0, t_end))
     except TooShortSeriesError as exc:
@@ -326,7 +327,7 @@ def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
     """The report of ``scenario`` on its trajectory.  Empirical constants are
     maxima of the recorded ratios: on an unstepped trajectory, of the initial
     state's alone, as the note says; such a report has no envelope."""
-    empirical, constants, consistency = _constants(scenario.theory, series.records)
+    empirical, constants, consistency = _constants(scenario.theory, series.columns)
     regime, gamma = fields["regime"], (scenario.theory or {}).get("gamma")
     report = {
         "scenario": scenario.to_dict(),
@@ -336,7 +337,7 @@ def _report(scenario: Scenario, series, ledger, fields: dict) -> dict:
         "sobolev_constant_note": SOBOLEV_NOTE,
     }
     if gamma is not None:
-        g0 = series.records[0].dissipation
+        g0 = series.columns["dissipation"][0]
         report["condition_reports"] = theory.condition_reports(regime, ledger, gamma, g0, constants)
     if "accepted_steps" not in fields:  # unstepped, as fpk check reads it
         report["sobolev_constant_note"] += CHECK_NOTE
@@ -360,7 +361,7 @@ def check_scenario_data(scenario: Scenario) -> dict:
 
 
 def _series_rows(series) -> list[list[str]]:
-    return [[_fmt(getattr(r, name)) for name in SERIES_COLUMNS] for r in series.records]
+    return [list(map(_fmt, row)) for row in zip(*(series.columns[name] for name in SERIES_COLUMNS))]
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -491,14 +492,14 @@ def _sweep_task(task) -> dict:
 
 def _predicted_work(scenario: Scenario) -> int:
     """A sweep run's predicted work: cell count x min(ceil(t_end / dt0), max_steps),
-    dt0 being stable_dt at t = 0, the step the solver keeps throughout for a
-    t-free mobility, from D and pi alone.  A run whose D or pi fails to sample predicts 0 and runs last."""
+    dt0 being stable_dt at t = 0, the step the solver keeps throughout for a t-free mobility,
+    from D and pi alone; 0, so it runs last, where D or pi fails to sample or the ceil overflows."""
     try:
         coeffs, _ = sample_coefficients(scenario.coefficients, scenario.grid, only=("D", "pi"))
         dt0 = solver.stable_dt(coeffs, 0.0, scenario.solver.cfl_safety)
         steps = min(math.ceil(scenario.solver.t_end / dt0), scenario.solver.max_steps)
         return scenario.grid.cell_count * steps
-    except Exception:  # MemoryError included: the task meets and records it
+    except (FpkError, MemoryError, OverflowError):  # the task meets and records it
         return 0
 
 

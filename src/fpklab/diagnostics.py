@@ -31,7 +31,6 @@ weighted denominator's epsilon is EPS = 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,26 +50,6 @@ TERM_SAMPLES = 5
 #: the Sobolev ratios' moment exponent p*, and the weighted denominator's epsilon
 P_STAR = 6.0
 EPS = 2.0
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    mass: float
-    free_energy: float
-    dissipation: float
-    f_min: float
-    f_max: float
-    log_f_sup: float
-    u_sup: float
-    envelope_margin: float
-    jensen_margin: float
-    # empirical ratios of the decay conditions (NaN together where undefined)
-    poincare: float = math.nan
-    sobolev: float = math.nan
-    sobolev_weighted: float = math.nan
-    # the d^2F/dt^2 breakdown, on the records make_batch_recorder samples by target time
-    terms: dict | None = field(default=None, compare=False)
 
 
 def _cells(grid: Grid, values: np.ndarray, reduce=np.sum):
@@ -268,23 +247,22 @@ def _term_breakdown(f, coeffs, t, mode, velocity, i: int = 0) -> dict:
     return {"mode": mode, "terms": terms, "sum": math.fsum(terms.values())}
 
 
-def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> list[dict[str, float]]:
-    """Each stacked state's empirical ratios, NaN where a denominator is not positive;
-    int |grad u|^2 f and int |u|^p* f are formed once for all three, tails in floats."""
+def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, list[float]]:
+    """Each empirical ratio's list over the stacked states, NaN where its denominator is not
+    positive; int |grad u|^2 f and int |u|^p* f are formed once for all three, tails in floats."""
     grad_ints, speed_ints = _cell_integral(grid, grad_sq * fv), _cell_integral(grid, speed_sq * fv)
     with np.errstate(over="ignore"):  # |u|^p* overflowing makes the moment, and both Sobolev ratios, +inf
         moments = [m ** (1.0 / P_STAR) for m in _cell_integral(grid, speed**P_STAR * fv)]
     # speed**2, not |u|^2 summed again: the two differ in the last bit
     weighted = _cell_integral(grid, (2.0 * grad_sq + EPS * speed**2) * fv)
-    return [{"poincare": s / g if g > 0.0 else math.nan,
-             "sobolev": m / math.sqrt(g) if g > 0.0 else math.nan,
-             "sobolev_weighted": m / math.sqrt(w) if w > 0.0 else math.nan}
-            for g, m, w, s in zip(grad_ints, moments, weighted, speed_ints)]
+    return {"poincare": [s / g if g > 0.0 else math.nan for g, s in zip(grad_ints, speed_ints)],
+            "sobolev": [m / math.sqrt(g) if g > 0.0 else math.nan for g, m in zip(grad_ints, moments)],
+            "sobolev_weighted": [m / math.sqrt(w) if w > 0.0 else math.nan for w, m in zip(weighted, moments)]}
 
 
 def _sample_ratio(f: ScalarField, u, name: str) -> float:
     speed_sq, grad_sq, _ = _velocity_sums([uk[None] for uk in per_axis(f.grid, u, "velocity")], f.grid.spacing)
-    ratio = _ratios(f.grid, f.values[None], speed_sq, np.sqrt(speed_sq), grad_sq)[0][name]
+    ratio = _ratios(f.grid, f.values[None], speed_sq, np.sqrt(speed_sq), grad_sq)[name][0]
     if math.isnan(ratio):
         raise UndefinedRatioError(f"{name} ratio undefined: its denominator vanishes (u constant)")
     return ratio
@@ -330,24 +308,24 @@ def decay_fit(series: TimeSeries, window: tuple[float, float]) -> dict:
 
 
 def make_batch_recorder(coeffs: CoefficientSet, envelope=None, config=None):
-    """Build solver.run's recorder: (states, each one's mobility sample) -> their records.
+    """Build solver.run's recorder: (states, each one's mobility sample) -> {name: list in state order}.
 
     The recorder is the one place a recorded state is read: from one
     _velocity_pass over the stacked states (which raises on a nonpositive cell
-    or a non-finite |u|) it records each series row and the Poincare, Sobolev
-    and weighted Sobolev ratios (all NaN when one is undefined), each bitwise
+    or a non-finite |u|) it records each series quantity and the Poincare, Sobolev
+    and weighted Sobolev ratios (all NaN where one is undefined), each bitwise
     what the public functions give for its state alone, as every sum runs over
     one state's cells.  ``envelope`` is the pair from max_principle_envelope
     (else the margin is NaN).  Given the run's SolverConfig, the first record
     at or after each target time j t_end / (TERM_SAMPLES - 1), and the final
-    record of a run max_steps stops early, carry in ``terms`` their state's
-    second_derivative_terms in the coefficients' regime, from the same pass.
+    record of a run max_steps stops early, get in ``terms`` their state's
+    second_derivative_terms in the coefficients' regime, from the same pass; the others None.
     """
     mode, targets = coeffs.regime, []
     if config is not None:
         targets = [j * config.t_end / (TERM_SAMPLES - 1) for j in range(TERM_SAMPLES)]
 
-    def recorder(states: list, pis: list) -> list[DiagnosticsRecord]:
+    def recorder(states: list, pis: list) -> dict[str, list]:
         grid, due = coeffs.grid, []
         for state in states:
             final = config is not None and state.step_index >= config.max_steps
@@ -361,25 +339,27 @@ def make_batch_recorder(coeffs: CoefficientSet, envelope=None, config=None):
         log_f, _, u, ju, speed_sq, grad_sq, div = velocity
         del velocity, u, ju  # freed before the ratios' arrays are built
         speed = np.sqrt(speed_sq)
-        ratios = [{} if any(map(math.isnan, r.values())) else r for r in _ratios(grid, fv, speed_sq, speed, grad_sq)]
-        rows = zip(
-            [state.t for state in states],
-            _cell_integral(grid, fv),
-            _free_energy(grid, fv, log_f, coeffs),
-            _dissipation(grid, fv, pi, speed_sq),
-            _cells(grid, fv, np.min).tolist(),
-            _cells(grid, fv, np.max).tolist(),
-            _cells(grid, np.abs(log_f), np.max).tolist(),
-            _cells(grid, speed, np.max).tolist(),
-            _envelope_margin(grid, fv, envelope) if envelope is not None else [math.nan] * len(states),
-            _jensen_margin(grid, grad_sq, div),
-        )
-        return [DiagnosticsRecord(*row, terms=t, **r) for row, t, r in zip(rows, terms, ratios)]
+        ratios = _ratios(grid, fv, speed_sq, speed, grad_sq)
+        undefined = [any(map(math.isnan, r)) for r in zip(*ratios.values())]  # a state records all three or none
+        return {
+            "t": [state.t for state in states],
+            "mass": _cell_integral(grid, fv),
+            "free_energy": _free_energy(grid, fv, log_f, coeffs),
+            "dissipation": _dissipation(grid, fv, pi, speed_sq),
+            "f_min": _cells(grid, fv, np.min).tolist(),
+            "f_max": _cells(grid, fv, np.max).tolist(),
+            "log_f_sup": _cells(grid, np.abs(log_f), np.max).tolist(),
+            "u_sup": _cells(grid, speed, np.max).tolist(),
+            "envelope_margin": [math.nan] * len(states) if envelope is None else _envelope_margin(grid, fv, envelope),
+            "jensen_margin": _jensen_margin(grid, grad_sq, div),
+            **{name: [math.nan if nan else r for r, nan in zip(column, undefined)] for name, column in ratios.items()},
+            "terms": terms,
+        }
 
     return recorder
 
 
 def make_recorder(coeffs: CoefficientSet, envelope=None, config=None):
-    """make_batch_recorder's recorder on one state and its time's mobility: state -> record."""
+    """make_batch_recorder's recorder on one state and its time's mobility: state -> {name: value}."""
     record = make_batch_recorder(coeffs, envelope, config)
-    return lambda state: record([state], [coeffs.pi_values(state.t)])[0]
+    return lambda state: {name: column[0] for name, column in record([state], [coeffs.pi_values(state.t)]).items()}

@@ -29,8 +29,8 @@ at 0.4.  The coefficient set caches its latest mobility
 sample, so ``stable_dt``, ``step`` and ``run``'s record at one time share one
 evaluation of the mobility; ``run`` hands the recorder that sample.  When the mobility does not use t, ``stable_dt``
 depends only on D and pi at t = 0, so ``run`` computes it once per run;
-otherwise once per step.  ``run`` returns its records in a TimeSeries, the
-step count in ``TimeSeries.accepted_steps``; diagnostics builds on this module.
+otherwise once per step.  ``run`` returns its records, one list per quantity,
+in a TimeSeries; diagnostics builds on this module.
 
 Evaluations are vectorized whole-grid numpy operations.  The potential,
 each face flux, each Runge-Kutta stage and the stage sum are built in place,
@@ -88,21 +88,23 @@ class SolverState:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Records with strictly increasing times; the run's step count, None if unstepped."""
+    """Records as one equal-length list per quantity, ``t`` strictly increasing; the step count, None if unstepped."""
 
-    records: list
+    columns: dict
     accepted_steps: int | None = None
 
     def __post_init__(self):
-        times = [r.t for r in self.records]
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise ValueError("every recorded quantity must have one value per record")
+        times = self.columns["t"]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("record times must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["t"])
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return np.array(self.columns[name])
 
 
 @dataclass(frozen=True)
@@ -300,12 +302,13 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
     """March from f0 to t_end (or max_steps), recording diagnostics.
 
     ``recorder`` maps SolverStates and the mobility sampled at each one's time
-    to their DiagnosticsRecords (see ``diagnostics.make_batch_recorder``).  It
-    records the initial state at once, then every ``record_every`` accepted
-    steps and the final state in batches of up to BATCH_CELLS cells (at least
-    one state), and those held when a step fails before its error propagates,
-    so the first failure in trajectory order is the one raised.  Returns the
-    TimeSeries of those records, its ``accepted_steps`` the run's step count.
+    to their records, one list per quantity keyed by name (see
+    ``diagnostics.make_batch_recorder``).  It records the initial state at
+    once, then every ``record_every`` accepted steps and the final state in
+    batches of up to BATCH_CELLS cells (at least one state), and those held
+    when a step fails before its error propagates, so the first failure in
+    trajectory order is the one raised.  Returns the TimeSeries of the lists
+    each batch extends, its ``accepted_steps`` the run's step count.
     """
     if f0.min() <= 0.0:
         raise NonPositiveDensityError("initial density must be strictly positive")
@@ -314,7 +317,14 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
         raise FpkError(f"initial density must have unit mass; got {mass!r}")
 
     state = SolverState(f=f0, t=0.0, step_index=0)
-    records, held = recorder([state], [coeffs.pi_values(0.0)]), []  # a bad input fails before any step
+    columns, held = recorder([state], [coeffs.pi_values(0.0)]), []  # a bad input fails before any step
+
+    def flush():  # a batch whose recorder raises is not recorded again, and none outlives its call
+        nonlocal held
+        full, held = held, []
+        for name, column in recorder(*map(list, zip(*full))).items():
+            columns[name] += column
+
     batch = max(1, BATCH_CELLS // f0.grid.cell_count)
     fixed_dt = None if coeffs.pi_expr.uses_t else stable_dt(coeffs, 0.0, config.cfl_safety)
     try:
@@ -326,13 +336,11 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
             if final or state.step_index % config.record_every == 0:
                 held.append((state, coeffs.pi_values(state.t)))  # the sample the next step reuses
             if len(held) == batch:
-                full, held = held, []
-                records += recorder(*map(list, zip(*full)))
-                del full  # a 3-D state kept to the next record took a bulk run from 7.4k to 28k page faults
+                flush()  # a 3-D state kept to the next record took a bulk run from 7.4k to 28k page faults
     finally:
         if held:
-            records += recorder(*map(list, zip(*held)))
-    return TimeSeries(records=records, accepted_steps=state.step_index)
+            flush()
+    return TimeSeries(columns=columns, accepted_steps=state.step_index)
 
 
 __all__ = [

@@ -351,17 +351,16 @@ def predicted_envelope(theorem: str, gamma: float, g0: float, pi_min: float | No
 def compare_to_envelope(series, spec: GronwallSpec) -> float:
     """Worst ratio dissipation(t) / gronwall_bound(spec, t); domination iff <= 1 + 1e-6.
 
-    Records with zero dissipation contribute ratio 0 even when the envelope
-    is identically zero (the stationary start).  A NaN ratio makes the
-    result NaN, so a NaN dissipation never counts as dominated.
+    The bound is evaluated once, over all record times.  Records with zero
+    dissipation contribute ratio 0 even when the envelope is identically zero
+    (the stationary start).  A NaN ratio makes the result NaN, so a NaN
+    dissipation never counts as dominated.
     """
-    ratios = [0.0]
-    for record in series.records:
-        bound = gronwall_bound(spec, record.t)
-        if record.dissipation == 0.0:
-            continue
-        ratios.append(record.dissipation / bound if bound > 0.0 else math.inf)
-    return float(np.max(ratios))
+    dissipation = series.column("dissipation")
+    bound = gronwall_bound(spec, series.column("t"))
+    with np.errstate(all="ignore"):  # quotients as float division gives them; those over a bound <= 0 are replaced
+        ratios = np.where(dissipation == 0.0, 0.0, np.where(bound > 0.0, dissipation / bound, math.inf))
+    return float(np.max(ratios, initial=0.0))
 
 
 def condition_reports(regime, ledger, gamma, g0, constants) -> list[dict]:
@@ -386,7 +385,7 @@ def envelope_report(regime, ledger, gamma, series) -> dict:
     """The envelope of the regime's own theorem, started at the first record's
     dissipation, against the series; or the threshold that start violates."""
     theorem = regime_theorems(regime)[0]
-    g0 = series.records[0].dissipation
+    g0 = series.columns["dissipation"][0]
     block = {"theorem": theorem, "gamma": gamma, "g0": g0}
     try:
         spec = predicted_envelope(theorem, gamma, g0, pi_min=ledger.pi_min)

@@ -100,7 +100,7 @@ def test_criterion_4_homogeneous_decay(suite_runs):
     rate = report["decay_fit"]["rate"]
     target = 8 * math.pi**2
     rate_ok = abs(rate - target) / target <= 0.05
-    g0 = series.records[0].dissipation
+    g0 = series.columns["dissipation"][0]
     worst = 0.0
     for frac in (0.5, 0.75, 0.95):
         envelope = th.predicted_envelope("T2", gamma=frac * rate, g0=g0)
@@ -362,7 +362,9 @@ def test_suite_single_pass_diagnostics(suite_runs):
         envelope = dg.max_principle_envelope(f0, F.compute_equilibrium(coeffs)[0], coeffs)
         assert len(run["snapshots"]) == len(run["series"]), name
         maxima = {}
-        for state, record in zip(run["snapshots"], run["series"].records):
+        columns = run["series"].columns
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        for state, record in zip(run["snapshots"], records):
             f = state.f
             u = F.compute_velocity(f, coeffs, state.t)
             ratios = {
@@ -370,7 +372,7 @@ def test_suite_single_pass_diagnostics(suite_runs):
                 "sobolev": dg.empirical_sobolev(f, u),
                 "sobolev_weighted": dg.empirical_sobolev(f, u, weighted=True),
             }
-            public = dg.DiagnosticsRecord(
+            public = dict(
                 t=state.t,
                 mass=F.integrate(f),
                 free_energy=dg.free_energy(f, coeffs),
@@ -383,10 +385,10 @@ def test_suite_single_pass_diagnostics(suite_runs):
                 jensen_margin=dg.jensen_check(f.grid, u),
                 **ratios,
             )
-            assert record == public, (name, state.t)
-            if record.terms is not None:
+            assert {key: value for key, value in record.items() if key != "terms"} == public, (name, state.t)
+            if record["terms"] is not None:
                 terms = dg.second_derivative_terms(f, coeffs, state.t, coeffs.regime)
-                assert record.terms == terms, (name, state.t)
+                assert record["terms"] == terms, (name, state.t)
             for key, value in ratios.items():
                 maxima[key] = max(maxima.get(key, value), value)
         assert run["report"]["empirical_constants"] == maxima, name
@@ -395,8 +397,8 @@ def test_suite_single_pass_diagnostics(suite_runs):
         times = run["series"].column("t")
         targets = [j * t_end / (dg.TERM_SAMPLES - 1) for j in range(dg.TERM_SAMPLES)]
         picked = sorted({int(np.argmax(times >= target)) for target in targets})
-        carrying = [i for i, r in enumerate(run["series"].records) if r.terms is not None]
+        carrying = [i for i, terms in enumerate(columns["terms"]) if terms is not None]
         assert carrying == picked and picked[0] == 0 and picked[-1] == len(times) - 1, name
         samples = [tuple(sample.values()) for sample in run["report"]["term_breakdown_samples"]]
-        records = [run["series"].records[i] for i in picked]
-        assert samples == [(r.t, r.terms["mode"], r.terms["terms"], r.terms["sum"]) for r in records], name
+        records = [records[i] for i in picked]
+        assert samples == [(r["t"], r["terms"]["mode"], r["terms"]["terms"], r["terms"]["sum"]) for r in records], name

@@ -60,6 +60,14 @@ class TestParseScenario:
             cli.build_scenario(data)
         assert str(err.value) == "diagnostics.fit_window must be [t_lo, t_hi]"
 
+    @pytest.mark.parametrize("block", ["solver", "diagnostics"])
+    def test_record_every_below_one_names_its_block(self, block):
+        data = json.loads(json.dumps(MINIMAL))
+        data.setdefault(block, {})["record_every"] = 0
+        with pytest.raises(ScenarioError) as err:
+            cli.build_scenario(data)
+        assert str(err.value) == f"{block}: record_every must be >= 1"
+
     @pytest.mark.parametrize(
         "block, key",
         [
@@ -265,14 +273,14 @@ class TestRunScenario:
             "diagnostics": {"record_every": 1},
         }
         series, report, snapshots = run_with_snapshots(data)
-        final = series.records[-1].t
+        final = series.columns["t"][-1]
         assert final < 0.002 / 4  # only the first target time is reached
         times = [sample["t"] for sample in report["term_breakdown_samples"]]
         assert times == [0.0, final]  # the final record takes the targets left
-        assert [r.terms is not None for r in series.records] == [True, False, True]
+        assert [terms is not None for terms in series.columns["terms"]] == [True, False, True]
         coeffs, _ = cli.sample_coefficients(data["coefficients"], snapshots[-1].f.grid)
         terms = diagnostics.second_derivative_terms(snapshots[-1].f, coeffs, final, "homogeneous")
-        assert series.records[-1].terms == terms
+        assert series.columns["terms"][-1] == terms
         assert report["term_breakdown_samples"][-1]["terms"] == terms["terms"]
 
     def test_overclaimed_certified_constant_flagged(self, tmp_path):
@@ -302,9 +310,8 @@ class TestCheck:
         check = cli.check_scenario_data(scenario)
         assert check["equilibrium"] == run["equilibrium"]
         assert check["constants_ledger"] == run["constants_ledger"]
-        first = series.records[0]
         names = ("poincare", "sobolev", "sobolev_weighted")
-        assert check["empirical_constants"] == {name: getattr(first, name) for name in names}
+        assert check["empirical_constants"] == {name: series.columns[name][0] for name in names}
         assert all(value is not None for value in check["empirical_constants"].values())
 
 
@@ -461,6 +468,31 @@ class TestSweep:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ScenarioError):
             cli.SweepSpec(base=cli.build_scenario(MINIMAL), axis="viscosity", values=[1])
+
+    def test_apply_axis_rejects_an_unknown_axis(self):
+        with pytest.raises(ScenarioError) as err:
+            cli.apply_axis(cli.build_scenario(MINIMAL), "bogus", 1)
+        assert str(err.value) == "unknown sweep axis 'bogus'"
+
+    def test_row_whose_files_fail_to_write_records_the_error(self, tmp_path, monkeypatch):
+        write_run = cli._write_run
+
+        def failing(out, scenario, series, report):
+            if scenario.name == "w-g20":
+                raise OSError(28, "No space left on device")
+            return write_run(out, scenario, series, report)
+
+        monkeypatch.setattr(cli, "_write_run", failing)
+        base = {**MINIMAL, "name": "w", "solver": {"t_end": 0.01}, "diagnostics": {"record_every": 1},
+                "theory": {"gamma": 1.0}}
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="gamma", values=[1, 20])
+        with cli.run_sweep(spec, tmp_path / "wsweep", jobs=1).open(newline="") as fh:
+            whole, failed = csv.DictReader(fh)
+        assert failed["error"] == "[Errno 28] No space left on device"
+        assert failed["measured_rate"] == "nan" and failed["overall_pass"] == ""
+        assert whole["error"] == "" and whole["overall_pass"] in ("True", "False")
+        assert math.isfinite(float(whole["measured_rate"]))
+        assert (tmp_path / "wsweep" / "rows" / "000_w-g1" / "series.csv").exists()
 
     def test_row_failure_recorded_and_sweep_continues(self, tmp_path):
         base = {**MINIMAL, "name": "fsweep", "theory": {"gamma": 1.0}}
@@ -652,6 +684,7 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("run", json.dumps({**MINIMAL, "solver": {"t_end": 0.002, "positivity_floor": float("inf")}})),
         ("run", json.dumps({**MINIMAL, "grid": {"dim": True, "cells_per_axis": 32}})),
         ("run", json.dumps({**MINIMAL, "diagnostics": {"record_every": True}})),
+        ("check", json.dumps({**MINIMAL, "diagnostics": {"record_every": 0}})),
         ("sweep", json.dumps({"axis": "gamma", "values": [True, 16], "base": {**MINIMAL, "theory": {"gamma": 1.0}}})),
         ("run", _with_phi("+".join(["1"] * 5001))),
         ("run", _with_phi("(" * 3000 + "1" + ")" * 3000)),
@@ -718,6 +751,7 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "floor_infinite",
         "dim_boolean",
         "record_every_boolean",
+        "check_record_every_zero",
         "sweep_value_boolean",
         "phi_5001_term_sum",
         "phi_3000_parentheses",
@@ -930,6 +964,19 @@ def test_predicted_work_of_a_row_that_cannot_sample_is_zero(monkeypatch):
 
     monkeypatch.setattr(cli.Grid, "coordinates", exhausted)
     assert cli._predicted_work(base) == 0
+
+
+def test_predicted_work_of_a_caller_mistake_raises():
+    with pytest.raises(AttributeError):
+        cli._predicted_work(None)
+
+
+def test_predicted_work_of_an_overflowing_step_count_is_zero():
+    # dt0 is about 1.2e-312, so t_end / dt0 is +inf and ceil raises OverflowError
+    row = cli.build_scenario(load_scenario_dict("heat_1d", **{"coefficients.D": "1e307", "solver.t_end": 1.0}))
+    coeffs, _ = cli.sample_coefficients(row.coefficients, row.grid, only=("D", "pi"))
+    assert row.solver.t_end / cli.solver.stable_dt(coeffs, 0.0, row.solver.cfl_safety) == math.inf
+    assert cli._predicted_work(row) == 0
 
 
 def test_sweep_parent_samples_only_d_and_pi(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -50,22 +49,20 @@ class NumpyShapeSpy:
 
 
 def synthetic_series(ts, dissipations, free_energies=None):
-    records = [
-        dg.DiagnosticsRecord(
-            t=float(t),
-            mass=1.0,
-            free_energy=float(fe),
-            dissipation=float(d),
-            f_min=1.0,
-            f_max=1.0,
-            log_f_sup=0.0,
-            u_sup=0.0,
-            envelope_margin=math.nan,
-            jensen_margin=0.0,
-        )
-        for t, d, fe in zip(ts, dissipations, free_energies or np.zeros(len(ts)))
-    ]
-    return dg.TimeSeries(records=records)
+    n = len(ts)
+    columns = {
+        "t": [float(t) for t in ts],
+        "mass": [1.0] * n,
+        "free_energy": [float(fe) for fe in free_energies or np.zeros(n)],
+        "dissipation": [float(d) for d in dissipations],
+        "f_min": [1.0] * n,
+        "f_max": [1.0] * n,
+        "log_f_sup": [0.0] * n,
+        "u_sup": [0.0] * n,
+        "envelope_margin": [math.nan] * n,
+        "jensen_margin": [0.0] * n,
+    }
+    return dg.TimeSeries(columns=columns)
 
 
 class TestFreeEnergy:
@@ -292,7 +289,7 @@ class TestSecondDerivativeTerms:
         grid, coeffs, f0 = sample(spec, dim=dim, n=16)
         config = F.SolverConfig(t_end=0.004, record_every=1)
         plain = F.run(f0, coeffs, config, dg.make_batch_recorder(coeffs))
-        assert all(r.terms is None for r in plain.records)
+        assert all(terms is None for terms in plain.columns["terms"])
 
         spy = NumpyShapeSpy()
         monkeypatch.setattr(dg, "np", spy)
@@ -301,11 +298,13 @@ class TestSecondDerivativeTerms:
         series = F.run(f0, coeffs, config, capturing(dg.make_batch_recorder(coeffs, config=config), snaps))
         # neither the recorder nor its calls build, so none holds, an (n, n, ...) array
         assert spy.shapes and max(map(len, spy.shapes)) <= dim + 1
-        assert series.records == plain.records  # terms do not take part in ==
-        carrying = [(s, r) for s, r in zip(snaps, series.records) if r.terms is not None]
+        assert {k: v for k, v in series.columns.items() if k != "terms"} == {
+            k: v for k, v in plain.columns.items() if k != "terms"
+        }
+        carrying = [(s, terms) for s, terms in zip(snaps, series.columns["terms"]) if terms is not None]
         assert len(carrying) == dg.TERM_SAMPLES
-        for state, record in carrying:
-            assert record.terms == dg.second_derivative_terms(state.f, coeffs, state.t, "full")
+        for state, terms in carrying:
+            assert terms == dg.second_derivative_terms(state.f, coeffs, state.t, "full")
 
     SPECS = {  # one per regime; pi_t is nonzero in the full one
         "homogeneous": {"D": "1.5", "pi": "1.2"},
@@ -551,16 +550,30 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             synthetic_series([0.0, 1.0, 1.0], [1.0, 0.5, 0.2])
 
+    def test_short_column_rejected(self):
+        with pytest.raises(ValueError):
+            F.solver.TimeSeries(columns={"t": [0.0, 0.5, 1.0], "dissipation": [1.0, 0.5]})
+
     def test_record_invariants_along_run(self, heat_run_64):
         series = heat_run_64["series"]
         assert series.column("dissipation").min() >= -1e-12
         assert np.abs(series.column("mass") - 1.0).max() <= 1e-12
 
 
+def records_of(columns) -> list[dict]:
+    """Each record's {name: value}, from a recorder's or a series' lists."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
+def columns_of(records: list[dict]) -> dict:
+    """The lists a recorder returns, from its records' {name: value}."""
+    return {name: [record[name] for record in records] for name in records[0]}
+
+
 def record_hex(record) -> tuple:
     """Every float field of a record as float.hex, and its term breakdown's (None if it has none)."""
-    fields = tuple(float(getattr(record, f.name)).hex() for f in dataclasses.fields(record) if f.name != "terms")
-    terms = record.terms
+    fields = tuple(float(value).hex() for name, value in record.items() if name != "terms")
+    terms = record["terms"]
     if terms is not None:
         terms = (terms["mode"], {k: v.hex() for k, v in terms["terms"].items()}, terms["sum"].hex())
     return fields, terms
@@ -604,7 +617,7 @@ class TestBatchRecorder:
             batch = dg.make_batch_recorder(coeffs, envelope, config)
             records = []
             for start in range(0, len(states), size):
-                records += batch(states[start:start + size], pis[start:start + size])
+                records += records_of(batch(states[start:start + size], pis[start:start + size]))
             assert [record_hex(record) for record in records] == expected, size
 
     def test_variable_pi_run_same_with_either_recorder(self):
@@ -613,9 +626,9 @@ class TestBatchRecorder:
         envelope = dg.max_principle_envelope(f0, feq, coeffs)
         batched = F.run(f0, coeffs, scenario.solver, dg.make_batch_recorder(coeffs, envelope, scenario.solver))
         one = dg.make_recorder(coeffs, envelope, scenario.solver)
-        single = F.run(f0, coeffs, scenario.solver, lambda states, pis: [one(state) for state in states])
+        single = F.run(f0, coeffs, scenario.solver, lambda states, pis: columns_of([one(state) for state in states]))
         assert len(batched) > F.solver.BATCH_CELLS // grid.cell_count  # more than one batch
-        assert [record_hex(r) for r in batched.records] == [record_hex(r) for r in single.records]
+        assert [record_hex(r) for r in records_of(batched.columns)] == [record_hex(r) for r in records_of(single.columns)]
         assert batched.accepted_steps == single.accepted_steps
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -645,10 +658,10 @@ class TestMemory:
         grid, coeffs, f0 = sample(scenario["coefficients"], dim=3, n=32)
         recorder = dg.make_recorder(coeffs, config=F.SolverConfig(t_end=0.01))
         record, peak = traced_peak_arrays(lambda: recorder(F.SolverState(f=f0, t=0.0, step_index=0)), grid)
-        assert record.terms is not None and record.terms["mode"] == "full"
+        assert record["terms"] is not None and record["terms"]["mode"] == "full"
         assert peak <= 24
         record, peak = traced_peak_arrays(lambda: recorder(F.SolverState(f=f0, t=1e-4, step_index=1)), grid)
-        assert record.terms is None
+        assert record["terms"] is None
         assert peak <= 13
 
     def test_run_peak(self):

@@ -26,8 +26,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def record_rows(series) -> np.ndarray:
     """Every float field of every record (all but ``terms``), one row per record."""
-    names = [f.name for f in dataclasses.fields(dg.DiagnosticsRecord) if f.compare]
-    return np.array([[getattr(r, name) for name in names] for r in series.records])
+    return np.array([column for name, column in series.columns.items() if name != "terms"]).T
 
 
 def sample(spec, dim=1, n=64):
@@ -394,11 +393,11 @@ class TestInPlaceKernel:
 def test_run_does_not_import_diagnostics():
     # solver.run assembles its TimeSeries without the diagnostics module
     code = (
-        "import sys, types\n"
+        "import sys\n"
         "import fpklab as F\n"
         "grid = F.build_grid(1, 16)\n"
         "coeffs, f0 = F.sample_coefficients({'D': '1', 'phi': '0', 'pi': '1', 'f0': '1'}, grid)\n"
-        "recorder = lambda states, pis: [types.SimpleNamespace(t=state.t) for state in states]\n"
+        "recorder = lambda states, pis: {'t': [state.t for state in states]}\n"
         "series = F.run(f0, coeffs, F.SolverConfig(t_end=1e-3, record_every=2), recorder)\n"
         "assert series.accepted_steps > 0 and len(series) > 1\n"
         "assert 'fpklab.diagnostics' not in sys.modules, 'solver imported diagnostics'\n"
@@ -409,11 +408,19 @@ def test_run_does_not_import_diagnostics():
 
 
 class TestRun:
+    def test_nonpositive_initial_cell_raises(self):
+        grid, coeffs, f0 = sample(HEAT)
+        values = f0.values.copy()
+        values[3] = 0.0
+        with pytest.raises(NonPositiveDensityError) as err:
+            F.run(ScalarField._trusted(grid, values), coeffs, SolverConfig(t_end=1e-3), dg.make_batch_recorder(coeffs))
+        assert str(err.value) == "initial density must be strictly positive"
+
     def test_zero_horizon_yields_initial_record_only(self):
         grid, coeffs, f0 = sample(HEAT)
         series = F.run(f0, coeffs, SolverConfig(t_end=0.0), dg.make_batch_recorder(coeffs))
         assert len(series) == 1
-        assert series.records[0].t == 0.0
+        assert series.columns["t"][0] == 0.0
 
     def test_equilibrium_start_keeps_energy_constant(self):
         grid, coeffs, _ = sample({**UNIT, "phi": "cos(2*pi*x1)"}, n=64)

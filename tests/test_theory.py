@@ -281,14 +281,13 @@ class TestExtremeConstants:
 
 def _series(*dissipations):
     """A series with the given dissipations at t = 0, 0.1, 0.2, ..."""
-    records = [
-        dg.DiagnosticsRecord(
-            t=0.1 * i, mass=1.0, free_energy=-1.0, dissipation=d, f_min=1.0, f_max=1.0,
-            log_f_sup=0.0, u_sup=0.0, envelope_margin=math.nan, jensen_margin=0.0,
-        )
-        for i, d in enumerate(dissipations)
-    ]
-    return dg.TimeSeries(records=records)
+    n = len(dissipations)
+    columns = {
+        "t": [0.1 * i for i in range(n)], "mass": [1.0] * n, "free_energy": [-1.0] * n,
+        "dissipation": list(dissipations), "f_min": [1.0] * n, "f_max": [1.0] * n, "log_f_sup": [0.0] * n,
+        "u_sup": [0.0] * n, "envelope_margin": [math.nan] * n, "jensen_margin": [0.0] * n,
+    }
+    return dg.TimeSeries(columns=columns)
 
 
 class TestConditionReports:
@@ -433,23 +432,23 @@ class TestCompareToEnvelope:
 
     def test_nan_dissipation_is_not_dominated(self, heat_run_64):
         series = heat_run_64["series"]
-        records = list(series.records)
-        records[3] = dataclasses.replace(records[3], dissipation=math.nan)
-        env = th.predicted_envelope("T2", gamma=1e-3, g0=series.records[0].dissipation)
-        worst = th.compare_to_envelope(dg.TimeSeries(records=records), env)
+        dissipation = list(series.columns["dissipation"])
+        dissipation[3] = math.nan
+        env = th.predicted_envelope("T2", gamma=1e-3, g0=series.columns["dissipation"][0])
+        worst = th.compare_to_envelope(dg.TimeSeries(columns={**series.columns, "dissipation": dissipation}), env)
         assert math.isnan(worst)
         assert not worst <= 1.0 + 1e-6
 
     def test_heat_trajectory_dominated(self, heat_run_64):
         series = heat_run_64["series"]
         fit = dg.decay_fit(series, (0.005, 0.025))
-        env = th.predicted_envelope("T2", gamma=0.95 * fit["rate"], g0=series.records[0].dissipation)
+        env = th.predicted_envelope("T2", gamma=0.95 * fit["rate"], g0=series.columns["dissipation"][0])
         assert th.compare_to_envelope(series, env) <= 1.0 + 1e-6
 
     def test_overclaimed_rate_fails(self, heat_run_64):
         series = heat_run_64["series"]
         fit = dg.decay_fit(series, (0.005, 0.025))
-        env = th.predicted_envelope("T2", gamma=1.5 * fit["rate"], g0=series.records[0].dissipation)
+        env = th.predicted_envelope("T2", gamma=1.5 * fit["rate"], g0=series.columns["dissipation"][0])
         assert th.compare_to_envelope(series, env) > 1.0 + 1e-6
 
 
