@@ -493,13 +493,13 @@ def _sweep_task(task) -> dict:
 def _predicted_work(scenario: Scenario) -> int:
     """A sweep run's predicted work: cell count x min(ceil(t_end / dt0), max_steps),
     dt0 being stable_dt at t = 0, the step the solver keeps throughout for a t-free mobility,
-    from D and pi alone; 0, so it runs last, where D or pi fails to sample or the ceil overflows."""
+    from D and pi alone; 0, so it runs last, where D or pi fails to sample."""
     try:
         coeffs, _ = sample_coefficients(scenario.coefficients, scenario.grid, only=("D", "pi"))
         dt0 = solver.stable_dt(coeffs, 0.0, scenario.solver.cfl_safety)
-        steps = min(math.ceil(scenario.solver.t_end / dt0), scenario.solver.max_steps)
+        steps = math.ceil(min(scenario.solver.t_end / dt0, scenario.solver.max_steps))  # t_end / dt0 may be +inf
         return scenario.grid.cell_count * steps
-    except (FpkError, MemoryError, OverflowError):  # the task meets and records it
+    except (FpkError, MemoryError):  # the task meets and records it
         return 0
 
 

@@ -86,12 +86,23 @@ def _velocity_sums(components, spacing: float, jac_u=None):
     return speed_sq, grad_sq, div
 
 
+def _finite(name: str, value):
+    """``value``, a float or a list of floats formed with overflow ignored, or
+    NonFiniteFieldError naming the quantity where one overflowed (to inf, or NaN)."""
+    if not np.isfinite(value).all():
+        raise NonFiniteFieldError(f"{name} is not finite: it overflows a float")
+    return value
+
+
 def _free_energy(grid: Grid, fv: np.ndarray, log_f: np.ndarray, coeffs: CoefficientSet) -> float:
-    return _cell_integral(grid, coeffs.D.values * fv * (log_f - 1.0) + fv * coeffs.phi.values)
+    with np.errstate(over="ignore"):
+        integrand = coeffs.D.values * fv * (log_f - 1.0) + fv * coeffs.phi.values
+        return _finite("free energy", _cell_integral(grid, integrand))
 
 
 def _dissipation(grid: Grid, fv: np.ndarray, pi: np.ndarray, speed_sq: np.ndarray) -> float:
-    return _cell_integral(grid, pi * speed_sq * fv)
+    with np.errstate(over="ignore"):
+        return _finite("dissipation", _cell_integral(grid, pi * speed_sq * fv))
 
 
 def free_energy(f: ScalarField, coeffs: CoefficientSet) -> float:
@@ -197,10 +208,12 @@ def second_derivative_terms(f: ScalarField, coeffs: CoefficientSet, t: float, mo
     return _term_breakdown(f, coeffs, t, mode, velocity)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is inf or NaN, raised on below
 def _term_breakdown(f, coeffs, t, mode, velocity, i: int = 0) -> dict:
     """second_derivative_terms of state ``i`` of a _velocity_pass (with J u in full
     mode).  Each integrand is formed in one array, in place, with the operations
-    in the order its formula is written; H u takes phi's Hessian one entry at a time."""
+    in the order its formula is written; H u takes phi's Hessian one entry at a time.
+    A term that overflows is inf or NaN, and raises NonFiniteFieldError naming it."""
     log_f, pi, uc, ju, speed_sq, grad_u_sq, div_u = (  # state i's slices
         a if a is None else [c[i] for c in a] if isinstance(a, list) else a[i] for a in velocity
     )
@@ -244,6 +257,8 @@ def _term_breakdown(f, coeffs, t, mode, velocity, i: int = 0) -> dict:
         terms["grad_usq_gradPi"] = quad(d / pi, dot(grad_speed_sq, grad_pi))
         terms["jacobian_u_gradPi"] = -2.0 * quad(d / pi, dot(ju, grad_pi))
 
+    for name, value in terms.items():
+        _finite(f"d^2F/dt^2 term {name}", value)
     return {"mode": mode, "terms": terms, "sum": math.fsum(terms.values())}
 
 

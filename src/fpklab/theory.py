@@ -39,8 +39,9 @@ c = gamma, p = 3, d = 0 (T2), 1/6 (T3) or 1/(12 pi_min^3) (T4).  Below the
 threshold (c/d)^{1/(p-1)} the closed form g(t) <= (g(0)^{-p+1} -
 d/c)^{-1/(p-1)} e^{-ct} holds; the threshold clauses evaluate this one
 closed form, the run's envelope is gronwall_bound of its own regime's
-theorem's GronwallSpec (``predicted_envelope`` returns that spec), and a
-fixed-step RK4 solution of the saturating ODE cross-checks it numerically.
+theorem's GronwallSpec (``predicted_envelope`` returns that spec), and the
+tests cross-check it against a fixed-step RK4 solution of the saturating ODE
+(``comparison_ode`` in tests/conftest.py).
 Where g(0)^{-p+1} overflows, the same bound is formed as g(0) (1 - (g(0) /
 threshold)^{p-1})^{-1/(p-1)} e^{-ct}, whose factor is 1 to the last bit
 unless the threshold is as small as g(0).
@@ -130,66 +131,6 @@ def gronwall_bound(spec: GronwallSpec, t) -> float | np.ndarray:
         coefficient = base**exponent if saturating else spec.g0
     out = coefficient * np.exp(-spec.c * np.asarray(t, dtype=float))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-@dataclass(frozen=True)
-class GronwallComparison:
-    """RK4 solution of the saturating ODE next to the closed-form bound."""
-
-    times: np.ndarray
-    values: np.ndarray
-    bound: np.ndarray | None
-    max_excess: float
-    grew: bool
-
-
-def gronwall_comparison_ode(spec: GronwallSpec, t_end: float, dt: float) -> GronwallComparison:
-    """Integrate dg/dt = -c g + d g^p and compare against the bound.
-
-    Below the threshold the closed form must dominate every sample within
-    1e-9 (violations raise, being internal-consistency failures).  At or
-    above the threshold the solution grows; that is reported via ``grew``,
-    not raised, and integration stops early if g exceeds 1e12.
-    """
-    if dt <= 0.0 or t_end < 0.0:
-        raise ValueError("need dt > 0 and t_end >= 0")
-
-    def slope(g: float) -> float:
-        try:
-            return -spec.c * g + spec.d * g**spec.p
-        except OverflowError:
-            return math.inf
-
-    times = [0.0]
-    values = [spec.g0]
-    g = spec.g0
-    t = 0.0
-    while t < t_end - 1e-15:
-        if not math.isfinite(g) or g > 1e12:
-            break  # finite-time blow-up above threshold
-        h = min(dt, t_end - t)
-        k1 = slope(g)
-        k2 = slope(g + 0.5 * h * k1)
-        k3 = slope(g + 0.5 * h * k2)
-        k4 = slope(g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        times.append(t)
-        values.append(g)
-    times_arr = np.array(times)
-    values_arr = np.array(values)
-
-    below = spec.g0 < gronwall_threshold(spec)
-    if below:
-        bound = np.asarray(gronwall_bound(spec, times_arr))
-        max_excess = float((values_arr - bound).max())
-        if max_excess > 1e-9:
-            raise FpkError(
-                f"saturating-ODE solution exceeds the closed-form bound by {max_excess:.3e}"
-            )
-        return GronwallComparison(times_arr, values_arr, bound, max_excess, grew=False)
-    grew = bool(values_arr[-1] > values_arr[0]) or not math.isfinite(values_arr[-1])
-    return GronwallComparison(times_arr, values_arr, None, math.inf, grew=grew)
 
 
 #: how each clause's recorded op decides its pass flag

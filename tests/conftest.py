@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -156,6 +157,30 @@ def interpolation_check(f, u, sobolev_const: float, mode: str) -> float:
     else:
         rhs = 1.5 * k32 * (grad_term + speed_sq_term) + 0.25 * k32 * speed_sq_term**3
     return rhs - lhs
+
+
+def comparison_ode(spec, t_end: float, dt: float):
+    """Reference fixed-step RK4 solution of dg/dt = -c g + d g^p from g0, as (times,
+    values): steps h = min(dt, t_end - t), a g^p that overflows read as +inf, and a
+    stop once g is not finite or passes 1e12 (the blow-up above the threshold)."""
+
+    def slope(g: float) -> float:
+        try:
+            return -spec.c * g + spec.d * g**spec.p
+        except OverflowError:
+            return math.inf
+
+    times, values = [0.0], [spec.g0]
+    while times[-1] < t_end - 1e-15 and math.isfinite(values[-1]) and values[-1] <= 1e12:
+        t, g = times[-1], values[-1]
+        h = min(dt, t_end - t)
+        k1 = slope(g)
+        k2 = slope(g + 0.5 * h * k1)
+        k3 = slope(g + 0.5 * h * k2)
+        k4 = slope(g + h * k3)
+        times.append(t + h)
+        values.append(g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(times), np.array(values)
 
 
 def plain_term_breakdown(f, coeffs, t, mode):

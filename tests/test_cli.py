@@ -604,7 +604,6 @@ EXTREME_THEORY = [
     EXTREME_THEORY,
     ids=["sobolev_t3", "sobolev_t4", "tiny_pi", "tiny_sobolev_t4", "grad_pi_square_overflows"],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_theory_inputs_give_a_verdict(tmp_path, capsys, coefficients, theory_block, failing):
     import jsonschema
 
@@ -728,6 +727,16 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("check", json.dumps({**MINIMAL, "theory": {"gamma": "5"}})),
         ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [0.0005, "0.002"]}})),
         ("run", json.dumps({**MINIMAL, "diagnostics": {"fit_window": [0.1]}})),
+        ("run", _with_coefficients(D="1e308", f0="1")),
+        ("check", _with_coefficients(D="1e308", f0="1")),
+        ("run", _with_coefficients(D="3e160", pi="1e10")),
+        ("check", _with_coefficients(D="3e160", pi="1e10")),
+        ("run", _with_coefficients(D="1e158", pi="1e10")),
+        ("run", _with_coefficients(D="1e140*(1.5+sin(2*pi*x1))", phi="1e140*(cos(2*pi*x1)+sin(2*pi*x1))",
+                                   pi="1e-10*(2+cos(2*pi*x1))", f0="1")),
+        ("run", _with_coefficients(D="1e-10", phi="cos(2*pi*x1)")),
+        ("check", _with_coefficients(D="1e-10", phi="cos(2*pi*x1)")),
+        ("equilibrium", _with_coefficients(D="1e-10", phi="cos(2*pi*x1)")),
     ],
     ids=[
         "truncated_json",
@@ -795,9 +804,17 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "check_gamma_a_string",
         "fit_window_end_a_string",
         "fit_window_one_end",
+        "free_energy_overflows",
+        "check_free_energy_overflows",
+        "dissipation_overflows",
+        "check_dissipation_overflows",
+        "term_overflows",
+        "term_integrand_inf_minus_inf",
+        "bisection_cap_reached",
+        "check_bisection_cap_reached",
+        "equilibrium_bisection_cap_reached",
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -971,12 +988,34 @@ def test_predicted_work_of_a_caller_mistake_raises():
         cli._predicted_work(None)
 
 
-def test_predicted_work_of_an_overflowing_step_count_is_zero():
-    # dt0 is about 1.2e-312, so t_end / dt0 is +inf and ceil raises OverflowError
+def test_predicted_work_of_an_overflowing_step_count_is_max_steps():
+    # dt0 is about 1.2e-312, so t_end / dt0 is +inf and max_steps bounds the step count
     row = cli.build_scenario(load_scenario_dict("heat_1d", **{"coefficients.D": "1e307", "solver.t_end": 1.0}))
     coeffs, _ = cli.sample_coefficients(row.coefficients, row.grid, only=("D", "pi"))
     assert row.solver.t_end / cli.solver.stable_dt(coeffs, 0.0, row.solver.cfl_safety) == math.inf
-    assert cli._predicted_work(row) == 0
+    assert cli._predicted_work(row) == row.grid.cell_count * row.solver.max_steps
+    # a stationary start runs every one of its max_steps steps
+    stationary = json.loads(_with_coefficients(D="1e307", f0="1"))
+    row = cli.build_scenario({**stationary, "solver": {"t_end": 1.0, "max_steps": 3000}})
+    assert cli.run_scenario_data(row)[1]["accepted_steps"] == 3000
+    assert cli._predicted_work(row) == 16 * 3000
+
+
+def test_usable_cpus_without_an_affinity_set(monkeypatch):
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # undeterminable
+    assert cli._usable_cpus() == 1
+
+
+def test_sweep_command_prints_the_csv_path(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_SWEEP))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(path), "--out", str(out), "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'sweep.csv'}\n"
+    assert (out / "sweep.csv").is_file()
 
 
 def test_sweep_parent_samples_only_d_and_pi(tmp_path, monkeypatch):

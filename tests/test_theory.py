@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import clauses_by_name, constant, constants_map
+from conftest import clauses_by_name, comparison_ode, constant, constants_map
 from fpklab import cli, diagnostics as dg, theory as th
 from fpklab.errors import ThresholdError, WrongRegimeError
 
@@ -83,28 +83,28 @@ class TestGronwallClosedForm:
             th.GronwallSpec(c=1.0, d=0.1, p=1.0, g0=0.0)
         with pytest.raises(ValueError):
             th.GronwallSpec(c=1.0, d=0.1, p=3.0, g0=-0.1)
+        with pytest.raises(ValueError, match="d must be nonnegative"):
+            th.GronwallSpec(c=1.0, d=-0.1, p=3.0, g0=0.0)
 
 
 class TestGronwallComparisonOde:
     def test_canonical_example_dominated(self):
         spec = th.GronwallSpec(c=1.0, d=1 / 6, p=3.0, g0=1.0)
-        result = th.gronwall_comparison_ode(spec, t_end=5.0, dt=1e-3)
-        assert result.max_excess <= 1e-9
-        assert not result.grew
-        assert result.bound is not None
-        assert np.all(result.values <= result.bound + 1e-9)
+        times, values = comparison_ode(spec, t_end=5.0, dt=1e-3)
+        assert np.all(values <= th.gronwall_bound(spec, times) + 1e-9)
 
     def test_linear_case_bound_coincides(self):
         spec = th.GronwallSpec(c=1.0, d=0.0, p=3.0, g0=1.0)
-        result = th.gronwall_comparison_ode(spec, t_end=2.0, dt=1e-3)
-        assert np.allclose(result.values, np.exp(-result.times), atol=1e-9)
+        times, values = comparison_ode(spec, t_end=2.0, dt=1e-3)
+        assert np.allclose(values, np.exp(-times), atol=1e-9)
 
     def test_above_threshold_growth_flagged(self):
         spec = th.GronwallSpec(c=1.0, d=1 / 6, p=3.0, g0=3.0)  # threshold sqrt(6) ~ 2.449
         assert -spec.c * spec.g0 + spec.d * spec.g0**spec.p > 0  # growth at g0
-        result = th.gronwall_comparison_ode(spec, t_end=5.0, dt=1e-3)
-        assert result.grew
-        assert result.bound is None
+        times, values = comparison_ode(spec, t_end=5.0, dt=1e-3)
+        assert values[-1] > values[0] or not math.isfinite(values[-1])
+        with pytest.raises(ThresholdError):  # no bound above the threshold
+            th.gronwall_bound(spec, times)
 
 
 class TestConditionT2:
@@ -132,6 +132,8 @@ class TestConditionT2:
             th.check_condition_T2(make_ledger(grad_d=0.5), 1.0, 0.5, constants_map(1.0))
         with pytest.raises(WrongRegimeError):
             th.check_condition_T2(make_ledger(grad_pi=0.5), 1.0, 0.5, constants_map(1.0))
+        with pytest.raises(WrongRegimeError, match="dimensions 1, 2, 3 only"):
+            th.check_condition_T2(make_ledger(dim=4), 1.0, 0.5, constants_map(1.0))
 
     def test_diffusion_floor_below_one_rejected(self):
         with pytest.raises(WrongRegimeError):
@@ -396,6 +398,8 @@ class TestPredictedEnvelope:
             th.predicted_envelope("T4", gamma=0.01, g0=10.0, pi_min=0.5)
         with pytest.raises(ValueError):
             th.predicted_envelope("T4", gamma=1.0, g0=0.1)  # pi_min missing
+        with pytest.raises(ValueError, match="unknown theorem 'T5'"):
+            th.predicted_envelope("T5", gamma=1.0, g0=0.1)
 
     def test_gamma_zero_rejected(self):
         with pytest.raises(ValueError):
