@@ -327,9 +327,13 @@ def log_density_bound(dim: int, grad_d: float, log_f0_sup: float, phi_sup: float
 def _min_hessian_eigenvalue(phi: ScalarField) -> float:
     """Least eigenvalue of the discrete Hessian over cells, eigvalsh taking 1024
     (n, n) matrices at a time; LAPACK solves each matrix alone, so the result
-    is the bits one call on every cell gives."""
+    is the bits one call on every cell gives; NonFiniteFieldError if an entry
+    overflows (to inf, or NaN)."""
     v, h, n, block = phi.values, phi.grid.spacing, phi.grid.dim, 1024
-    entries = {(k, l): hessian_entry(v, h, k, l).reshape(-1) for k in range(n) for l in range(k, n)}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing difference is inf or NaN, raised on below
+        entries = {(k, l): hessian_entry(v, h, k, l).reshape(-1) for k in range(n) for l in range(k, n)}
+    if not all(np.isfinite(entry).all() for entry in entries.values()):
+        raise NonFiniteFieldError("the discrete Hessian of phi is not finite: it overflows a float")
     lowest = []
     for start in range(0, v.size, block):
         matrices = np.empty((min(block, v.size - start), n, n))

@@ -137,13 +137,15 @@ def max_principle_envelope(
     """Time-independent pointwise bounds exp(m/D) feq <= f <= exp(M/D) feq,
 
     with m and M the extrema over cells of D log(f0/feq).  By construction
-    the initial density sits between the two envelopes.
+    the initial density sits between the two envelopes.  NonFiniteFieldError
+    if D log(f0/feq) or a bound overflows.
     """
-    ratio = coeffs.D.values * np.log(f0.values / feq.values)
-    m = float(ratio.min())
-    big_m = float(ratio.max())
-    lower = np.exp(m / coeffs.D.values) * feq.values
-    upper = np.exp(big_m / coeffs.D.values) * feq.values
+    with np.errstate(over="ignore"):  # an overflow is inf, raised on below
+        ratio = coeffs.D.values * np.log(f0.values / feq.values)
+        m, big_m = _finite("the envelope's D log(f0/feq)", [float(ratio.min()), float(ratio.max())])
+        lower = np.exp(m / coeffs.D.values) * feq.values
+        upper = np.exp(big_m / coeffs.D.values) * feq.values
+    _finite("the envelope's upper bound", float(upper.max()))
     grid = f0.grid
     return ScalarField(grid, lower), ScalarField(grid, upper)
 
@@ -177,12 +179,12 @@ def _velocity_pass(grid: Grid, fv: np.ndarray, pi: np.ndarray, coeffs: Coefficie
     (|u|^2 or |grad u|^2 overflowing too) NonFiniteFieldError."""
     require_positive_density(fv)
     log_f = np.log(fv)
-    psi = log_f * coeffs.D.values  # solver._potential, from the one log f
-    psi += coeffs.phi.values
-    u = _velocity_arrays(psi, pi, grid.spacing, lead=1)
-    del psi  # freed before the sums' arrays are built
-    ju = [np.zeros(fv.shape) for _ in u] if jac_u else None
-    with np.errstate(over="ignore"):  # an overflowing square is +inf, raised on below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, raised on below
+        psi = log_f * coeffs.D.values  # solver._potential, from the one log f
+        psi += coeffs.phi.values
+        u = _velocity_arrays(psi, pi, grid.spacing, lead=1)
+        del psi  # freed before the sums' arrays are built
+        ju = [np.zeros(fv.shape) for _ in u] if jac_u else None
         sums = _velocity_sums(u, grid.spacing, ju)
     if not all(math.isfinite(float(sq.max())) for sq in sums[:2]):  # NaN if any entry is NaN
         raise NonFiniteFieldError("velocity has a NaN or infinite entry, or |u|^2 or |grad u|^2 overflows")
@@ -264,12 +266,15 @@ def _term_breakdown(f, coeffs, t, mode, velocity, i: int = 0) -> dict:
 
 def _ratios(grid: Grid, fv, speed_sq, speed, grad_sq) -> dict[str, list[float]]:
     """Each empirical ratio's list over the stacked states, NaN where its denominator is not
-    positive; int |grad u|^2 f and int |u|^p* f are formed once for all three, tails in floats."""
-    grad_ints, speed_ints = _cell_integral(grid, grad_sq * fv), _cell_integral(grid, speed_sq * fv)
+    positive; int |grad u|^2 f and int |u|^p* f are formed once for all three, tails in floats.
+    An overflowing int |u|^2 f or denominator raises NonFiniteFieldError naming its integral."""
     with np.errstate(over="ignore"):  # |u|^p* overflowing makes the moment, and both Sobolev ratios, +inf
+        grad_ints = _finite("int |grad u|^2 f", _cell_integral(grid, grad_sq * fv))
+        speed_ints = _finite("int |u|^2 f", _cell_integral(grid, speed_sq * fv))
         moments = [m ** (1.0 / P_STAR) for m in _cell_integral(grid, speed**P_STAR * fv)]
-    # speed**2, not |u|^2 summed again: the two differ in the last bit
-    weighted = _cell_integral(grid, (2.0 * grad_sq + EPS * speed**2) * fv)
+        # speed**2, not |u|^2 summed again: the two differ in the last bit
+        weighted = _cell_integral(grid, (2.0 * grad_sq + EPS * speed**2) * fv)
+    _finite(f"int (2 |grad u|^2 + {EPS:g} |u|^2) f", weighted)
     return {"poincare": [s / g if g > 0.0 else math.nan for g, s in zip(grad_ints, speed_ints)],
             "sobolev": [m / math.sqrt(g) if g > 0.0 else math.nan for g, m in zip(grad_ints, moments)],
             "sobolev_weighted": [m / math.sqrt(w) if w > 0.0 else math.nan for w, m in zip(weighted, moments)]}

@@ -4,7 +4,7 @@ Cells are uniform with centers at (i + 1/2) h, h = 1/N, on [0,1)^n for
 n = 1, 2, 3.  All index arithmetic wraps modulo N on every axis, so sampled
 fields are exactly periodic; there are no ghost cells.  ``shift`` is the one
 wrap: every stencil here and in the solver reads its neighbors through it,
-except the solver's one-axis kernel, which takes its rows straight through
+except the solver's one-axis kernel, which indexes straight with
 ``wrapped_rows``, the cached wrapped index ``shift`` uses along axis 0.  On
 the other axes ``shift`` joins two slices, whichever is cheaper per call
 there (see ``shift``).

@@ -37,12 +37,18 @@ each face flux, each Runge-Kutta stage and the stage sum are built in place,
 in arrays the evaluation already owns, with the IEEE operations of the plain
 formulas in the same order, so results are bitwise those of the plain
 formulas.  A 1-D right-hand side runs a one-axis body: the same operations
-in the same order, each neighbor a ``take`` through ``grid.wrapped_rows``
-(the cached index ``shift`` uses on axis 0), so it too is bitwise the plain
-formulas, in 16 whole-array numpy calls and no helper call.  At N = 64 on
-one x86_64 core (numpy 2.4) it costs 8.6 us a call against 10.2 us through
-the per-axis path, an RK4 ``_advance`` (four evaluations and the stage sums)
-42.0 us against 48.5 us, and a whole RK4 ``step`` 50.1 us against 54.9 us.
+in the same order, so it too is bitwise the plain formulas, in 16
+whole-array numpy calls.  What does not change between calls is bound once
+per grid and fetched in one cached lookup: each neighbor is an index
+``a[rows]`` through ``grid.wrapped_rows`` (the cached index ``shift`` takes
+on axis 0), which costs about half of ``a.take(rows)`` a call, and 2 and the
+spacing h are read-only 0-d float64 operands, which numpy 2 applies in less
+time than a Python float it converts on every call, with the same bits.  At N = 64 on
+one x86_64 core (numpy 2.4, minima of 10 rounds) a call costs 5.5 us,
+against 7.4 us taking the rows and using Python floats and 8.8 us through
+the per-axis path; an RK4 ``_advance`` (four evaluations and the stage
+sums) 28.3 us, against 35.4 us and 40.9 us; and a whole RK4 ``step``
+34.5 us, against 42.8 us and 48.5 us.
 Higher dimensions keep the per-axis path, whose allocation order sets a
 32^3 step's page faults.  Reductions use numpy's pairwise summation in array
 order, so results are bitwise deterministic run to run for a fixed build.
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -164,29 +171,42 @@ def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> list[n
     return u
 
 
+#: 2.0 as a read-only 0-d float64: numpy 2 converts a Python float operand on every call
+_TWO = np.array(2.0)
+_TWO.setflags(write=False)
+
+
+@cache
+def _axis_operands(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h as a read-only 0-d float64, east rows, west rows) of an n-cell axis, cached per (n, spacing)."""
+    h = np.array(spacing)
+    h.setflags(write=False)
+    return h, wrapped_rows(n, 1), wrapped_rows(n, -1)
+
+
 def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) -> np.ndarray:
-    h = coeffs.grid.spacing
     if f_values.ndim == 1:
         # the loop below and face_divergence_arrays for one axis, operation for operation,
-        # each neighbor taken through the cached index shift uses on axis 0
-        n = f_values.shape[0]
+        # each neighbor indexed through the cached rows shift takes on axis 0
+        h, east_rows, west_rows = _axis_operands(f_values.shape[0], coeffs.grid.spacing)
         psi = np.log(f_values)
         psi *= coeffs.D.values
         psi += coeffs.phi.values
         mobility_density = f_values / pi
-        east = mobility_density.take(wrapped_rows(n, 1))
-        flux = 2.0 * mobility_density
+        east = mobility_density[east_rows]
+        flux = _TWO * mobility_density
         flux *= east
         east += mobility_density
         flux /= east
-        east = psi.take(wrapped_rows(n, 1))
+        east = psi[east_rows]
         east -= psi
         flux *= east
         flux /= h
-        div = flux.take(wrapped_rows(n, -1))
+        div = flux[west_rows]
         np.subtract(flux, div, out=div)
         div /= h
         return div
+    h = coeffs.grid.spacing
     psi = _potential(f_values, coeffs)
     mobility_density = f_values / pi
     fluxes = []
@@ -243,13 +263,13 @@ def _advance(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray, dt: f
         del stage  # before k2's stage is allocated: a 3-D step's page faults follow allocation order
         stage = k2 * (0.5 * dt)
         stage += f_values
-        k2 *= 2.0
+        k2 *= _TWO
         k1 += k2
         del k2
         k3 = _rhs_values(stage, coeffs, pi)
         stage = k3 * dt
         stage += f_values
-        k3 *= 2.0
+        k3 *= _TWO
         k1 += k3
         del k3
         k1 += _rhs_values(stage, coeffs, pi)

@@ -737,6 +737,12 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         ("run", _with_coefficients(D="1e-10", phi="cos(2*pi*x1)")),
         ("check", _with_coefficients(D="1e-10", phi="cos(2*pi*x1)")),
         ("equilibrium", _with_coefficients(D="1e-10", phi="cos(2*pi*x1)")),
+        ("check", _with_coefficients(D="1e307", phi="1e307*log(1+0.9*sin(2*pi*x1))", f0="1+0.9*sin(2*pi*x1)")),
+        ("run", _with_coefficients(D="1e307", phi="1e307*log(1+0.9*sin(2*pi*x1))", f0="1+0.9*sin(2*pi*x1)")),
+        ("run", _with_coefficients(D="1e308", f0="1+0.9*sin(2*pi*x1)")),
+        ("check", _with_coefficients(D="1e308", f0="1+0.9*sin(2*pi*x1)")),
+        ("check", _with_coefficients(D="1e152", phi="1e152*sin(2*pi*x1)", f0="1")),
+        ("run", _with_coefficients(D="1e-5+x1^4", f0="1+0.9*sin(2*pi*x1)")),
     ],
     ids=[
         "truncated_json",
@@ -813,6 +819,12 @@ def test_underflowed_sobolev_ratio_gives_error_entries(tmp_path, capsys, command
         "bisection_cap_reached",
         "check_bisection_cap_reached",
         "equilibrium_bisection_cap_reached",
+        "check_hessian_phi_overflows",
+        "hessian_phi_overflows",
+        "envelope_ratio_overflows",
+        "check_velocity_potential_overflows",
+        "check_ratio_denominator_overflows",
+        "envelope_upper_bound_overflows",
     ],
 )
 def test_bad_input_exits_2_with_one_line_error(tmp_path, capsys, command, text):

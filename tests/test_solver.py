@@ -378,6 +378,22 @@ class TestInPlaceKernel:
         assert np.isnan(kernel).any()
         assert kernel.tobytes() == plain.tobytes()
 
+    def test_one_axis_operands_are_read_only(self):
+        h, east_rows, west_rows = solver._axis_operands(64, 1.0 / 64)
+        for operand in (solver._TWO, h, east_rows, west_rows):
+            with pytest.raises(ValueError, match="read-only"):
+                operand[...] = 0
+
+    def test_one_axis_operands_follow_the_grid(self):
+        # calls alternating between grids and coefficient sets each match the plain RHS,
+        # so an operand cached for one grid is never applied to another
+        cases = []
+        for n, d in [(64, "1.5+0.25*cos(2*pi*x1)"), (128, "0.5+0.25*sin(2*pi*x1)")]:
+            grid, coeffs, f0 = sample({**kernel_spec(1, True), "D": d}, n=n)
+            cases.append((f0.values, coeffs, coeffs.pi_values(0.3)))
+        for f_values, coeffs, pi in cases * 3:
+            assert solver._rhs_values(f_values, coeffs, pi).tobytes() == plain_rhs_values(f_values, coeffs, pi).tobytes()
+
     @pytest.mark.parametrize("integrator", solver.INTEGRATORS)
     @pytest.mark.parametrize("dim, n", KERNEL_GRIDS)
     def test_advance_only_reads_its_inputs(self, dim, n, integrator):
