@@ -6,7 +6,7 @@ fields are exactly periodic; there are no ghost cells.  ``shift`` is the one
 wrap: every stencil here and in the solver reads its neighbors through it,
 except the solver's one-axis kernel, which indexes straight with
 ``wrapped_rows``, the cached wrapped index ``shift`` uses along axis 0.  On
-the other axes ``shift`` joins two slices, whichever is cheaper per call
+the other axes ``shift`` copies slices, whichever way is cheaper per call
 there (see ``shift``).
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 integrands), gradients are centered second-order differences, and the face
@@ -141,15 +141,25 @@ def wrapped_rows(n: int, offset: int) -> np.ndarray:
 
 def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
     """Periodic shift: entry i along ``axis`` holds values[i + offset], wrapping,
-    in a fresh writable array, C-contiguous unless ``values`` is Fortran-ordered
-    (the solver writes into it).
+    for 0 < |offset| < N, in a fresh writable array of the input's dtype,
+    C-contiguous unless ``values`` is Fortran-ordered (the solver writes into it).
 
-    Axis 0 takes its rows through a cached wrapped index; the other axes join
-    two slices.  On one x86_64 core (numpy 2.4) the take costs 0.6-0.8 us
-    against the join's 1.5-1.6 us in 1-D at N = 4-128, and is never slower
-    along axis 0; along axis 2 of 32^3 it would cost 44 us against 20 us."""
+    Axis 0 takes its rows through a cached wrapped index.  The last axis of a
+    C-contiguous array is one flat copy off by ``offset``, right but for the
+    wrapped column, which is filled after.  Any other axis joins two slices.
+    Each is the cheapest of these on its axis (BENCH_21.json, BENCH_31.json)."""
     if axis == 0:
         return values.take(wrapped_rows(values.shape[0], offset), axis=0)
+    if axis == values.ndim - 1 and values.flags.c_contiguous:
+        out = np.empty(values.shape, values.dtype)
+        flat, source = out.reshape(-1), values.reshape(-1)
+        if offset > 0:
+            flat[:-offset] = source[offset:]
+            out[..., -offset:] = values[..., :offset]
+        else:
+            flat[-offset:] = source[:offset]
+            out[..., :-offset] = values[..., offset:]
+        return out
     lead = (slice(None),) * axis
     return np.concatenate(
         (values[lead + (slice(offset, None),)], values[lead + (slice(None, offset),)]), axis=axis
@@ -203,7 +213,9 @@ def face_divergence(grid: Grid, face_flux) -> ScalarField:
     i+1 (wrapping).  The cell value is sum_k (flux_k[i] - flux_k[i-1]) / h,
     so the total over all cells telescopes to zero.
     """
-    return ScalarField(grid, face_divergence_arrays(per_axis(grid, face_flux, "face flux"), grid.spacing))
+    acc = face_divergence_arrays(per_axis(grid, face_flux, "face flux"))
+    acc /= grid.spacing
+    return ScalarField(grid, acc)
 
 
 def per_axis(grid: Grid, arrays, what: str) -> list[np.ndarray]:
@@ -218,8 +230,9 @@ def per_axis(grid: Grid, arrays, what: str) -> list[np.ndarray]:
     return out
 
 
-def face_divergence_arrays(fluxes: list[np.ndarray], spacing: float) -> np.ndarray:
-    """sum_k (flux_k[i] - flux_k[i-1]) / h for one flux array per axis.
+def face_divergence_arrays(fluxes: list[np.ndarray]) -> np.ndarray:
+    """sum_k (flux_k[i] - flux_k[i-1]) for one flux array per axis, unscaled:
+    the caller applies 1/h (``face_divergence``) or folds it into its own scale.
 
     Each axis's difference is written into its own shifted copy (the flux
     arrays are only read), and the running sum moves into the next axis's
@@ -237,6 +250,4 @@ def face_divergence_arrays(fluxes: list[np.ndarray], spacing: float) -> np.ndarr
         diffs.append(diff)
     for partial, diff in zip(diffs, diffs[1:]):
         diff += partial
-    acc = diffs[-1]
-    acc /= spacing
-    return acc
+    return diffs[-1]

@@ -1,12 +1,13 @@
 """Conservative finite-volume time stepping for the density.
 
 The flow is the continuity form df/dt = -Div(f u) with velocity
-u = -(1/pi) grad(D log f + phi).  Writing psi = D log f + phi, the face flux
-between neighbor cells a and b along axis k is
+u = -(1/pi) grad(D log f + phi).  Writing psi = D log f + phi and m = f/pi,
+the face flux between neighbor cells a and b along axis k, times h, is
 
-    harmonic_mean(f/pi at a, f/pi at b) * (psi_b - psi_a) / h,
+    F_k = harmonic_mean(m_a, m_b) * (psi_b - psi_a),
 
-and the cell update is the conservative face divergence of these fluxes.
+and the cell update is the conservative face divergence of these fluxes,
+sum_k (F_k - F_k,west) / h^2, scaled once by N^2 = 1/h^2.
 Two structural consequences drive everything downstream: the total mass
 telescopes to zero at every evaluation (mass is conserved to round-off by
 any explicit stage combination), and the sampled equilibrium density makes
@@ -24,8 +25,8 @@ Runge-Kutta).  ``step`` samples the mobility once, at the step's start time,
 and every stage and every retry of that step shares the sample.  So RK4 is
 first order in dt when the mobility uses t: on 64 cells with pi = 1.2 +
 0.2 cos 2 pi x + 0.5 sin 40t, its error at t = 0.02 is 5.1e-5, 2.5e-5 and
-1.2e-5 at cfl_safety 0.4, 0.2 and 0.1, where a t-free mobility's is 7e-14
-at 0.4.  The coefficient set caches its latest mobility
+1.2e-5 at cfl_safety 0.4, 0.2 and 0.1, where a t-free mobility's is
+round-off, below 1e-12, at 0.4.  The coefficient set caches its latest mobility
 sample, so ``stable_dt``, ``step`` and ``run``'s record at one time share one
 evaluation of the mobility; ``run`` hands the recorder that sample.  When the mobility does not use t, ``stable_dt``
 depends only on D and pi at t = 0, so ``run`` computes it once per run;
@@ -36,21 +37,21 @@ Evaluations are vectorized whole-grid numpy operations.  The potential,
 each face flux, each Runge-Kutta stage and the stage sum are built in place,
 in arrays the evaluation already owns, with the IEEE operations of the plain
 formulas in the same order, so results are bitwise those of the plain
-formulas.  A 1-D right-hand side runs a one-axis body: the same operations
-in the same order, so it too is bitwise the plain formulas, in 16
-whole-array numpy calls.  What does not change between calls is bound once
-per grid and fetched in one cached lookup: each neighbor is an index
-``a[rows]`` through ``grid.wrapped_rows`` (the cached index ``shift`` takes
-on axis 0), which costs about half of ``a.take(rows)`` a call, and 2 and the
-spacing h are read-only 0-d float64 operands, which numpy 2 applies in less
-time than a Python float it converts on every call, with the same bits.  At N = 64 on
-one x86_64 core (numpy 2.4, minima of 10 rounds) a call costs 5.5 us,
-against 7.4 us taking the rows and using Python floats and 8.8 us through
-the per-axis path; an RK4 ``_advance`` (four evaluations and the stage
-sums) 28.3 us, against 35.4 us and 40.9 us; and a whole RK4 ``step``
-34.5 us, against 42.8 us and 48.5 us.
-Higher dimensions keep the per-axis path, whose allocation order sets a
-32^3 step's page faults.  Reductions use numpy's pairwise summation in array
+formulas.  The one N^2 leaves a call two divisions in 1-D and four in 3-D
+(f/pi and a harmonic mean per axis).  When N is a power of two, h = 2^-k,
+so dividing each flux and then the divergence by h gives the same bits,
+short of overflow or underflow; for another N they differ in the last bits.
+A 1-D right-hand side runs a one-axis body: the same operations in the same
+order, so it too is bitwise the plain formulas, in 15 whole-array numpy
+calls.  What does not change between calls is bound once per grid and
+fetched in one cached lookup: each neighbor is an index ``a[rows]`` through
+``grid.wrapped_rows`` (the cached index ``shift`` takes on axis 0), cheaper
+than ``a.take(rows)``, and 2 and N^2 are read-only 0-d float64 operands,
+which numpy 2 applies in less time than a Python float it converts on every
+call, with the same bits.  Higher dimensions keep the per-axis path, whose
+allocation order sets a 32^3 step's page faults.  The timings behind these
+choices are in BENCH_30.json, BENCH_31.json and their CHANGES.md entries.
+Reductions use numpy's pairwise summation in array
 order, so results are bitwise deterministic run to run for a fixed build.
 """
 
@@ -177,18 +178,18 @@ _TWO.setflags(write=False)
 
 
 @cache
-def _axis_operands(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h as a read-only 0-d float64, east rows, west rows) of an n-cell axis, cached per (n, spacing)."""
-    h = np.array(spacing)
-    h.setflags(write=False)
-    return h, wrapped_rows(n, 1), wrapped_rows(n, -1)
+def _axis_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N^2 = n*n as a read-only 0-d float64, east rows, west rows) of n cells per axis, cached per n."""
+    scale = np.array(float(n * n))
+    scale.setflags(write=False)
+    return scale, wrapped_rows(n, 1), wrapped_rows(n, -1)
 
 
 def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) -> np.ndarray:
+    scale, east_rows, west_rows = _axis_operands(f_values.shape[0])
     if f_values.ndim == 1:
         # the loop below and face_divergence_arrays for one axis, operation for operation,
         # each neighbor indexed through the cached rows shift takes on axis 0
-        h, east_rows, west_rows = _axis_operands(f_values.shape[0], coeffs.grid.spacing)
         psi = np.log(f_values)
         psi *= coeffs.D.values
         psi += coeffs.phi.values
@@ -201,17 +202,15 @@ def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) ->
         east = psi[east_rows]
         east -= psi
         flux *= east
-        flux /= h
         div = flux[west_rows]
         np.subtract(flux, div, out=div)
-        div /= h
+        div *= scale
         return div
-    h = coeffs.grid.spacing
     psi = _potential(f_values, coeffs)
     mobility_density = f_values / pi
     fluxes = []
     for k in range(f_values.ndim):
-        # flux = ((2 m m_east) / (m + m_east) * (psi_east - psi)) / h, in place
+        # flux = (2 m m_east) / (m + m_east) * (psi_east - psi), in place
         east = shift(mobility_density, 1, k)
         flux = 2.0 * mobility_density
         flux *= east
@@ -220,9 +219,10 @@ def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) ->
         east = shift(psi, 1, k)
         east -= psi
         flux *= east
-        flux /= h
         fluxes.append(flux)
-    return face_divergence_arrays(fluxes, h)
+    div = face_divergence_arrays(fluxes)
+    div *= scale
+    return div
 
 
 def rhs(f: ScalarField, coeffs: CoefficientSet, t: float) -> ScalarField:

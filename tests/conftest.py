@@ -86,21 +86,27 @@ def plain_pi_values(coeffs, t):
     return arr
 
 
-def plain_rhs_values(f_values, coeffs, pi):
-    """Reference RHS: the face fluxes and their divergence as plain, allocating
-    expressions; np.roll(v, -1, k) is the east neighbor, so no grid code is shared."""
-    h = coeffs.grid.spacing
+def plain_fluxes(f_values, coeffs, pi):
+    """Reference face fluxes times h, one per axis: harmonic_mean(m, m_east) (psi_east - psi),
+    m = f/pi, as plain allocating expressions; np.roll(v, -1, k) is the east neighbor."""
     psi = coeffs.D.values * np.log(f_values) + coeffs.phi.values
     m = f_values / pi
     fluxes = []
     for k in range(f_values.ndim):
         m_east = np.roll(m, -1, k)
         face = 2.0 * m * m_east / (m + m_east)
-        fluxes.append(face * (np.roll(psi, -1, k) - psi) / h)
+        fluxes.append(face * (np.roll(psi, -1, k) - psi))
+    return fluxes
+
+
+def plain_rhs_values(f_values, coeffs, pi):
+    """Reference RHS: the divergence of ``plain_fluxes``, scaled once by N^2 = 1/h^2;
+    no grid code is shared."""
+    fluxes = plain_fluxes(f_values, coeffs, pi)
     acc = fluxes[0] - np.roll(fluxes[0], 1, 0)
     for k in range(1, len(fluxes)):
         acc += fluxes[k] - np.roll(fluxes[k], 1, k)
-    acc /= h
+    acc *= coeffs.grid.cells_per_axis**2
     return acc
 
 

@@ -197,9 +197,8 @@ class TestFaceDivergence:
     def test_kernel_bitwise_equal_to_roll_reference(self, shape):
         rng = np.random.default_rng(1)
         fluxes = [rng.standard_normal(shape) for _ in shape]
-        h = 0.125
-        reference = sum(flux - np.roll(flux, 1, axis=k) for k, flux in enumerate(fluxes)) / h
-        assert np.array_equal(face_divergence_arrays(fluxes, h), reference)
+        reference = sum(flux - np.roll(flux, 1, axis=k) for k, flux in enumerate(fluxes))
+        assert np.array_equal(face_divergence_arrays(fluxes), reference)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_leaves_the_flux_arrays_unchanged(self, dim):
@@ -223,15 +222,23 @@ class TestFaceDivergence:
         assert abs(total) <= 1e-13 * max(1.0, scale)
 
 
-def _shift_inputs(dim, n):
-    """A plain array, a read-only one and a strided (non-contiguous) view, all dim-D with n per axis."""
+def _shift_inputs(dim, n, dtype=np.float64):
+    """A plain array holding a -0.0 and a NaN, a read-only one, a Fortran-ordered one and a
+    strided (non-contiguous) view, all dim-D with n per axis and of ``dtype``."""
     rng = np.random.default_rng(dim * 100 + n)
-    plain = rng.standard_normal((n,) * dim)
+
+    def draw(shape):
+        values = rng.standard_normal(shape)
+        return values + 1j * rng.standard_normal(shape) if dtype == np.complex128 else values
+
+    plain = draw((n,) * dim)
+    plain.flat[:2] = -0.0, np.nan
     read_only = plain.copy()
     read_only.setflags(write=False)
-    strided = rng.standard_normal((2 * n,) * dim)[(slice(None, None, 2),) * dim]
-    assert not strided.flags.c_contiguous
-    return {"plain": plain, "read_only": read_only, "strided": strided}
+    fortran = np.asfortranarray(draw((n,) * dim))
+    strided = draw((2 * n,) * dim)[(slice(None, None, 2),) * dim]
+    assert not strided.flags.c_contiguous and (dim == 1 or not fortran.flags.c_contiguous)
+    return {"plain": plain, "read_only": read_only, "fortran": fortran, "strided": strided}
 
 
 class TestShift:
@@ -242,17 +249,21 @@ class TestShift:
             for offset in (1, -1):
                 assert np.array_equal(shift(v, offset, axis), np.roll(v, -offset, axis=axis))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize("n", [4, 5, 64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_fresh_writable_c_contiguous_roll(self, dim, n):
-        # the solver writes into its shifted copies, so each must be its own C array
-        for kind, v in _shift_inputs(dim, n).items():
+    def test_fresh_writable_roll_of_the_input_dtype(self, dim, n, dtype):
+        # the solver writes into its shifted copies, so each must be its own array, and a C
+        # array for C input; a complex input stays complex, so the right-hand side is complex-safe
+        for kind, v in _shift_inputs(dim, n, dtype).items():
             for axis in range(dim):
                 for offset in (1, -1):
                     out = shift(v, offset, axis)
-                    assert np.array_equal(out, np.roll(v, -offset, axis=axis)), (kind, axis, offset)
-                    assert out.flags.writeable and out.flags.c_contiguous, (kind, axis, offset)
-                    assert not np.shares_memory(out, v), (kind, axis, offset)
+                    case = (kind, axis, offset)
+                    assert out.dtype == dtype, case
+                    assert out.tobytes() == np.roll(v, -offset, axis=axis).tobytes(), case
+                    assert out.flags.writeable and not np.shares_memory(out, v), case
+                    assert out.flags.c_contiguous or kind == "fortran", case
 
     def test_package_wraps_only_through_shift(self):
         src = Path(fpklab.__file__).parent

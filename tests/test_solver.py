@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fpklab as F
-from conftest import capturing, load_scenario_dict, plain_advance, plain_pi_values, plain_rhs_values
+from conftest import capturing, load_scenario_dict, plain_advance, plain_fluxes, plain_pi_values, plain_rhs_values
 from fpklab import cli, diagnostics as dg, solver
 from fpklab.errors import FpkError, MassConservationError, NonFiniteFieldError, NonPositiveDensityError, StiffnessError
 from fpklab.coefficients import CoefficientSet
@@ -379,8 +379,8 @@ class TestInPlaceKernel:
         assert kernel.tobytes() == plain.tobytes()
 
     def test_one_axis_operands_are_read_only(self):
-        h, east_rows, west_rows = solver._axis_operands(64, 1.0 / 64)
-        for operand in (solver._TWO, h, east_rows, west_rows):
+        scale, east_rows, west_rows = solver._axis_operands(64)
+        for operand in (solver._TWO, scale, east_rows, west_rows):
             with pytest.raises(ValueError, match="read-only"):
                 operand[...] = 0
 
@@ -404,6 +404,92 @@ class TestInPlaceKernel:
         out = solver._advance(f_values, coeffs, pi, F.stable_dt(coeffs, 0.0, 0.4), integrator)
         assert [a.tobytes() for a in inputs] == before
         assert not any(np.shares_memory(out, a) for a in inputs)
+
+
+class CountingArray(np.ndarray):
+    """An ndarray that logs each ufunc applied to it and each indexing of it in ``log``."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        CountingArray.log.append(ufunc.__name__)
+
+        def plain(arrays):
+            return tuple(a.view(np.ndarray) if isinstance(a, CountingArray) else a for a in arrays)
+
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        return getattr(ufunc, method)(*plain(inputs), **kwargs).view(CountingArray)
+
+    def __getitem__(self, index):
+        CountingArray.log.append("index")
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("dim, calls, divisions", [(1, 15, 2), (3, None, 4)])
+def test_rhs_numpy_calls_and_divisions(monkeypatch, dim, calls, divisions):
+    # the solver docstring's counts: the one-axis body is 15 whole-array calls, and a call
+    # divides for f/pi and each axis's harmonic mean only, the 1/h^2 being one product
+    grid, coeffs, f0 = sample(kernel_spec(dim, True), dim=dim, n=8)
+    monkeypatch.setattr(CountingArray, "log", [])
+    solver._rhs_values(f0.values.view(CountingArray), coeffs, coeffs.pi_values(0.3))
+    assert calls is None or len(CountingArray.log) == calls, CountingArray.log
+    assert CountingArray.log.count("divide") == divisions, CountingArray.log
+
+
+def two_division_rhs(f_values, coeffs, pi):
+    """The right-hand side with 1/h applied twice: each flux divided by h, then the divergence by h."""
+    h = coeffs.grid.spacing
+    fluxes = [flux / h for flux in plain_fluxes(f_values, coeffs, pi)]
+    acc = fluxes[0] - np.roll(fluxes[0], 1, 0)
+    for k in range(1, len(fluxes)):
+        acc += fluxes[k] - np.roll(fluxes[k], 1, k)
+    acc /= h
+    return acc
+
+
+class TestSpacingFold:
+    """The kernel scales the unscaled face divergence once by N^2 instead of dividing by h twice."""
+
+    @pytest.mark.parametrize(
+        "dim, n", [(1, n) for n in (4, 8, 16, 32, 64, 128)] + [(d, n) for d in (2, 3) for n in (4, 8, 16, 32)]
+    )
+    def test_bitwise_the_two_divisions_when_n_is_a_power_of_two(self, dim, n):
+        # h = 2^-k, so dividing by h twice scales by the same power of two as multiplying by N^2
+        grid, coeffs, f0 = sample(kernel_spec(dim, True), dim=dim, n=n)
+        pi = coeffs.pi_values(0.3)
+        assert solver._rhs_values(f0.values, coeffs, pi).tobytes() == two_division_rhs(f0.values, coeffs, pi).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 12, 48])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_within_a_few_ulps_of_the_two_divisions_otherwise(self, dim, n):
+        # to first order the two-division form rounds F/h (with h itself rounded), the difference,
+        # dim - 1 sums and the last /h, at most (dim + 4) u of S = sum_k (|F_k| + |F_k,west|) N^2;
+        # the fold rounds the difference, the sums and the product, (dim + 1) u; u = eps / 2
+        grid, coeffs, f0 = sample(kernel_spec(dim, True), dim=dim, n=n)
+        pi = coeffs.pi_values(0.3)
+        kernel = solver._rhs_values(f0.values, coeffs, pi)
+        fluxes = plain_fluxes(f0.values, coeffs, pi)
+        size = sum(np.abs(flux) + np.abs(np.roll(flux, 1, k)) for k, flux in enumerate(fluxes)) * n * n
+        gap = np.abs(kernel - two_division_rhs(f0.values, coeffs, pi))
+        assert gap.max() > 0.0
+        assert np.all(gap <= (dim + 3) * np.finfo(float).eps * size)
+
+
+class TestComplexStep:
+    """The right-hand side carries a complex input through, so Im RHS(f + i eps v) / eps is its
+    directional derivative: each shift and in-place buffer keeps the input's dtype."""
+
+    @pytest.mark.parametrize("dim, n", [(1, 5), (1, 64), (2, 48), (3, 8)])
+    def test_matches_central_differences(self, dim, n):
+        grid, coeffs, f0 = sample(kernel_spec(dim, True), dim=dim, n=n)
+        pi = coeffs.pi_values(0.3)
+        v = np.random.default_rng(n).standard_normal(grid.shape)
+        jvp = solver._rhs_values(f0.values + 1e-30j * v, coeffs, pi).imag / 1e-30
+        step = 1e-6
+        ahead, behind = (solver._rhs_values(f0.values + sign * step * v, coeffs, pi) for sign in (1, -1))
+        central = (ahead - behind) / (2 * step)
+        assert np.abs(jvp - central).max() <= 1e-9 * np.abs(jvp).max()
 
 
 def test_run_does_not_import_diagnostics():
@@ -650,8 +736,10 @@ class TestTemporalOrder:
         assert error <= 1e-12
 
     def test_time_dependent_mobility_is_first_order(self):
-        coarse, fine = self.errors(True, [0.2, 0.1], reference_cfl=0.4 / 64)
+        errors = self.errors(True, [0.4, 0.2, 0.1], reference_cfl=0.4 / 64)
+        coarse, fine = errors[1:]
         assert 1.8 <= coarse / fine <= 2.2, (coarse, fine)
+        assert [float(f"{error:.1e}") for error in errors] == [5.1e-5, 2.5e-5, 1.2e-5]  # the solver docstring's
 
 
 class TestSolverConfig:
