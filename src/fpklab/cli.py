@@ -28,6 +28,7 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -52,6 +53,9 @@ SERIES_COLUMNS = (
     "envelope_margin",
     "jensen_margin",
 )
+
+#: what the commands write into an output directory: --force removes these there, and nothing else
+OUTPUTS = ("series.csv", "report.json", "scenario.normalized.json", "sweep.csv", "rows")
 
 #: the sweep axes, each with the tag a row's name carries before its value
 SWEEP_AXES = {"d_scale": "d", "gamma": "g", "grad_pi_scale": "p", "resolution": "n"}
@@ -374,8 +378,14 @@ def _write_csv(path: Path, header, rows) -> None:
 def _prepare_out_dir(out_dir: Path, force: bool) -> Path:
     quoted = quote_source(str(out_dir), len(str(out_dir)))  # a long path shows its end
     try:
-        if out_dir.exists() and any(out_dir.iterdir()) and not force:
-            raise ScenarioError(f"output directory {quoted} is not empty; pass --force to overwrite")
+        if out_dir.exists() and any(out_dir.iterdir()):
+            if not force:
+                raise ScenarioError(f"output directory {quoted} is not empty; pass --force to overwrite")
+            for path in map(out_dir.joinpath, OUTPUTS):
+                if path.is_dir() and not path.is_symlink():
+                    shutil.rmtree(path)
+                else:
+                    path.unlink(missing_ok=True)
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # e.g. a file at or above out_dir
         raise ScenarioError(f"output directory {quoted}: {exc.strerror}") from None

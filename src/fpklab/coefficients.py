@@ -90,9 +90,8 @@ def _gradient(arr: np.ndarray, grid: Grid, name: str, at: str = "") -> np.ndarra
     coefficient and a cell (and ``at``, the probe time)."""
     # One stacked array, not gradient_arrays' n arrays held as they come nor a
     # recomputation at each sampled record: how setup allocates sets the heap the
-    # RK4 steps reuse.  Per warm in-process 32^3 torus_3d run (getrusage), stacked
-    # took about 7.4k minor page faults, the 2n separate arrays 59k and recomputing
-    # them 60k, each of the last two with about 10% more wall time.
+    # RK4 steps reuse, and either of the other two took a 32^3 run's minor page
+    # faults up many times over (CHANGES.md, "One vector representation").
     with np.errstate(over="ignore"):
         grad = np.stack(gradient_arrays(arr, grid.spacing))
     finite = np.isfinite(grad)

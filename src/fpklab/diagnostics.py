@@ -42,7 +42,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, per_axis
-from .solver import SolverState, TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
+from .solver import TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
 
 #: a run's records carry at most this many term breakdowns, picked by target time
 TERM_SAMPLES = 5

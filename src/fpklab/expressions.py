@@ -284,22 +284,20 @@ class CoefficientExpr:
     def uses_t(self) -> bool:
         return "t" in self.variables
 
-    def evaluate(self, coords: dict[str, np.ndarray], t: float | None = None):
-        """Evaluate on broadcastable coordinate arrays, optionally at time t.
+    def evaluate(self, env: dict[str, object]):
+        """Evaluate on one mapping of each variable to its value: broadcastable
+        coordinate arrays, plus ``"t"`` when the expression uses t.
 
         Raises ExpressionError if the expression references a variable that
         the caller did not supply (e.g. x2 on a 1-D grid, or t in a
         spatial-only slot).
         """
-        env = dict(coords)
-        if t is not None:
-            env["t"] = t
         self._require(env)
         with np.errstate(all="ignore"):
             return self.root.evaluate(env)
 
     def bind(self, coords: dict[str, np.ndarray]) -> Callable[[float], object]:
-        """Evaluator of t on fixed coordinates, bitwise equal to evaluate(coords, t).
+        """Evaluator of t on fixed coordinates, bitwise equal to evaluate({**coords, "t": t}).
 
         Every subtree that does not use t is evaluated once, here; a call
         runs only the t-dependent operations.  Raises ExpressionError like

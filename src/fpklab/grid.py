@@ -4,10 +4,7 @@ Cells are uniform with centers at (i + 1/2) h, h = 1/N, on [0,1)^n for
 n = 1, 2, 3.  All index arithmetic wraps modulo N on every axis, so sampled
 fields are exactly periodic; there are no ghost cells.  ``shift`` is the one
 wrap: every stencil here and in the solver reads its neighbors through it,
-except the solver's one-axis kernel, which indexes straight with
-``wrapped_rows``, the cached wrapped index ``shift`` uses along axis 0.  On
-the other axes ``shift`` copies slices, whichever way is cheaper per call
-there (see ``shift``).
+except the solver's one-axis kernel, which indexes its own wrapped rows.
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 integrands), gradients are centered second-order differences, and the face
 divergence telescopes to zero total mass on every periodic flux array.
@@ -22,7 +19,7 @@ argument has that form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -131,25 +128,14 @@ def integrate(field: ScalarField) -> float:
     return field.grid.cell_volume * float(field.values.sum())
 
 
-@cache
-def wrapped_rows(n: int, offset: int) -> np.ndarray:
-    """Read-only index i -> (i + offset) mod n, cached per (n, offset)."""
-    rows = (np.arange(n) + offset) % n
-    rows.setflags(write=False)
-    return rows
-
-
 def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
     """Periodic shift: entry i along ``axis`` holds values[i + offset], wrapping,
     for 0 < |offset| < N, in a fresh writable array of the input's dtype,
     C-contiguous unless ``values`` is Fortran-ordered (the solver writes into it).
 
-    Axis 0 takes its rows through a cached wrapped index.  The last axis of a
-    C-contiguous array is one flat copy off by ``offset``, right but for the
-    wrapped column, which is filled after.  Any other axis joins two slices.
-    Each is the cheapest of these on its axis (BENCH_21.json, BENCH_31.json)."""
-    if axis == 0:
-        return values.take(wrapped_rows(values.shape[0], offset), axis=0)
+    The last axis of a C-contiguous array, so every 1-D array of the lab, is
+    one flat copy off by ``offset``, right but for the wrapped column, which
+    is filled after (BENCH_31.json).  Any other axis joins two slices."""
     if axis == values.ndim - 1 and values.flags.c_contiguous:
         out = np.empty(values.shape, values.dtype)
         flat, source = out.reshape(-1), values.reshape(-1)
@@ -240,8 +226,8 @@ def face_divergence_arrays(fluxes: list[np.ndarray]) -> np.ndarray:
     caller frees after the call then leave reusable holes below the result,
     not free space at the top of the heap, which the C allocator returns to
     the system and the next call faults back in page by page (summing into
-    the first axis's copy instead took a 32^3 RK4 step from about 200 page
-    faults to about 1,700).
+    the first axis's copy instead multiplied a 32^3 RK4 step's page faults:
+    CHANGES.md, "In-place RK4 arithmetic").
     """
     diffs = []
     for k, flux in enumerate(fluxes):

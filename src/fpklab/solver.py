@@ -45,14 +45,14 @@ A 1-D right-hand side runs a one-axis body: the same operations in the same
 order, so it too is bitwise the plain formulas, in 15 whole-array numpy
 calls.  What does not change between calls is bound once per grid and
 fetched in one cached lookup: each neighbor is an index ``a[rows]`` through
-``grid.wrapped_rows`` (the cached index ``shift`` takes on axis 0), cheaper
-than ``a.take(rows)``, and 2 and N^2 are read-only 0-d float64 operands,
-which numpy 2 applies in less time than a Python float it converts on every
-call, with the same bits.  Higher dimensions keep the per-axis path, whose
-allocation order sets a 32^3 step's page faults.  The timings behind these
-choices are in BENCH_30.json, BENCH_31.json and their CHANGES.md entries.
-Reductions use numpy's pairwise summation in array
-order, so results are bitwise deterministic run to run for a fixed build.
+read-only east and west rows (i +- 1) mod N, cheaper than ``a.take(rows)``,
+and 2 and N^2 are read-only 0-d float64 operands, which numpy 2 applies in
+less time than a Python float it converts on every call, with the same bits.
+Higher dimensions keep the per-axis path, whose allocation order sets a 32^3
+step's page faults.  The timings behind these choices are in BENCH_30.json,
+BENCH_31.json and their CHANGES.md entries.  Reductions use numpy's pairwise
+summation in array order, so results are bitwise deterministic run to run
+for a fixed build.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .errors import (
     NonPositiveDensityError,
     StiffnessError,
 )
-from .grid import ScalarField, face_divergence_arrays, gradient_arrays, integrate, shift, wrapped_rows
+from .grid import ScalarField, face_divergence_arrays, gradient_arrays, integrate, shift
 
 INTEGRATORS = ("explicit-euler", "rk4")
 
@@ -179,17 +179,20 @@ _TWO.setflags(write=False)
 
 @cache
 def _axis_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N^2 = n*n as a read-only 0-d float64, east rows, west rows) of n cells per axis, cached per n."""
-    scale = np.array(float(n * n))
-    scale.setflags(write=False)
-    return scale, wrapped_rows(n, 1), wrapped_rows(n, -1)
+    """(N^2 = n*n as a read-only 0-d float64, east rows (i + 1) mod n, west rows (i - 1) mod n)
+    of n cells per axis, each read-only, cached per n."""
+    cells = np.arange(n)
+    operands = np.array(float(n * n)), (cells + 1) % n, (cells - 1) % n
+    for operand in operands:
+        operand.setflags(write=False)
+    return operands
 
 
 def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) -> np.ndarray:
     scale, east_rows, west_rows = _axis_operands(f_values.shape[0])
     if f_values.ndim == 1:
         # the loop below and face_divergence_arrays for one axis, operation for operation,
-        # each neighbor indexed through the cached rows shift takes on axis 0
+        # each neighbor indexed through the cached rows
         psi = np.log(f_values)
         psi *= coeffs.D.values
         psi += coeffs.phi.values
@@ -356,7 +359,9 @@ def run(f0: ScalarField, coeffs: CoefficientSet, config: SolverConfig, recorder)
             if final or state.step_index % config.record_every == 0:
                 held.append((state, coeffs.pi_values(state.t)))  # the sample the next step reuses
             if len(held) == batch:
-                flush()  # a 3-D state kept to the next record took a bulk run from 7.4k to 28k page faults
+                # a 3-D state kept to the next record multiplied a run's page faults
+                # (CHANGES.md, "Record in batches" and the FOUND after it)
+                flush()
     finally:
         if held:
             flush()

@@ -81,7 +81,7 @@ def plain_pi_values(coeffs, t):
     if not coeffs.pi_expr.uses_t:
         return coeffs.pi0.values
     expr, grid = coeffs.pi_expr, coeffs.grid
-    arr = _finite_samples(expr.evaluate(_grid_coords(expr, grid, "pi"), t), expr, grid, "pi")
+    arr = _finite_samples(expr.evaluate({**_grid_coords(expr, grid, "pi"), "t": t}), expr, grid, "pi")
     _require_positive("pi", arr, grid)
     return arr
 

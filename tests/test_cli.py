@@ -862,6 +862,26 @@ def test_out_at_or_below_a_file_exits_2(tmp_path, capsys, command, below):
     assert err == f"error: output directory {quote_source(str(out), len(str(out)))}: Not a directory\n"
 
 
+def test_force_removes_earlier_outputs_only(tmp_path):
+    # a check after a run leaves no series.csv; a 1-row sweep after a 3-row one leaves one row
+    scenario, sweep = tmp_path / "input.json", tmp_path / "sweep.json"
+    scenario.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert cli.main(["check", str(scenario), "--out", str(out), "--force"]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["notes.txt", "report.json", "scenario.normalized.json"]
+    assert (out / "notes.txt").read_text() == "kept"
+    sweep.write_text(json.dumps({**_SWEEP, "values": [1, 2, 4]}))
+    assert cli.main(["sweep", str(sweep), "--out", str(out), "--force", "--jobs", "1"]) == 0
+    assert len(list((out / "rows").iterdir())) == 3
+    sweep.write_text(json.dumps({**_SWEEP, "values": [1]}))
+    assert cli.main(["sweep", str(sweep), "--out", str(out), "--force", "--jobs", "1"]) == 0
+    assert [path.name for path in (out / "rows").iterdir()] == ["000_sweep-base-d1"]
+    assert len((out / "sweep.csv").read_text().splitlines()) == 2
+    assert sorted(path.name for path in out.iterdir()) == ["notes.txt", "rows", "sweep.csv"]
+
+
 def test_long_path_error_quotes_a_window(tmp_path, capsys):
     # the row directory of a 300-character name is refused by the file system;
     # the error quotes the path's last 60 characters, not the whole path

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fpklab as F
 from conftest import capturing, interpolation_check, load_scenario_dict, plain_term_breakdown, traced_peak_arrays
-from fpklab import cli, diagnostics as dg, grid as grid_module
+from fpklab import cli, diagnostics as dg, grid as grid_module, solver
 from fpklab.coefficients import REGIMES
 from fpklab.errors import (
     NonFiniteFieldError,
@@ -677,8 +678,35 @@ class TestMemory:
         assert record["terms"] is None
         assert peak <= 13
 
-    def test_run_peak(self):
+    def test_run_peak(self, monkeypatch):
+        # also what the run holds at each step's start, and its peak as the constants ledger returns
         scenario = cli.build_scenario(load_scenario_dict("torus_3d", **self.TORUS_32), fallback_name="torus_3d")
-        (series, report), peak = traced_peak_arrays(lambda: cli.run_scenario_data(scenario), F.build_grid(3, 32))
+        grid = F.build_grid(3, 32)
+        held, ledger_peak = [], []
+        step, ledger = solver.step, cli.build_constants_ledger
+
+        def traced_step(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return step(*args)
+
+        def traced_ledger(*args, **kwargs):
+            out = ledger(*args, **kwargs)
+            ledger_peak.append(tracemalloc.get_traced_memory()[1])
+            return out
+
+        monkeypatch.setattr(solver, "step", traced_step)
+        monkeypatch.setattr(cli, "build_constants_ledger", traced_ledger)
+        (series, report), peak = traced_peak_arrays(lambda: cli.run_scenario_data(scenario), grid)
         assert len(report["term_breakdown_samples"]) == dg.TERM_SAMPLES
         assert peak <= 38
+        arrays = 8 * grid.cell_count  # tracing starts with the call, from a few bytes
+        assert len(held) == report["accepted_steps"] and max(held) / arrays <= 15
+        assert len(ledger_peak) == 1 and ledger_peak[0] / arrays <= 19
+
+    def test_rk4_step_peak(self):
+        scenario = load_scenario_dict("torus_3d", **self.TORUS_32)
+        grid, coeffs, f0 = sample(scenario["coefficients"], dim=3, n=32)
+        state, dt = F.SolverState(f=f0, t=0.0, step_index=0), F.stable_dt(coeffs, 0.0, 0.4)
+        new, peak = traced_peak_arrays(lambda: F.step(state, coeffs, dt, F.SolverConfig(t_end=0.01)), grid)
+        assert new.step_index == 1
+        assert peak <= 12

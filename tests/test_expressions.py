@@ -11,8 +11,7 @@ from fpklab.grid import build_grid
 
 
 def ev(source, **env):
-    t = env.pop("t", None)
-    return parse_expression(source).evaluate(env, t)
+    return parse_expression(source).evaluate(env)
 
 
 class TestBasics:
@@ -72,7 +71,7 @@ class TestDepthBound:
         expr = parse_expression(source)
         coords = {"x1": np.linspace(0.1, 0.9, 4)}
         bound = np.asarray(expr.bind(coords)(0.5), dtype=np.float64)
-        plain = np.asarray(expr.evaluate(coords, 0.5), dtype=np.float64)
+        plain = np.asarray(expr.evaluate({**coords, "t": 0.5}), dtype=np.float64)
         assert bound.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("shape", sorted(_nested(1)))
@@ -181,7 +180,7 @@ class TestBind:
         shape = (6, 6)
         for t in times:
             bound = np.broadcast_to(np.asarray(at(t), dtype=np.float64), shape)
-            plain = np.broadcast_to(np.asarray(expr.evaluate(self.COORDS, t), dtype=np.float64), shape)
+            plain = np.broadcast_to(np.asarray(expr.evaluate({**self.COORDS, "t": t}), dtype=np.float64), shape)
             assert bound.tobytes() == plain.tobytes()
 
     def test_missing_variable_reported(self):

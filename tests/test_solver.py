@@ -379,10 +379,14 @@ class TestInPlaceKernel:
         assert kernel.tobytes() == plain.tobytes()
 
     def test_one_axis_operands_are_read_only(self):
-        scale, east_rows, west_rows = solver._axis_operands(64)
-        for operand in (solver._TWO, scale, east_rows, west_rows):
-            with pytest.raises(ValueError, match="read-only"):
-                operand[...] = 0
+        for n in (4, 5, 64):
+            scale, east_rows, west_rows = solver._axis_operands(n)
+            assert scale.shape == () and scale == n * n
+            assert east_rows.tolist() == ((np.arange(n) + 1) % n).tolist()
+            assert west_rows.tolist() == ((np.arange(n) - 1) % n).tolist()
+            for operand in (solver._TWO, scale, east_rows, west_rows):
+                with pytest.raises(ValueError, match="read-only"):
+                    operand[...] = 0
 
     def test_one_axis_operands_follow_the_grid(self):
         # calls alternating between grids and coefficient sets each match the plain RHS,
@@ -688,9 +692,9 @@ class TestMobilitySampling:
         sources = []
         evaluate = CoefficientExpr.evaluate
 
-        def spied(self, coords, t=None):
+        def spied(self, env):
             sources.append(self.source)
-            return evaluate(self, coords, t)
+            return evaluate(self, env)
 
         monkeypatch.setattr(CoefficientExpr, "evaluate", spied)
         grid, coeffs, f0, _, shift = cli._setup(scenario)
