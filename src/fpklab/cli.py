@@ -32,6 +32,7 @@ import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -364,8 +365,9 @@ def check_scenario_data(scenario: Scenario) -> dict:
     return _report(scenario, *_trajectory(scenario, steps=False))
 
 
-def _series_rows(series) -> list[list[str]]:
-    return [list(map(_fmt, row)) for row in zip(*(series.columns[name] for name in SERIES_COLUMNS))]
+def _series_rows(series) -> Iterator[list[str]]:
+    """series.csv's data rows, each formatted as the writer takes it, so no run holds them all."""
+    return (list(map(_fmt, row)) for row in zip(*(series.columns[name] for name in SERIES_COLUMNS)))
 
 
 def _write_csv(path: Path, header, rows) -> None:

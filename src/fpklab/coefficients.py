@@ -150,7 +150,8 @@ class CoefficientSet:
         if not (type(arr) is np.ndarray and arr.shape == self.grid.shape
                 and arr.dtype == np.float64 and arr.flags.c_contiguous):
             arr = np.broadcast_to(np.asarray(arr, dtype=np.float64), self.grid.shape).copy()
-        if not (arr.min() > 0.0 and arr.max() < math.inf):  # false on NaN
+        if not (np.minimum.reduce(arr, axis=None) > 0.0
+                and np.maximum.reduce(arr, axis=None) < math.inf):  # false on NaN
             # one of these raises, naming the same cell a full check names
             _require_positive("pi", _finite_samples(arr, self.pi_expr, self.grid, "pi"), self.grid)
         arr.setflags(write=False)

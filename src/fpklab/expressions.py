@@ -19,8 +19,15 @@ The tree has two leaves, numbers and variables, and one operator node,
 which applies a numpy function to its arguments' values: once to a single
 argument (the one-argument functions, and unary minus as the product
 -1.0 * x), otherwise folded left to right (the binary operators, min and
-max).  ``CoefficientExpr.bind`` evaluates every t-free subtree once; the
-coefficient sampler binds the mobility to the cell centers that way.
+max).  Each node has one evaluation walk, ``compile``: ``evaluate`` compiles
+the tree on its whole environment down to a value, and ``CoefficientExpr.bind``
+compiles it on the coordinates alone, which evaluates every t-free subtree once
+and leaves closures of t that make the remaining numpy calls, on the same
+operands in the same order.  The coefficient sampler binds the mobility to the
+cell centers that way.  Both ignore floating-point errors through numpy's
+decorator form, ``np.errstate(all="ignore")`` wrapped around the compile walk
+and around the bound closure, which sets the error state on each call without
+building a context manager as a ``with`` block does (BENCH_33.json).
 """
 
 from __future__ import annotations
@@ -94,25 +101,29 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-# Expression nodes.  Each evaluates against an environment mapping variable
-# names to scalars or broadcastable numpy arrays.  ``bind`` returns the node
-# with every t-free subtree evaluated once against the environment and held
-# as a _Num; the t-dependent nodes that remain run the same numpy ops in the
-# same order, so their results are bitwise those of ``evaluate``.  ``depth``
-# is the height of the node's tree, a leaf's being 0.
+# Expression nodes.  ``compile(env)`` is the one evaluation walk: it takes an
+# environment mapping variable names to scalars or broadcastable numpy arrays,
+# and returns a _Num holding the node's value when the environment supplies
+# every variable its subtree uses, else a closure of t, in which every t-free
+# subtree is already a value.  Either way each numpy function is applied to the
+# same operands in the same order, so a closure's result at t is bitwise the
+# value a compile on the environment plus t gives.  ``depth`` is the height of
+# the node's tree, a leaf's being 0.
+
+
+def _time(t):
+    """The variable t, compiled without a value: the closure returning t."""
+    return t
 
 
 class _Num:
     __slots__ = ("value",)
     depth = 0
 
-    def __init__(self, value: float):
+    def __init__(self, value):
         self.value = value
 
-    def evaluate(self, env):
-        return self.value
-
-    def bind(self, env):
+    def compile(self, env):
         return self
 
 
@@ -123,11 +134,8 @@ class _Var:
     def __init__(self, name: str):
         self.name = name
 
-    def evaluate(self, env):
-        return env[self.name]
-
-    def bind(self, env):
-        return self if self.name == "t" else _Num(env[self.name])
+    def compile(self, env):
+        return _Num(env[self.name]) if self.name in env else _time
 
 
 class _Apply:
@@ -141,21 +149,30 @@ class _Apply:
         self.args = args
         self.depth = max(a.depth for a in args) + 1
 
-    def evaluate(self, env):
-        # each argument is folded in as it is evaluated; collecting the values first costs more per call
-        args = self.args
-        out = args[0].evaluate(env)
-        if len(args) == 1:
-            return self.func(out)
-        for arg in args[1:]:
-            out = self.func(out, arg.evaluate(env))
+    def compile(self, env):
+        func = self.func
+        parts = [a.compile(env) for a in self.args]
+        out = parts[0]
+        if len(parts) == 1:
+            if type(out) is _Num:
+                return _Num(func(out.value))
+            return func if out is _time else lambda t: func(out(t))
+        for part in parts[1:]:
+            out = _fold(func, out, part)
         return out
 
-    def bind(self, env):
-        node = _Apply(self.func, [a.bind(env) for a in self.args])
-        if all(isinstance(a, _Num) for a in node.args):
-            return _Num(node.evaluate(env))
-        return node
+
+def _fold(func: Callable, a, b):
+    """func(a, b) of two compiled nodes, as a _Num if both are values, else a closure of t."""
+    if type(a) is _Num:
+        a = a.value
+        if type(b) is _Num:
+            return _Num(func(a, b.value))
+        return lambda t: func(a, b(t))
+    if type(b) is _Num:
+        b = b.value
+        return lambda t: func(a(t), b)
+    return lambda t: func(a(t), b(t))
 
 
 class _Parser:
@@ -293,25 +310,27 @@ class CoefficientExpr:
         spatial-only slot).
         """
         self._require(env)
-        with np.errstate(all="ignore"):
-            return self.root.evaluate(env)
+        return self._compile(env).value
 
     def bind(self, coords: dict[str, np.ndarray]) -> Callable[[float], object]:
         """Evaluator of t on fixed coordinates, bitwise equal to evaluate({**coords, "t": t}).
 
-        Every subtree that does not use t is evaluated once, here; a call
-        runs only the t-dependent operations.  Raises ExpressionError like
-        evaluate for a variable the coordinates do not supply.
+        Every subtree that does not use t is evaluated once, here, and the
+        rest compiled into closures; a call runs only the t-dependent numpy
+        operations, with every floating-point error ignored as in evaluate.
+        Raises ExpressionError like evaluate for a variable the coordinates
+        do not supply.
         """
         self._require({*coords, "t"})
-        with np.errstate(all="ignore"):
-            root = self.root.bind(coords)
+        root = self._compile(coords)
+        if type(root) is _Num:
+            value = root.value
+            return lambda t: value
+        return np.errstate(all="ignore")(root)
 
-        def at(t: float):
-            with np.errstate(all="ignore"):
-                return root.evaluate({"t": t})
-
-        return at
+    @np.errstate(all="ignore")
+    def _compile(self, env):
+        return self.root.compile(env)
 
     def _require(self, available) -> None:
         missing = self.variables - set(available)

@@ -124,8 +124,10 @@ class ScalarField:
 
 
 def integrate(field: ScalarField) -> float:
-    """Midpoint-rule integral h^n * sum(values)."""
-    return field.grid.cell_volume * float(field.values.sum())
+    """Midpoint-rule integral h^n * sum(values): the pairwise sum ``values.sum()`` takes,
+    by a direct ``np.add.reduce`` over ``axis=None`` (its default axis 0 would sum a 3-D
+    field to a plane)."""
+    return field.grid.cell_volume * float(np.add.reduce(field.values, axis=None))
 
 
 def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
@@ -133,10 +135,11 @@ def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
     for 0 < |offset| < N, in a fresh writable array of the input's dtype,
     C-contiguous unless ``values`` is Fortran-ordered (the solver writes into it).
 
-    The last axis of a C-contiguous array, so every 1-D array of the lab, is
-    one flat copy off by ``offset``, right but for the wrapped column, which
-    is filled after (BENCH_31.json).  Any other axis joins two slices."""
-    if axis == values.ndim - 1 and values.flags.c_contiguous:
+    The last axis of a C-contiguous array of two or more axes is one flat
+    copy off by ``offset``, right but for the wrapped column, which is filled
+    after (BENCH_31.json).  Any other axis, and every 1-D array, joins two
+    slices: on a short 1-D array the join is the cheaper copy (BENCH_33.json)."""
+    if axis == values.ndim - 1 and values.ndim >= 2 and values.flags.c_contiguous:
         out = np.empty(values.shape, values.dtype)
         flat, source = out.reshape(-1), values.reshape(-1)
         if offset > 0:

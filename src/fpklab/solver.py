@@ -53,6 +53,19 @@ step's page faults.  The timings behind these choices are in BENCH_30.json,
 BENCH_31.json and their CHANGES.md entries.  Reductions use numpy's pairwise
 summation in array order, so results are bitwise deterministic run to run
 for a fixed build.
+
+Around each step the fixed cost is kept small, with the same bits.  ``step``
+and ``stable_dt`` set their floating-point error states in numpy's decorator
+form, ``@np.errstate(...)``: it sets the state on each call without building a
+context manager as a ``with`` block does, and it covers the whole function, so
+a patched ``_advance`` runs under it too.  The per-step reductions (the floor
+test, ``grid.integrate``'s mass sum and ``stable_dt``'s max, like the mobility's
+validation in coefficients) call ``np.minimum.reduce``, ``np.maximum.reduce`` or
+``np.add.reduce`` directly, the reductions ``.min()``, ``.max()`` and ``.sum()``
+make, with the same pairwise bits.  Each passes ``axis=None``: a ufunc's own
+``reduce`` defaults to axis 0, which would leave a row of a 2-D state or a
+plane of a 3-D one.  RK4's 0.5 dt, dt and dt/6 are 0-d float64 operands built
+once per ``_advance``, like 2.  The measurements are in BENCH_33.json.
 """
 
 from __future__ import annotations
@@ -234,14 +247,14 @@ def rhs(f: ScalarField, coeffs: CoefficientSet, t: float) -> ScalarField:
     return ScalarField(f.grid, _rhs_values(f.values, coeffs, coeffs.pi_values(t)))
 
 
+@np.errstate(over="ignore")
 def stable_dt(coeffs: CoefficientSet, t: float, cfl_safety: float) -> float:
     """Parabolic step heuristic cfl_safety * h^2 / (2 n max(D/pi)); FpkError unless
     it is positive and finite (max(D/pi), or the step, over- or underflowing)."""
     if not 0.0 < cfl_safety <= 1.0:
         raise ValueError("cfl_safety must be in (0, 1]")
     grid = coeffs.grid
-    with np.errstate(over="ignore"):
-        diffusivity = float((coeffs.D.values / coeffs.pi_values(t)).max())
+    diffusivity = float(np.maximum.reduce(coeffs.D.values / coeffs.pi_values(t), axis=None))
     scale = 2.0 * grid.dim * diffusivity
     dt = cfl_safety * grid.spacing**2 / scale if scale > 0.0 else math.inf
     if not 0.0 < dt < math.inf:  # false on NaN
@@ -258,30 +271,33 @@ def _advance(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray, dt: f
     k1 = _rhs_values(f_values, coeffs, pi)
     weight = dt
     if integrator == "rk4":
+        # 0.5 dt, dt and dt/6 as 0-d float64 operands, like _TWO: the same bits
+        half, full, weight = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
         # each stage f + scale k is built in a fresh k * scale; each k is added into k1,
         # left to right, and freed once the next stage is built from it
-        stage = k1 * (0.5 * dt)
+        stage = k1 * half
         stage += f_values
         k2 = _rhs_values(stage, coeffs, pi)
         del stage  # before k2's stage is allocated: a 3-D step's page faults follow allocation order
-        stage = k2 * (0.5 * dt)
+        stage = k2 * half
         stage += f_values
         k2 *= _TWO
         k1 += k2
         del k2
         k3 = _rhs_values(stage, coeffs, pi)
-        stage = k3 * dt
+        stage = k3 * full
         stage += f_values
         k3 *= _TWO
         k1 += k3
         del k3
         k1 += _rhs_values(stage, coeffs, pi)
-        weight = dt / 6.0
     k1 *= weight
     k1 += f_values
     return k1
 
 
+# a nonpositive stage cell gives NaN, an overflowing flux inf or NaN: the floor or mass test fails
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverConfig) -> SolverState:
     """One accepted explicit step; rejects and halves dt at the positivity floor."""
     if not 0.0 < dt < math.inf:  # false on NaN
@@ -290,10 +306,8 @@ def step(state: SolverState, coeffs: CoefficientSet, dt: float, config: SolverCo
     pi = coeffs.pi_values(state.t)
     rejections = 0
     while True:
-        # a nonpositive stage cell gives NaN, an overflowing flux inf or NaN: the floor or mass test fails
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            new_values = _advance(state.f.values, coeffs, pi, dt, config.integrator)
-        fmin = float(new_values.min())
+        new_values = _advance(state.f.values, coeffs, pi, dt, config.integrator)
+        fmin = float(np.minimum.reduce(new_values, axis=None))
         if fmin > floor:  # false on NaN
             break
         rejections += 1

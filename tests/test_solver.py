@@ -14,7 +14,14 @@ import pytest
 import fpklab as F
 from conftest import capturing, load_scenario_dict, plain_advance, plain_fluxes, plain_pi_values, plain_rhs_values
 from fpklab import cli, diagnostics as dg, solver
-from fpklab.errors import FpkError, MassConservationError, NonFiniteFieldError, NonPositiveDensityError, StiffnessError
+from fpklab.errors import (
+    FpkError,
+    MassConservationError,
+    NonFiniteFieldError,
+    NonPositiveDensityError,
+    PositivityError,
+    StiffnessError,
+)
 from fpklab.coefficients import CoefficientSet
 from fpklab.expressions import CoefficientExpr
 from fpklab.grid import ScalarField, dot, face_divergence, integrate
@@ -335,6 +342,53 @@ def kernel_spec(dim, uses_t, f0_amplitude=0.3):
 
 
 KERNEL_GRIDS = [(1, 4), (1, 5), (1, 64), (1, 128), (2, 12), (3, 8)]
+
+
+class TestWholeGridReductions:
+    """Each per-step reduction covers every cell of a 2-D or 3-D grid: numpy's ufunc
+    reduce defaults to axis 0, which would leave a row or plane, so each passes axis=None."""
+
+    @staticmethod
+    def off_row_zero(dim, n):
+        """Two cells outside axis-0 row 0."""
+        return (1,) + (n - 1,) * (dim - 1), (n - 1,) + (1,) * (dim - 1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_floor_cell_outside_row_zero_rejected(self, monkeypatch, dim):
+        n = 4
+        grid, coeffs, f0 = sample(UNIT, dim=dim, n=n)
+        low, high = self.off_row_zero(dim, n)
+        at_floor = np.ones(grid.shape)
+        at_floor[low], at_floor[high] = 0.5, 1.5  # unit mass, minimum exactly the floor
+        monkeypatch.setattr(solver, "_advance", lambda *args: at_floor.copy())
+        with pytest.raises(StiffnessError) as err:
+            F.step(SolverState(f0, 0.0, 0), coeffs, 1e-5, SolverConfig(t_end=1.0, positivity_floor=0.5))
+        assert err.value.dump["min_new_value"] == 0.5
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_mobility_nonpositive_outside_row_zero_raises_the_cell_error(self, dim):
+        _, coeffs, _ = sample({**UNIT, "pi": "1 - t*x1"}, dim=dim, n=4)  # x1 >= 1/2 at t = 2
+        with pytest.raises(PositivityError) as err:
+            coeffs.pi_values(2.0)
+        with pytest.raises(PositivityError) as plain:
+            plain_pi_values(coeffs, 2.0)
+        assert str(err.value) == str(plain.value)
+        assert err.value.cell[0] == 3  # the least sample, in the last row
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stable_dt_max_outside_row_zero(self, dim):
+        grid, coeffs, _ = sample({**VARPI, "D": "1 + x1 + 0.1*x2"}, dim=dim, n=8)
+        t = 0.3
+        ratio = coeffs.D.values / coeffs.pi_values(t)
+        assert np.unravel_index(int(np.argmax(ratio)), grid.shape)[0] != 0
+        plain = 0.4 * grid.spacing**2 / (2.0 * dim * float(ratio.max()))
+        assert F.stable_dt(coeffs, t, 0.4) == plain
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_integrate_is_the_whole_sum(self, dim):
+        grid = F.build_grid(dim, 8)
+        values = np.random.default_rng(dim).standard_normal(grid.shape)
+        assert integrate(ScalarField(grid, values)).hex() == (grid.cell_volume * values.sum()).hex()
 
 
 class TestInPlaceKernel:
