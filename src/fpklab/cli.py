@@ -32,7 +32,7 @@ import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -62,11 +62,8 @@ OUTPUTS = ("series.csv", "report.json", "scenario.normalized.json", "sweep.csv",
 SWEEP_AXES = {"d_scale": "d", "gamma": "g", "grad_pi_scale": "p", "resolution": "n"}
 
 #: the solver settings a scenario may give, in validation order, with their
-#: kinds; SolverConfig holds the defaults of those it leaves out
-SOLVER_KINDS = {
-    "t_end": float, "cfl_safety": float, "positivity_floor": float,
-    "integrator": str, "max_steps": int, "record_every": int,
-}
+#: kinds: SolverConfig's fields, which hold the defaults of those it leaves out
+SOLVER_KINDS = get_type_hints(SolverConfig)
 
 #: the theory key whose certified value, if the scenario gives one, stands in for each constant
 CERTIFIED_KEYS = {

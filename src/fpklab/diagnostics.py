@@ -42,7 +42,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .grid import Grid, ScalarField, dot, gradient_arrays, hessian_entry, per_axis
-from .solver import TimeSeries, _velocity_arrays, compute_velocity, require_positive_density
+from .solver import TimeSeries, _potential, _velocity_arrays, compute_velocity, require_positive_density
 
 #: a run's records carry at most this many term breakdowns, picked by target time
 TERM_SAMPLES = 5
@@ -180,8 +180,7 @@ def _velocity_pass(grid: Grid, fv: np.ndarray, pi: np.ndarray, coeffs: Coefficie
     require_positive_density(fv)
     log_f = np.log(fv)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, raised on below
-        psi = log_f * coeffs.D.values  # solver._potential, from the one log f
-        psi += coeffs.phi.values
+        psi = _potential(log_f.copy(), coeffs)  # a copy: the one log f is also returned
         u = _velocity_arrays(psi, pi, grid.spacing, lead=1)
         del psi  # freed before the sums' arrays are built
         ju = [np.zeros(fv.shape) for _ in u] if jac_u else None

@@ -4,7 +4,7 @@ Cells are uniform with centers at (i + 1/2) h, h = 1/N, on [0,1)^n for
 n = 1, 2, 3.  All index arithmetic wraps modulo N on every axis, so sampled
 fields are exactly periodic; there are no ghost cells.  ``shift`` is the one
 wrap: every stencil here and in the solver reads its neighbors through it,
-except the solver's one-axis kernel, which indexes its own wrapped rows.
+except the solver's 1-D right-hand side, which indexes cached wrapped rows.
 Integration is the midpoint rule (spectrally accurate for smooth periodic
 integrands), gradients are centered second-order differences, and the face
 divergence telescopes to zero total mass on every periodic flux array.

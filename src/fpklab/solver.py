@@ -41,15 +41,17 @@ formulas.  The one N^2 leaves a call two divisions in 1-D and four in 3-D
 (f/pi and a harmonic mean per axis).  When N is a power of two, h = 2^-k,
 so dividing each flux and then the divergence by h gives the same bits,
 short of overflow or underflow; for another N they differ in the last bits.
-A 1-D right-hand side runs a one-axis body: the same operations in the same
-order, so it too is bitwise the plain formulas, in 15 whole-array numpy
-calls.  What does not change between calls is bound once per grid and
-fetched in one cached lookup: each neighbor is an index ``a[rows]`` through
-read-only east and west rows (i +- 1) mod N, cheaper than ``a.take(rows)``,
-and 2 and N^2 are read-only 0-d float64 operands, which numpy 2 applies in
-less time than a Python float it converts on every call, with the same bits.
-Higher dimensions keep the per-axis path, whose allocation order sets a 32^3
-step's page faults.  The timings behind these choices are in BENCH_30.json,
+Every dimension forms psi in ``_potential`` and each axis's flux in
+``_face_flux``; the 1-D path differs from the per-axis one only in how a
+neighbor is fetched and in its inline divergence, 15 whole-array numpy calls
+in all.  In 1-D what does not change between calls is bound once per grid
+and fetched in one cached lookup: each neighbor is an index ``a[rows]``
+through read-only east and west rows (i +- 1) mod N, cheaper than
+``a.take(rows)``, and N^2, like 2, is a read-only 0-d float64 operand, which
+numpy 2 applies in less time than a Python float it converts on every call,
+with the same bits.  Higher dimensions fetch through ``grid.shift`` and sum
+with ``face_divergence_arrays``, whose allocation order sets a 32^3 step's
+page faults.  The timings behind these choices are in BENCH_30.json,
 BENCH_31.json and their CHANGES.md entries.  Reductions use numpy's pairwise
 summation in array order, so results are bitwise deterministic run to run
 for a fixed build.
@@ -72,7 +74,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -158,12 +161,11 @@ def require_positive_density(f_values: np.ndarray) -> None:
         raise NonPositiveDensityError("density has a nonpositive cell; log f undefined")
 
 
-def _potential(f_values: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
-    """psi = D log f + phi, built in one fresh array."""
-    psi = np.log(f_values)
-    psi *= coeffs.D.values
-    psi += coeffs.phi.values
-    return psi
+def _potential(log_f: np.ndarray, coeffs: CoefficientSet) -> np.ndarray:
+    """psi = D log f + phi, built in log f's own array."""
+    log_f *= coeffs.D.values
+    log_f += coeffs.phi.values
+    return log_f
 
 
 def _velocity_arrays(psi: np.ndarray, pi: np.ndarray, spacing: float, lead: int = 0) -> list[np.ndarray]:
@@ -179,7 +181,7 @@ def compute_velocity(f: ScalarField, coeffs: CoefficientSet, t: float) -> list[n
     """u = -(1/pi) grad(D log f + phi), centered differences, one array per axis;
     NonFiniteFieldError if an entry is NaN or infinite."""
     require_positive_density(f.values)
-    u = _velocity_arrays(_potential(f.values, coeffs), coeffs.pi_values(t), f.grid.spacing)
+    u = _velocity_arrays(_potential(np.log(f.values), coeffs), coeffs.pi_values(t), f.grid.spacing)
     if not all(np.isfinite(uk).all() for uk in u):
         raise NonFiniteFieldError("velocity has a NaN or infinite entry")
     return u
@@ -190,53 +192,47 @@ _TWO = np.array(2.0)
 _TWO.setflags(write=False)
 
 
+def _face_flux(mobility_density: np.ndarray, psi: np.ndarray, east) -> np.ndarray:
+    """(2 m m_east) / (m + m_east) * (psi_east - psi), m the mobility density, built in a
+    fresh array; ``east`` maps an array to its east neighbors, fetched where each is first
+    needed (fetching both first raised a 32^3 run's page faults sevenfold)."""
+    neighbor = east(mobility_density)
+    flux = _TWO * mobility_density
+    flux *= neighbor
+    neighbor += mobility_density
+    flux /= neighbor
+    neighbor = east(psi)
+    neighbor -= psi
+    flux *= neighbor
+    return flux
+
+
 @cache
-def _axis_operands(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N^2 = n*n as a read-only 0-d float64, east rows (i + 1) mod n, west rows (i - 1) mod n)
-    of n cells per axis, each read-only, cached per n."""
+def _axis_operands(n: int) -> tuple[np.ndarray, itemgetter, np.ndarray]:
+    """(N^2 = n*n as a read-only 0-d float64, the east fetch a[(i + 1) mod n], west rows
+    (i - 1) mod n) of n cells per axis, the arrays read-only, cached per n."""
     cells = np.arange(n)
-    operands = np.array(float(n * n)), (cells + 1) % n, (cells - 1) % n
-    for operand in operands:
+    scale, east_rows, west_rows = np.array(float(n * n)), (cells + 1) % n, (cells - 1) % n
+    for operand in (scale, east_rows, west_rows):
         operand.setflags(write=False)
-    return operands
+    return scale, itemgetter(east_rows), west_rows
+
+
+#: each axis's east fetch on a 2-D or 3-D grid, bound once: partials built per call moved a 32^3 run's page faults
+_EAST_SHIFTS = tuple(partial(shift, offset=1, axis=k) for k in range(3))
 
 
 def _rhs_values(f_values: np.ndarray, coeffs: CoefficientSet, pi: np.ndarray) -> np.ndarray:
-    scale, east_rows, west_rows = _axis_operands(f_values.shape[0])
+    psi = _potential(np.log(f_values), coeffs)
+    mobility_density = f_values / pi
+    scale, east, west_rows = _axis_operands(f_values.shape[0])
     if f_values.ndim == 1:
-        # the loop below and face_divergence_arrays for one axis, operation for operation,
-        # each neighbor indexed through the cached rows
-        psi = np.log(f_values)
-        psi *= coeffs.D.values
-        psi += coeffs.phi.values
-        mobility_density = f_values / pi
-        east = mobility_density[east_rows]
-        flux = _TWO * mobility_density
-        flux *= east
-        east += mobility_density
-        flux /= east
-        east = psi[east_rows]
-        east -= psi
-        flux *= east
+        flux = _face_flux(mobility_density, psi, east)
         div = flux[west_rows]
         np.subtract(flux, div, out=div)
-        div *= scale
-        return div
-    psi = _potential(f_values, coeffs)
-    mobility_density = f_values / pi
-    fluxes = []
-    for k in range(f_values.ndim):
-        # flux = (2 m m_east) / (m + m_east) * (psi_east - psi), in place
-        east = shift(mobility_density, 1, k)
-        flux = 2.0 * mobility_density
-        flux *= east
-        east += mobility_density
-        flux /= east
-        east = shift(psi, 1, k)
-        east -= psi
-        flux *= east
-        fluxes.append(flux)
-    div = face_divergence_arrays(fluxes)
+    else:
+        fluxes = [_face_flux(mobility_density, psi, east_shift) for east_shift in _EAST_SHIFTS[: f_values.ndim]]
+        div = face_divergence_arrays(fluxes)
     div *= scale
     return div
 

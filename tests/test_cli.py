@@ -127,6 +127,25 @@ class TestParseScenario:
             jsonschema.validate({**MINIMAL, "name": name}, schema)
         jsonschema.validate({**MINIMAL, "name": "a-b.c_d ..e"}, schema)
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("grid", "scenario is missing required key 'grid'"),
+            ("coefficients", "scenario is missing required key 'coefficients'"),
+            ("solver", "solver is missing required key 't_end'"),
+        ],
+    )
+    def test_missing_block_rejected_by_schema_and_build(self, block, message):
+        import jsonschema
+
+        data = {key: value for key, value in MINIMAL.items() if key != block}
+        with pytest.raises(ScenarioError) as err:
+            cli.build_scenario(data)
+        assert str(err.value) == message
+        schema = json.loads((SCHEMA_DIR / "scenario.schema.json").read_text())
+        with pytest.raises(jsonschema.ValidationError, match=f"'{block}' is a required property"):
+            jsonschema.validate(data, schema)
+
     def test_shipped_scenarios_parse_and_validate(self):
         import jsonschema
 

@@ -434,10 +434,12 @@ class TestInPlaceKernel:
 
     def test_one_axis_operands_are_read_only(self):
         for n in (4, 5, 64):
-            scale, east_rows, west_rows = solver._axis_operands(n)
+            scale, east, west_rows = solver._axis_operands(n)
+            cells = np.arange(n)
             assert scale.shape == () and scale == n * n
-            assert east_rows.tolist() == ((np.arange(n) + 1) % n).tolist()
-            assert west_rows.tolist() == ((np.arange(n) - 1) % n).tolist()
+            assert east(cells).tolist() == ((cells + 1) % n).tolist()
+            assert west_rows.tolist() == ((cells - 1) % n).tolist()
+            (east_rows,) = east.__reduce__()[1]  # the rows the east fetch indexes through
             for operand in (solver._TWO, scale, east_rows, west_rows):
                 with pytest.raises(ValueError, match="read-only"):
                     operand[...] = 0
@@ -493,6 +495,40 @@ def test_rhs_numpy_calls_and_divisions(monkeypatch, dim, calls, divisions):
     solver._rhs_values(f0.values.view(CountingArray), coeffs, coeffs.pi_values(0.3))
     assert calls is None or len(CountingArray.log) == calls, CountingArray.log
     assert CountingArray.log.count("divide") == divisions, CountingArray.log
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (2, 6), (3, 4)])
+def test_rhs_forms_each_axis_flux_through_face_flux(monkeypatch, dim, n):
+    # one harmonic-mean face flux: every right-hand side calls solver._face_flux once per
+    # axis, k-th call for axis k, and each returns that axis's plain flux
+    grid, coeffs, f0 = sample(kernel_spec(dim, True), dim=dim, n=n)
+    pi = coeffs.pi_values(0.3)
+    fluxes, face_flux = [], solver._face_flux
+
+    def spy(*args):
+        fluxes.append(face_flux(*args))
+        return fluxes[-1]
+
+    monkeypatch.setattr(solver, "_face_flux", spy)
+    solver._rhs_values(f0.values, coeffs, pi)
+    assert [flux.tobytes() for flux in fluxes] == [flux.tobytes() for flux in plain_fluxes(f0.values, coeffs, pi)]
+
+
+def test_one_potential(monkeypatch):
+    # psi = D log f + phi is formed in solver._potential alone: the right-hand side and
+    # compute_velocity call it, and the recorder's velocity pass imports it
+    assert dg._potential is solver._potential
+    grid, coeffs, f0 = sample(kernel_spec(2, True), dim=2, n=6)
+    calls, potential = [], solver._potential
+
+    def spy(log_f, coeffs):
+        calls.append(log_f.shape)
+        return potential(log_f, coeffs)
+
+    monkeypatch.setattr(solver, "_potential", spy)
+    F.rhs(f0, coeffs, 0.3)
+    F.compute_velocity(f0, coeffs, 0.3)
+    assert calls == [grid.shape, grid.shape]
 
 
 def two_division_rhs(f_values, coeffs, pi):
