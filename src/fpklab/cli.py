@@ -469,15 +469,12 @@ def _sweep_row(theorem: str, report: dict | None = None, error: str = "") -> lis
     fit, overall = {}, ""
     if report is not None:
         fit = report["decay_fit"]
-        for cond in report["condition_reports"]:
-            if cond["theorem"] != theorem:
-                continue
-            if "error" in cond:
-                error = cond["error"]
-                break
-            for c in cond["clauses"]:
-                margins[c["name"]] = theory.clause_margin(c)
+        cond = next((c for c in report["condition_reports"] if c["theorem"] == theorem), {})
+        if "clauses" in cond:
+            margins.update((c["name"], theory.clause_margin(c)) for c in cond["clauses"])
             overall = cond["overall"]
+        elif report["condition_reports"]:  # no theory block leaves the cells blank
+            error = cond.get("error", f"no {theorem} report: the row's regime is {report['regime']}")
     cells = [_fmt(fit.get("rate", math.nan)), *map(_fmt, margins.values())]
     return [*cells, str(overall), fit.get("error", ""), error]
 

@@ -31,8 +31,12 @@ raises an FpkError naming it, an error entry and not a verdict, as a ratio
 that underflowed to 0 lies below the true constant and would loosen the T3/T4
 diffusion floor.  Division-by-zero entries for grad_d = 0 are treated as
 infinitely permissive, matching the degeneration of the derivation when D is
-constant.  An entry that overflows a float is +inf, and a zero factor keeps
-its entry at 0 beside it, so no clause sees a NaN.
+constant.  Each entry of the diffusion floor T3 and T4 share is an _entry: +inf
+where it overflows a float, and 0 beside a zero factor, so a zero factor makes
+no entry NaN and no entry raises an OverflowError; a pi_min^3 that underflows
+makes T4's threshold 0, failing that clause.  tests/test_theory.py's
+TestExtremeConstants pins these, the second by a property test over ledgers
+whose bounds lie on the float range's edges.
 
 Each theorem closes with the comparison inequality dg/dt <= -c g + d g^p,
 c = gamma, p = 3, d = 0 (T2), 1/6 (T3) or 1/(12 pi_min^3) (T4).  Below the
@@ -155,8 +159,19 @@ def _power(base: float, exponent: float) -> float:
 
 def _entry(*factors: float) -> float:
     """The product of the factors, left to right; 0 when a factor is 0, even beside
-    an infinite one (as grad_d = 0 is treated), so no entry is NaN."""
+    an infinite one (as grad_d = 0 is treated), so a zero factor makes no entry NaN."""
     return 0.0 if 0.0 in factors else math.prod(factors)
+
+
+def _diffusion_floor(ledger: ConstantsLedger, a: float, b: float, c: float, pi_factor: float, k32: float) -> float:
+    """The T3/T4 diffusion floor: the largest of a·lf·pi_factor·gd·K^{3/2}, b·lf·gd·|grad phi|
+    and c·(1 + n)(lf + 1)^2 gd^2, each an _entry (T3's pi_factor 1 changes no bit)."""
+    lf, gd = ledger.log_f_bound, ledger.grad_d
+    return max(
+        _entry(a, lf, pi_factor, gd, k32),
+        _entry(b, lf, gd, ledger.grad_phi_sup),
+        _entry(c, 1.0 + ledger.dim, _power(lf + 1.0, 2), _power(gd, 2)),
+    )
 
 
 def _validate_common(ledger: ConstantsLedger, gamma: float) -> None:
@@ -212,16 +227,8 @@ def check_condition_T3(ledger: ConstantsLedger, gamma: float, g0: float, constan
     _validate_common(ledger, gamma)
     if ledger.grad_pi > _REGIME_ATOL or ledger.pi_time > _REGIME_ATOL:
         raise WrongRegimeError("this check requires a constant mobility")
-    lf = ledger.log_f_bound
-    gd = ledger.grad_d
-    n = ledger.dim
-    floor_lhs = max(
-        _entry(3.0, lf, gd, _power(sobolev["value"], 1.5)),
-        2.0 * lf * gd * ledger.grad_phi_sup,
-        4.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
-    )
     sides = [
-        (floor_lhs, ledger.d_min, "<="),
+        (_diffusion_floor(ledger, 3.0, 2.0, 4.0, 1.0, _power(sobolev["value"], 1.5)), ledger.d_min, "<="),
         (-2.0 * (ledger.hess_phi_lower + 1.0) + ledger.d_min / poincare["value"], gamma, ">="),
         (g0, gronwall_threshold(_comparison_spec("T3", gamma, g0)), "<"),
     ]
@@ -238,11 +245,6 @@ def check_condition_T4(ledger: ConstantsLedger, gamma: float, g0: float, constan
     gd = ledger.grad_d
     n = ledger.dim
     k32 = _power(sobolev["value"], 1.5)  # K^{3/2}
-    floor_lhs = max(
-        _entry(12.0, lf, ledger.pi_max, gd, k32),
-        12.0 * lf * gd * ledger.grad_phi_sup,
-        16.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2,
-    )
     # grad_d = 0, and K^{3/2} underflowing to 0, make an entry infinitely permissive
     grad_pi_cap = min(
         1.0 / (6.0 * k32) if k32 > 0.0 else math.inf,
@@ -252,7 +254,7 @@ def check_condition_T4(ledger: ConstantsLedger, gamma: float, g0: float, constan
     )
     comparison = _comparison_spec("T4", gamma, g0, ledger.pi_min)
     sides = [
-        (floor_lhs, ledger.d_min, "<="),
+        (_diffusion_floor(ledger, 12.0, 12.0, 16.0, ledger.pi_max, k32), ledger.d_min, "<="),
         (ledger.pi_time, 1.0 / 6.0, "<="),
         (ledger.grad_pi, grad_pi_cap, "<="),
         (ledger.grad_pi, ledger.pi_min / (2.0 * sobolev["value"]), "<="),

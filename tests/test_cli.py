@@ -457,6 +457,28 @@ class TestSweep:
         assert below["error"] == "decay conditions require the diffusion floor d_min >= 1"
         assert above["error"] == ""
 
+    def test_row_whose_regime_has_no_report_for_the_theorem(self, tmp_path):
+        # cos(8 pi x) is constant on 4 cells: the base is homogeneous and the columns T2's,
+        # but the 8-cell row resolves D, is inhomogeneous-D and is checked from T3 on
+        base = {
+            "name": "alias", "grid": {"dim": 1, "cells_per_axis": 4},
+            "coefficients": {"D": "1.5 + 0.1*cos(8*pi*x1)", "phi": "0", "pi": "1", "f0": "1 + 0.1*sin(2*pi*x1)"},
+            "solver": {"t_end": 0.05}, "diagnostics": {"record_every": 1}, "theory": {"gamma": 1.0},
+        }
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=[4, 8])
+        with cli.run_sweep(spec, tmp_path / "alias", jobs=1).open(newline="") as fh:
+            coarse, fine = csv.DictReader(fh)
+        assert coarse["error"] == "" and coarse["overall_pass"] == "True"
+        assert math.isnan(float(fine["margin_rate"])) and fine["overall_pass"] == ""
+        assert fine["error"] == "no T2 report: the row's regime is inhomogeneous-D"
+        # with no theory block there are no reports, and the cells stay blank
+        base.pop("theory")
+        spec = cli.SweepSpec(base=cli.build_scenario(base), axis="resolution", values=[8])
+        with cli.run_sweep(spec, tmp_path / "plain", jobs=1).open(newline="") as fh:
+            (plain,) = csv.DictReader(fh)
+        assert plain["measured_rate"] == fine["measured_rate"]
+        assert (plain["overall_pass"], plain["error"]) == ("", "")
+
     def test_rows_leave_their_base_alone(self, tmp_path):
         theory_block = {"gamma": 1.0, "certified_poincare": 0.05}
         base = cli.build_scenario({**MINIMAL, "name": "b", "theory": theory_block})

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fpklab as F
 from conftest import clauses_by_name, comparison_ode, constant, constants_map
 from fpklab import cli, diagnostics as dg, theory as th
+from fpklab.coefficients import REGIMES
 from fpklab.errors import ThresholdError, WrongRegimeError
 
 
@@ -231,14 +234,57 @@ class TestConditionT4:
                     assert c_small["name"] in flippable
 
 
+def test_diffusion_floor_keeps_the_written_products():
+    """Each checker's diffusion floor is, bit for bit, its three products written out
+    with * and ** in the theorem's factor order; no ** on this grid overflows."""
+    values = (0.0, 1e-300, 0.3, 1.0, 2.5, 7.0, 1e100)
+    for lf, gd, gphi, n, k, pi_max in itertools.product(values, values, values, (1, 2, 3), (1e-3, 3.7), (1.0, 1e10)):
+        led = make_ledger(dim=n, log_f_bound=lf, grad_d=gd, grad_phi_sup=gphi, pi_max=pi_max)
+        k32 = k**1.5
+        t3 = max(3.0 * lf * gd * k32, 2.0 * lf * gd * gphi, 4.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2)
+        t4 = max(12.0 * lf * pi_max * gd * k32, 12.0 * lf * gd * gphi, 16.0 * (1.0 + n) * (lf + 1.0) ** 2 * gd**2)
+        for check, expected in ((th.check_condition_T3, t3), (th.check_condition_T4, t4)):
+            report = check(led, gamma=1.0, g0=0.5, constants=constants_map(0.05, k))
+            assert clauses_by_name(report)["diffusion_floor"]["lhs"].hex() == expected.hex(), (check, led)
+
+
+#: float-range edges a ledger bound or a constant is drawn from
+_EDGES = (0.0, 5e-324, 1e-300, 1.0, 1e154, 1e300, 1.7e308)
+_POSITIVE = st.sampled_from(_EDGES[1:])
+
+
+@st.composite
+def edge_ledgers(draw):
+    """A ConstantsLedger whose every bound lies on a float-range edge: d_min >= 1, the
+    density and mobility bounds positive and ordered, log_f_bound possibly +inf."""
+    init_min, init_max = sorted((draw(_POSITIVE), draw(_POSITIVE)))
+    pi_min, pi_max = sorted((draw(_POSITIVE), draw(_POSITIVE)))
+    bounds = ("pi_time", "grad_pi", "grad_d", "hess_phi_lower", "phi_sup", "grad_phi_sup", "log_f0_sup",
+              "feq_shift", "d_max_bound")
+    return F.ConstantsLedger(
+        dim=draw(st.sampled_from((1, 2, 3))), init_min=init_min, init_max=init_max, pi_min=pi_min, pi_max=pi_max,
+        d_min=draw(st.sampled_from(_EDGES[3:])), log_f_bound=draw(st.sampled_from((*_EDGES, math.inf))),
+        **{name: draw(st.sampled_from(_EDGES)) for name in bounds},
+    )
+
+
 class TestExtremeConstants:
     """Admissible but extreme inputs: an overflowing entry is +inf, a zero factor
-    keeps its entry at 0, and no clause sees a NaN."""
+    keeps its entry at 0, every ledger of edge floats gets each report, and the
+    examples' clauses see no NaN."""
 
     @staticmethod
     def _no_nan(report):
         for c in report["clauses"]:
             assert not (math.isnan(c["lhs"]) or math.isnan(c["rhs"])), c
+
+    @settings(max_examples=300, deadline=None)
+    @given(regime=st.sampled_from(REGIMES), ledger=edge_ledgers(), gamma=_POSITIVE, g0=st.sampled_from(_EDGES),
+           values=st.tuples(_POSITIVE, _POSITIVE, _POSITIVE))
+    @example(regime="homogeneous", ledger=make_ledger(log_f_bound=1e300), gamma=1.0, g0=0.5, values=(0.05, 1.0, 1.0))
+    def test_every_edge_ledger_gets_each_report(self, regime, ledger, gamma, g0, values):
+        reports = th.condition_reports(regime, ledger, gamma, g0, constants_map(*values))
+        assert [report["theorem"] for report in reports] == list(th.regime_theorems(regime))
 
     def test_overflowing_sobolev_power_fails_t3_floor(self):
         report = th.check_condition_T3(make_ledger(grad_d=0.5), gamma=1.0, g0=0.5, constants=constants_map(0.05, 1e300))
